@@ -25,6 +25,11 @@ use std::path::{Path, PathBuf};
 pub struct TenantRouter {
     ring_capacity: usize,
     logs: BTreeMap<String, String>,
+    /// Reused render buffer for [`TenantRouter::collect`]: a ring
+    /// renders here, then is copied onto the tenant's log, so each log
+    /// is allocated at exactly its length and no per-tenant render
+    /// buffer is allocated once this one has grown.
+    scratch: String,
 }
 
 impl TenantRouter {
@@ -33,6 +38,7 @@ impl TenantRouter {
         TenantRouter {
             ring_capacity,
             logs: BTreeMap::new(),
+            scratch: String::new(),
         }
     }
 
@@ -54,8 +60,12 @@ impl TenantRouter {
     /// Drain a retiring tenant's handle into its log. Appends, so a
     /// tenant collected in several quanta accumulates one stream.
     pub fn collect(&mut self, tenant: &str, telemetry: &Telemetry) {
-        if let Some(jsonl) = telemetry.to_jsonl() {
-            self.append_chunk(tenant, &jsonl);
+        if let Some(ring) = telemetry.ring_sink() {
+            self.scratch.clear();
+            ring.write_jsonl(&mut self.scratch);
+            if !self.scratch.is_empty() {
+                log_for(&mut self.logs, tenant).push_str(&self.scratch);
+            }
         }
     }
 
@@ -63,20 +73,9 @@ impl TenantRouter {
     /// tenants' path). `line` must not contain a newline.
     pub fn append_line(&mut self, tenant: &str, line: &str) {
         debug_assert!(!line.contains('\n'), "append_line takes a single line");
-        let log = self.logs.entry(tenant.to_string()).or_default();
+        let log = log_for(&mut self.logs, tenant);
         log.push_str(line);
         log.push('\n');
-    }
-
-    fn append_chunk(&mut self, tenant: &str, jsonl: &str) {
-        if jsonl.is_empty() {
-            return;
-        }
-        let log = self.logs.entry(tenant.to_string()).or_default();
-        log.push_str(jsonl);
-        if !jsonl.ends_with('\n') {
-            log.push('\n');
-        }
     }
 
     /// A tenant's accumulated JSONL, if any was routed.
@@ -116,6 +115,15 @@ impl TenantRouter {
         }
         Ok(out)
     }
+}
+
+/// A tenant's log, created empty on first use; the owned key is only
+/// allocated then.
+fn log_for<'a>(logs: &'a mut BTreeMap<String, String>, tenant: &str) -> &'a mut String {
+    if !logs.contains_key(tenant) {
+        logs.insert(tenant.to_string(), String::new());
+    }
+    logs.get_mut(tenant).expect("inserted above")
 }
 
 #[cfg(test)]

@@ -78,22 +78,36 @@ impl RingSink {
         self.dropped
     }
 
-    /// The held events in chronological order.
-    pub fn events(&self) -> Vec<Stamped> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
+    /// The held events in chronological order, as the ring's two
+    /// halves (oldest first).
+    fn halves(&self) -> (&[Stamped], &[Stamped]) {
+        (&self.buf[self.next..], &self.buf[..self.next])
     }
 
-    /// Serialise the held events as JSON Lines (one event per line,
-    /// chronological order).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.events() {
-            out.push_str(&serde_json::to_string(&ev).expect("events always serialise"));
+    /// The held events in chronological order.
+    pub fn events(&self) -> Vec<Stamped> {
+        let (older, newer) = self.halves();
+        [older, newer].concat()
+    }
+
+    /// Append the held events to `out` as JSON Lines (one event per
+    /// line, chronological order), walking the ring in place. Each line
+    /// is byte-identical to `serde_json::to_string` of the event (see
+    /// [`Stamped::write_json`]); into a `String` with room to spare this
+    /// allocates nothing.
+    pub fn write_jsonl(&self, out: &mut String) {
+        let (older, newer) = self.halves();
+        for ev in older.iter().chain(newer) {
+            ev.write_json(out);
             out.push('\n');
         }
+    }
+
+    /// Serialise the held events as JSON Lines (see
+    /// [`RingSink::write_jsonl`]).
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        self.write_jsonl(&mut out);
         out
     }
 
@@ -170,6 +184,24 @@ mod tests {
             let back: Stamped = serde_json::from_str(line).unwrap();
             assert_eq!(back.cycle, want);
         }
+    }
+
+    #[test]
+    fn wrapped_ring_jsonl_matches_serde_of_events() {
+        let mut r = RingSink::new(4);
+        for (c, event) in (0..10).zip(crate::event::tests::one_of_each()) {
+            r.record(Stamped { cycle: c, event });
+        }
+        assert_eq!(r.dropped(), 6);
+        let want: String = r
+            .events()
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap() + "\n")
+            .collect();
+        assert_eq!(r.to_jsonl(), want);
+        let mut appended = String::from("kept\n");
+        r.write_jsonl(&mut appended);
+        assert_eq!(appended, format!("kept\n{want}"));
     }
 
     #[test]

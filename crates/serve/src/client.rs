@@ -71,9 +71,24 @@ impl ServeClient {
                 "unix socket addresses need a unix platform",
             ));
         } else {
-            ClientStream::Tcp(TcpStream::connect(addr)?)
+            let stream = TcpStream::connect(addr)?;
+            // One frame per request, then wait for the reply: never
+            // let Nagle hold a frame back.
+            stream.set_nodelay(true)?;
+            ClientStream::Tcp(stream)
         };
         Ok(ServeClient { stream })
+    }
+
+    /// Whether `TCP_NODELAY` is set (`true` on a Unix socket, which
+    /// has no Nagle delay).
+    #[cfg(test)]
+    pub(crate) fn nodelay(&self) -> io::Result<bool> {
+        match &self.stream {
+            ClientStream::Tcp(s) => s.nodelay(),
+            #[cfg(unix)]
+            ClientStream::Unix(_) => Ok(true),
+        }
     }
 
     fn roundtrip(&mut self, req: &Request) -> io::Result<Response> {

@@ -170,6 +170,9 @@ struct ScalarTenant {
 
 struct LaneTenant {
     id: u64,
+    /// `tenant_key(id)`, rendered once at admission for the per-cycle
+    /// transition lines.
+    key: String,
     rows: Vec<QueueRow>,
     budget: u64,
     done: bool,
@@ -237,11 +240,15 @@ fn telemetry_for(capacity: usize) -> Telemetry {
     }
 }
 
-fn row_units(row: &QueueRow) -> Vec<UnitType> {
-    row.types[..row.len as usize]
-        .iter()
-        .map(|&t| UnitType::ALL[t as usize])
-        .collect()
+/// Load one recorded queue row into `stim` (unit types decoded into a
+/// stack slice; the serving path calls this per lane per cycle).
+fn set_stim_row(stim: &mut LaneStimulus, lane: usize, cycle: usize, row: &QueueRow) {
+    let mut units = [UnitType::IntAlu; 7];
+    let len = row.len as usize;
+    for (u, &t) in units.iter_mut().zip(&row.types[..len]) {
+        *u = UnitType::ALL[t as usize];
+    }
+    stim.set_row(lane, cycle, &units[..len]);
 }
 
 /// The sparse per-cycle transition record of a lane tenant, if this
@@ -444,6 +451,7 @@ impl<S: Scheduler> ServeEngine<S> {
                 since_tick: self.tick,
                 tenant: LaneTenant {
                     id: q.id,
+                    key: tenant_key(q.id),
                     rows,
                     budget,
                     done: false,
@@ -663,7 +671,7 @@ impl<S: Scheduler> ServeEngine<S> {
                 for k in 0..steps {
                     let c = g.cursor + k as u64;
                     if c < t.budget {
-                        stim.set_row(lane, k, &row_units(&t.rows[c as usize]));
+                        set_stim_row(&mut stim, lane, k, &t.rows[c as usize]);
                     }
                 }
             }
@@ -674,7 +682,7 @@ impl<S: Scheduler> ServeEngine<S> {
                     if !t.done && cycle < t.budget {
                         stats.stepped_cycles += 1;
                         if let Some(line) = lane_transition_line(&g.batch, lane, cycle) {
-                            router.append_line(&tenant_key(t.id), &line);
+                            router.append_line(&t.key, &line);
                         }
                     }
                 }
@@ -888,7 +896,7 @@ pub fn replay(base: &SimConfig, req: &TenantRequest) -> Result<String, ShedReaso
         let (queue_len, n_slots) = (params.queue_len(), params.n_slots());
         let mut stim = LaneStimulus::new(LANES_PER_GROUP, budget.max(1), queue_len, n_slots);
         for (c, row) in rows.iter().take(budget).enumerate() {
-            stim.set_row(0, c, &row_units(row));
+            set_stim_row(&mut stim, 0, c, row);
         }
         for c in 0..budget {
             batch.step(&stim, c);

@@ -91,6 +91,11 @@ pub enum Response {
 }
 
 /// Write one frame: 4-byte BE length, then the JSON payload.
+///
+/// Header and payload go out in one `write_all` from one buffer: two
+/// small writes on a TCP stream let Nagle's algorithm hold the payload
+/// until the peer's delayed ACK of the header, tens of milliseconds per
+/// round trip.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
     let body = serde_json::to_string(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -100,8 +105,10 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()>
             format!("frame of {} bytes exceeds MAX_FRAME", body.len()),
         ));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(body.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -205,6 +212,36 @@ mod tests {
             let text = read_frame(&mut rd).unwrap().unwrap();
             let got: Response = decode(&text).unwrap();
             assert_eq!(&got, want);
+        }
+    }
+
+    /// A writer that takes every buffer whole and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_sends_header_and_body_in_one_write() {
+        for req in sample_requests() {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &req).unwrap();
+            assert_eq!(w.writes, 1, "{req:?}");
+            let text = read_frame(&mut &w.bytes[..]).unwrap().unwrap();
+            assert_eq!(decode::<Request>(&text).unwrap(), req);
         }
     }
 

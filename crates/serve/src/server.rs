@@ -83,6 +83,25 @@ enum ListenerKind {
     Unix(UnixListener, PathBuf),
 }
 
+impl ListenerKind {
+    /// Accept one connection. TCP streams get `TCP_NODELAY`: every
+    /// reply is one frame the client is waiting on, so Nagle would only
+    /// hold it back for the client's delayed ACK. An error here ends the
+    /// accept loop, so a failing `set_nodelay` (the peer already reset)
+    /// is left to that connection's own first read.
+    fn accept(&self) -> io::Result<ConnStream> {
+        match self {
+            ListenerKind::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                let _ = s.set_nodelay(true);
+                Ok(ConnStream::Tcp(s))
+            }
+            #[cfg(unix)]
+            ListenerKind::Unix(l, _) => l.accept().map(|(s, _)| ConnStream::Unix(s)),
+        }
+    }
+}
+
 enum ConnStream {
     Tcp(TcpStream),
     #[cfg(unix)]
@@ -228,12 +247,7 @@ impl Server {
         }
         let mut conn_threads = Vec::new();
         while !shutdown.load(Ordering::SeqCst) {
-            let accepted = match &listener {
-                ListenerKind::Tcp(l) => l.accept().map(|(s, _)| ConnStream::Tcp(s)),
-                #[cfg(unix)]
-                ListenerKind::Unix(l, _) => l.accept().map(|(s, _)| ConnStream::Unix(s)),
-            };
-            match accepted {
+            match listener.accept() {
                 Ok(stream) => {
                     let tx = tx.clone();
                     let shutdown = shutdown.clone();
@@ -587,6 +601,24 @@ fn run_engine<S: Scheduler>(
             }
         } else {
             guard.engine.tick();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+
+    #[test]
+    fn tcp_streams_disable_nagle_on_both_ends() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
+        assert!(client.nodelay().unwrap(), "client end");
+        match server.listener.accept().unwrap() {
+            ConnStream::Tcp(s) => assert!(s.nodelay().unwrap(), "server end"),
+            #[cfg(unix)]
+            ConnStream::Unix(_) => panic!("bound a TCP address"),
         }
     }
 }

@@ -16,30 +16,41 @@
 //! everywhere so the same code is exercised.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rsp_obs::{FleetEntry, FleetEvent, FlightRecorder, ShedKind};
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator. Deallocations are not counted: freeing is legal in the
-/// hot loop only if nothing was allocated first.
+/// allocator, per thread: the test harness allocates on its own threads
+/// (spawning the next test, collecting results) while a test measures,
+/// and those must not count against the code under test.
+/// Deallocations are not counted: freeing is legal in the hot loop
+/// only if nothing was allocated first.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down at thread exit.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -52,17 +63,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
-
-/// The allocation counter is process-global, so tests that measure a
-/// window must not run while another test allocates. Each test holds
-/// this for its whole body.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn slo_and_flight_hot_paths_are_allocation_free_in_steady_state() {
-    let _serial = SERIAL.lock().unwrap();
     let tenants = 32u64;
 
     // Construction and admission are the allocating phase: the registry
@@ -157,7 +162,6 @@ fn slo_and_flight_hot_paths_are_allocation_free_in_steady_state() {
 /// allocated first.
 #[test]
 fn engine_shed_storm_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
     use rsp_serve::{EngineConfig, ServeEngine, ShedReason, TenantRequest, WatermarkScheduler};
     use rsp_workloads::{StreamSpec, SynthSpec, UnitMix};
 
@@ -218,7 +222,6 @@ fn engine_shed_storm_is_allocation_free() {
 
 #[test]
 fn disabled_paths_stay_allocation_free_and_record_nothing() {
-    let _serial = SERIAL.lock().unwrap();
     let mut slo = rsp_serve::SloRegistry::new(false);
     let mut flight = FlightRecorder::off();
 
