@@ -25,7 +25,10 @@
 //! policy, base config)` — never on arrival time, queue position, or
 //! which machine/lane it landed on. [`replay`] re-derives any tenant's
 //! telemetry from its request alone; the engine test suite and the
-//! `serve-saturation` harness assert byte identity.
+//! `serve-saturation` harness assert byte identity. Nor does it depend
+//! on threads: a tick steps its scalar tenants' machines on scoped
+//! worker threads, then makes every shared write serially in visit
+//! order (DESIGN.md §14), so the worker count never changes output.
 
 use crate::scheduler::{LoadSnapshot, Scheduler, ShedReason, SpecNote, WatermarkScheduler};
 use crate::slo::{MetricsFrame, SloRegistry, TenantMetrics};
@@ -42,10 +45,20 @@ use rsp_sim::{LaneStimulus, Processor, SimConfig};
 use rsp_workloads::QueueRow;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 /// Lanes per lane group — one bit-plane word of the lane kernel.
 pub const LANES_PER_GROUP: usize = 64;
+
+/// Granted cycles a tick needs before its scalar step phase fans out to
+/// worker threads: 16 base quanta of the default scheduler (16 × 256 =
+/// 4096 cycles), about 1.5 ms of stepping at the scalar machine's
+/// ~2.7 M cycles/s. That pays for a scoped spawn and join many times
+/// over, while an open-loop tick with 1–3 tenants stays inline and its
+/// latency never waits on a spawn.
+const FAN_OUT_MIN_CYCLES: u64 = 16 * 256;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -221,6 +234,20 @@ pub struct ServeEngine<S: Scheduler = WatermarkScheduler> {
     flight: FlightRecorder,
     flight_dumps: Vec<PathBuf>,
     dump_seq: u64,
+    /// Step-phase worker threads, the caller's included
+    /// ([`std::thread::available_parallelism`], read once: on Linux it
+    /// reads cgroup files, too slow for every tick).
+    workers: usize,
+    /// Per-scalar grants, overwritten with the cycles actually stepped;
+    /// index-aligned with `scalars` and reused across ticks.
+    quanta: Vec<u64>,
+    /// Lane-group stimulus, refilled in place for each group each tick.
+    /// One for the engine rather than one per group: a group's
+    /// stimulus is dead between its ticks, and per-group buffers would
+    /// keep tens of KiB alive for every live group.
+    stim: LaneStimulus,
+    /// Lane transition-line buffer, reused across lines and ticks.
+    line: String,
 }
 
 /// The tenant's effective machine config: base + policy override.
@@ -251,19 +278,24 @@ fn set_stim_row(stim: &mut LaneStimulus, lane: usize, cycle: usize, row: &QueueR
     stim.set_row(lane, cycle, &units[..len]);
 }
 
-/// The sparse per-cycle transition record of a lane tenant, if this
-/// cycle produced one (a selection change or a load start). Shared by
-/// the serving path and [`replay`] so both emit identical bytes.
-pub fn lane_transition_line(batch: &LaneBatch, lane: usize, cycle: u64) -> Option<String> {
+/// Append the sparse per-cycle transition record of a lane tenant to
+/// `out`, if this cycle produced one (a selection change or a load
+/// start); true iff a line was appended. Shared by the serving path and
+/// [`replay`] so both emit identical bytes, into a buffer the caller
+/// reuses so no line allocates.
+pub fn lane_transition_line(batch: &LaneBatch, lane: usize, cycle: u64, out: &mut String) -> bool {
     let changed = batch.lane_changed(lane);
     let started = batch.lane_started(lane);
     if !changed && !started {
-        return None;
+        return false;
     }
     let choice = batch.lane_choice(lane).map_or(-1i16, |c| c as i16);
-    Some(format!(
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
         "{{\"cycle\":{cycle},\"choice\":{choice},\"changed\":{changed},\"started\":{started}}}"
-    ))
+    );
+    true
 }
 
 /// A `BadSpec` shed with the detail rendered into an inline
@@ -279,6 +311,54 @@ fn drr_grant(deficit: &mut u64, credit: u64, burst: u64) -> u64 {
     let grant = earned.min(burst);
     *deficit = (earned - grant).min(burst);
     grant
+}
+
+/// The step phase for one run of scalar tenants: step each tenant up to
+/// its entry in `quanta`, then overwrite the entry with the cycles it
+/// actually stepped. It touches nothing but the tenants' own machines —
+/// the zero-alloc hot loop — so any thread may run it.
+fn step_quanta(tenants: &mut [ScalarTenant], quanta: &mut [u64]) {
+    for (s, q) in tenants.iter_mut().zip(quanta.iter_mut()) {
+        let mut stepped = 0;
+        while stepped < *q && !s.machine.finished() && s.machine.cycle() < s.budget {
+            s.machine.step();
+            stepped += 1;
+        }
+        *q = stepped;
+    }
+}
+
+/// [`step_quanta`] over all of `tenants` on up to `workers` threads, the
+/// caller's included, in contiguous chunks balanced by granted cycles.
+/// Steps inline when one worker is available or the tick's grants total
+/// less than [`FAN_OUT_MIN_CYCLES`].
+fn step_fan_out(mut tenants: &mut [ScalarTenant], mut quanta: &mut [u64], workers: usize) {
+    // `u128`: grants are budget-clamped, and budgets may be near `u64::MAX`.
+    let total: u128 = quanta.iter().map(|&q| u128::from(q)).sum();
+    let workers = workers.min(tenants.len());
+    if workers <= 1 || total < u128::from(FAN_OUT_MIN_CYCLES) {
+        return step_quanta(tenants, quanta);
+    }
+    std::thread::scope(|scope| {
+        // Chunk `w` ends once the cycles handed out reach `w / workers`
+        // of the total; the caller steps whatever is left.
+        let mut handed = 0;
+        for w in 1..workers {
+            let target = total * w as u128 / workers as u128;
+            let mut n = 0;
+            while n < quanta.len() && handed < target {
+                handed += u128::from(quanta[n]);
+                n += 1;
+            }
+            let (head_t, tail_t) = std::mem::take(&mut tenants).split_at_mut(n);
+            let (head_q, tail_q) = std::mem::take(&mut quanta).split_at_mut(n);
+            (tenants, quanta) = (tail_t, tail_q);
+            if n > 0 {
+                scope.spawn(move || step_quanta(head_t, head_q));
+            }
+        }
+        step_quanta(tenants, quanta);
+    });
 }
 
 /// Validate a request against the engine's base config; the error is
@@ -337,7 +417,19 @@ impl<S: Scheduler> ServeEngine<S> {
             flight,
             flight_dumps: Vec::new(),
             dump_seq: 0,
+            workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            quanta: Vec::new(),
+            stim: LaneStimulus::new(LANES_PER_GROUP, 1, 1, 1),
+            line: String::new(),
         }
+    }
+
+    /// Override the step phase's worker-thread count (default: the
+    /// host's available parallelism, read once at construction). No
+    /// output of the engine depends on it — `tick_parallel_determinism`
+    /// pins that across counts.
+    pub fn set_step_workers(&mut self, workers: usize) {
+        self.workers = workers.max(1);
     }
 
     fn load(&self) -> LoadSnapshot {
@@ -559,12 +651,17 @@ impl<S: Scheduler> ServeEngine<S> {
         }
     }
 
+    /// Step every scalar tenant its grant: a step phase that may fan out
+    /// to worker threads (each tenant's machine is independent), then
+    /// serial bookkeeping in visit order (DESIGN.md §14).
     fn step_scalars(&mut self) {
         let tick = self.tick;
         let mut audits: Vec<(u64, TenantRequest)> = Vec::new();
         let ServeEngine {
             scheduler,
             scalars,
+            quanta,
+            workers,
             stats,
             statuses,
             router,
@@ -573,16 +670,20 @@ impl<S: Scheduler> ServeEngine<S> {
             flight,
             ..
         } = self;
+        // Grants are per-tenant state, so the order they are taken in
+        // does not matter; clamping to the budget left only sharpens
+        // the chunk balance (stepping stops there anyway).
         let burst = scheduler.burst();
+        quanta.clear();
+        quanta.extend(scalars.iter_mut().map(|s| {
+            let grant = drr_grant(&mut s.deficit, scheduler.credit(s.weight), burst);
+            grant.min(s.budget.saturating_sub(s.machine.cycle()))
+        }));
+        step_fan_out(scalars, quanta, *workers);
         let mut i = 0;
         while i < scalars.len() {
-            let s = &mut scalars[i];
-            let grant = drr_grant(&mut s.deficit, scheduler.credit(s.weight), burst);
-            let mut stepped = 0;
-            while stepped < grant && !s.machine.finished() && s.machine.cycle() < s.budget {
-                s.machine.step();
-                stepped += 1;
-            }
+            let s = &scalars[i];
+            let stepped = quanta[i];
             stats.stepped_cycles += stepped;
             if stepped > 0 {
                 slo.quantum(s.id, tick, stepped);
@@ -598,6 +699,7 @@ impl<S: Scheduler> ServeEngine<S> {
             }
             if finished {
                 let s = scalars.swap_remove(i);
+                quanta.swap_remove(i);
                 router.collect(&tenant_key(s.id), s.machine.telemetry());
                 if let Some(st) = statuses.get_mut(&s.id) {
                     st.phase = TenantPhase::Done;
@@ -645,6 +747,8 @@ impl<S: Scheduler> ServeEngine<S> {
             router,
             slo,
             flight,
+            stim,
+            line,
             ..
         } = self;
         let burst = scheduler.burst();
@@ -662,8 +766,7 @@ impl<S: Scheduler> ServeEngine<S> {
                 continue;
             }
             let params = g.batch.params();
-            let (queue_len, n_slots) = (params.queue_len(), params.n_slots());
-            let mut stim = LaneStimulus::new(LANES_PER_GROUP, steps, queue_len, n_slots);
+            stim.reset(steps, params.queue_len(), params.n_slots());
             for (lane, t) in g.tenants.iter().enumerate() {
                 if t.done {
                     continue;
@@ -671,18 +774,19 @@ impl<S: Scheduler> ServeEngine<S> {
                 for k in 0..steps {
                     let c = g.cursor + k as u64;
                     if c < t.budget {
-                        set_stim_row(&mut stim, lane, k, &t.rows[c as usize]);
+                        set_stim_row(stim, lane, k, &t.rows[c as usize]);
                     }
                 }
             }
             for k in 0..steps {
-                g.batch.step(&stim, k);
+                g.batch.step(stim, k);
                 let cycle = g.cursor + k as u64;
                 for (lane, t) in g.tenants.iter().enumerate() {
                     if !t.done && cycle < t.budget {
                         stats.stepped_cycles += 1;
-                        if let Some(line) = lane_transition_line(&g.batch, lane, cycle) {
-                            router.append_line(&t.key, &line);
+                        line.clear();
+                        if lane_transition_line(&g.batch, lane, cycle, line) {
+                            router.append_line(&t.key, line);
                         }
                     }
                 }
@@ -898,9 +1002,11 @@ pub fn replay(base: &SimConfig, req: &TenantRequest) -> Result<String, ShedReaso
         for (c, row) in rows.iter().take(budget).enumerate() {
             set_stim_row(&mut stim, 0, c, row);
         }
+        let mut line = String::new();
         for c in 0..budget {
             batch.step(&stim, c);
-            if let Some(line) = lane_transition_line(&batch, 0, c as u64) {
+            line.clear();
+            if lane_transition_line(&batch, 0, c as u64, &mut line) {
                 router.append_line("t", &line);
             }
         }

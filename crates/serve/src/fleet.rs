@@ -22,6 +22,12 @@
 //! slab already equals the sum of its tenant slabs *by construction*,
 //! the merged aggregate equals the sum of all tenant slabs — the SLO
 //! invariant survives sharding with no reconciliation step.
+//!
+//! Threads: [`ShardedEngine::tick`] ticks the shards one after another,
+//! but each shard is a [`ServeEngine`], so each fans its own scalar
+//! step phase out over worker threads (DESIGN.md §14). A thread per
+//! shard was measured and left out: it grew peak RSS through glibc's
+//! per-thread malloc arenas.
 
 use crate::engine::{EngineConfig, EngineStats, ServeEngine};
 use crate::scheduler::{Scheduler, ShedReason, WatermarkScheduler};
@@ -144,8 +150,9 @@ pub fn merge_frames(parts: &[MetricsFrame], globals: &[Vec<u64>]) -> MetricsFram
 /// An in-process sharded fleet: `N` engines ticked in lockstep, with
 /// tenant affinity by [`shard_of`] and merged read-side views (see
 /// module docs). The server's sharded mode runs the same routing over
-/// one thread per shard; this object is the single-threaded reference
-/// the determinism tests pin.
+/// one thread per shard; this object ticks its shards serially on the
+/// calling thread (each fanning out inside its own tick) and is the
+/// reference the determinism tests pin.
 pub struct ShardedEngine<S: Scheduler = WatermarkScheduler> {
     shards: Vec<ServeEngine<S>>,
     /// Global id → (shard, local id), dense in admission order.
@@ -187,7 +194,8 @@ impl<S: Scheduler> ShardedEngine<S> {
         Ok(global)
     }
 
-    /// One lockstep tick of every shard.
+    /// One lockstep tick of every shard, in shard order. Each shard's
+    /// tick fans its own step phase out ([`ServeEngine::tick`]).
     pub fn tick(&mut self) {
         for s in &mut self.shards {
             s.tick();

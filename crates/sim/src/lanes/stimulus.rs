@@ -52,19 +52,35 @@ impl LaneStimulus {
             lanes > 0 && lanes % 64 == 0,
             "lanes must be a positive multiple of 64"
         );
+        let mut stim = LaneStimulus {
+            lanes,
+            words: lanes / 64,
+            cycles: 0,
+            queue_len: 0,
+            n_slots: 0,
+            entries: Vec::new(),
+            busy: Vec::new(),
+        };
+        stim.reset(cycles, queue_len, n_slots);
+        stim
+    }
+
+    /// Make this an all-idle stimulus of a new shape over the same
+    /// lanes, with the bounds of [`LaneStimulus::new`]. The buffers are
+    /// reused, so a stimulus refilled every tick allocates only when it
+    /// outgrows every shape it has held.
+    pub fn reset(&mut self, cycles: usize, queue_len: usize, n_slots: usize) {
         assert!(cycles > 0, "stimulus must cover at least one cycle");
         assert!((1..=7).contains(&queue_len), "queue_len must be 1..=7");
         assert!((1..=64).contains(&n_slots), "n_slots must be 1..=64");
-        let words = lanes / 64;
-        LaneStimulus {
-            lanes,
-            words,
-            cycles,
-            queue_len,
-            n_slots,
-            entries: vec![0; cycles * queue_len * ENTRY_PLANES * words],
-            busy: vec![0; cycles * n_slots * words],
-        }
+        self.cycles = cycles;
+        self.queue_len = queue_len;
+        self.n_slots = n_slots;
+        self.entries.clear();
+        self.entries
+            .resize(cycles * queue_len * ENTRY_PLANES * self.words, 0);
+        self.busy.clear();
+        self.busy.resize(cycles * n_slots * self.words, 0);
     }
 
     /// Number of lanes covered.
@@ -224,6 +240,30 @@ mod tests {
         // Overwriting with a shorter row clears the tail.
         s.set_row(70, 2, &row[..1]);
         assert_eq!(s.row(70, 2), vec![UnitType::Lsu]);
+    }
+
+    #[test]
+    fn reset_clears_and_reshapes() {
+        let mut s = LaneStimulus::new(128, 4, 7, 8);
+        s.set_row(70, 3, &[UnitType::Lsu]);
+        s.set_busy_mask(65, 2, 0b11);
+        s.reset(2, 7, 8);
+        assert_eq!(s.cycles(), 2);
+        assert!(s.row(70, 1).is_empty());
+        assert_eq!(s.busy_mask(65, 1), 0);
+        s.set_row(70, 1, &[UnitType::FpMdu, UnitType::Lsu]);
+        s.set_busy_mask(127, 0, 0b101);
+        s.reset(6, 3, 4);
+        assert_eq!(
+            (s.lanes(), s.cycles(), s.queue_len(), s.n_slots()),
+            (128, 6, 3, 4)
+        );
+        for c in 0..6 {
+            assert!(s.row(70, c).is_empty());
+            assert_eq!(s.busy_mask(127, c), 0);
+        }
+        s.set_row(127, 5, &[UnitType::IntAlu]);
+        assert_eq!(s.row(127, 5), vec![UnitType::IntAlu]);
     }
 
     #[test]
