@@ -3,7 +3,7 @@
 //! EXPERIMENTS.md).
 //!
 //! ```text
-//! experiments <id>|all|list [--out-dir DIR] [--resume] [--verbose]
+//! experiments <id>|all|list [--out-dir DIR] [--verbose]
 //!             [--cache-dir DIR] [--code-version V]
 //!             [--shard K/N | --spawn N | --merge]
 //! experiments study run|status <study-id> [--cache-dir DIR] ...
@@ -12,30 +12,29 @@
 //! experiments study list
 //! ```
 //!
-//! Sweep-engine experiments (`e1-ipc`, `fault-sweep`,
-//! `serve-saturation`) additionally honour
-//! the sharding flags: `--shard K/N` runs one shard of the grid into a
-//! keyed journal and exits (no merge — run the other shards, then
-//! `--merge`); `--spawn N` forks one worker subprocess per shard and
-//! merges when all succeed; `--merge` only replays the journals in
-//! `--out-dir`, verifies the key set and the sweep's cross-point
-//! assertions, and writes the `BENCH_*.json` artifact. `--resume` skips
-//! points already journalled. The merged artifact is byte-identical
-//! however the grid was split.
+//! With `--cache-dir DIR`, every point result of a sweep-engine
+//! experiment (every id `sweep_runner` resolves; a misused sharding
+//! flag lists them) is a content-addressed object in a shared store
+//! (DESIGN.md §17): reruns, other shards, and other hosts sharing the
+//! store dedupe work, a killed run resumes by running again, and the run
+//! prints a `cache: …` summary line. `--code-version` overrides the
+//! version baked into every cache key (defaults to the crate version) —
+//! flip it to invalidate the store wholesale.
 //!
-//! With `--cache-dir DIR`, every cacheable point result is also a
-//! content-addressed artifact in a shared store (DESIGN.md §17):
-//! reruns, other shards, and other hosts sharing the store dedupe
-//! work, and the run prints a `cache: …` summary line. `--code-version`
-//! overrides the version baked into every cache key (defaults to the
-//! crate version) — flip it to invalidate the store wholesale. The
-//! `study` subcommand runs multi-stage DAGs (sweep → pivot → report)
-//! over the same store.
+//! The store is where sweep rows are kept, so the sharding flags need
+//! `--cache-dir`: `--shard K/N` runs one shard of the grid into the
+//! store and exits (no merge — run the other shards, then `--merge`);
+//! `--spawn N` forks one `--shard` worker subprocess per shard and
+//! merges when all succeed; `--merge` only loads every planned point
+//! from the store, verifies the sweep's cross-point assertions, and
+//! writes the `BENCH_*.json` artifact. The artifact is byte-identical
+//! however the grid was split. The `study` subcommand runs multi-stage
+//! DAGs (sweep → pivot → report) over the same store.
 
 use std::path::PathBuf;
 use std::process::exit;
 
-use rsp_bench::experiments::{run, studies, sweep_runner, ALL_IDS};
+use rsp_bench::experiments::{run, studies, sweep_runner, ALL_IDS, HIDDEN_IDS};
 use rsp_bench::{CasStore, Executor, Shard, SweepConfig, SweepError, SweepRunner};
 
 struct Cli {
@@ -47,7 +46,7 @@ struct Cli {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <id> [--out-dir DIR] [--resume] [--verbose]\n\
+        "usage: experiments <id> [--out-dir DIR] [--verbose]\n\
          \x20                    [--cache-dir DIR] [--code-version V]\n\
          \x20                    [--shard K/N | --spawn N | --merge]\n\
          \x20      experiments study run|status <study-id> [flags]\n\
@@ -86,10 +85,6 @@ fn parse_cli() -> Cli {
                 cfg.cache_dir = Some(PathBuf::from(need("--cache-dir", args.next())));
             }
             "--code-version" => cfg.code_version = need("--code-version", args.next()),
-            "--resume" => {
-                cfg.resume = true;
-                sweep_flags_used = true;
-            }
             "--verbose" => cfg.verbose = true,
             "--shard" => {
                 let s = need("--shard", args.next());
@@ -147,38 +142,44 @@ fn fail(e: SweepError) -> ! {
     exit(1);
 }
 
-/// Drive one sweep per the CLI. Shard runs journal and stop; everything
-/// else runs (unless `--merge`) and then merges, printing the report.
+/// Every id [`sweep_runner`] resolves: the sweep-engine experiments.
+fn sweep_ids() -> Vec<&'static str> {
+    ALL_IDS
+        .into_iter()
+        .chain(HIDDEN_IDS)
+        .filter(|id| sweep_runner(id).is_some())
+        .collect()
+}
+
+/// Drive one sweep per the CLI. Shard runs publish into the store and
+/// stop; `--merge` only merges from it; everything else runs and merges,
+/// printing the report.
 fn drive_sweep(sweep: &dyn SweepRunner, cli: &Cli) {
-    let is_shard_run = matches!(cli.cfg.executor, Executor::Shard(_));
-    if !cli.merge_only {
-        let summary = sweep.run(&cli.cfg).unwrap_or_else(|e| fail(e));
-        if is_shard_run {
-            eprintln!(
-                "{} shard {} {}: journal {}",
-                sweep.name(),
-                summary.shard,
-                summary.progress,
-                summary.journal.display()
-            );
-            if let Some(cache) = &summary.cache {
-                eprintln!("{}", cache.summary_line());
-            }
-            return;
-        }
-        if let Some(cache) = &summary.cache {
-            println!("{}", cache.summary_line());
-        }
+    if cli.sweep_flags_used && cli.cfg.cache_dir.is_none() {
+        eprintln!(
+            "--shard/--spawn/--merge keep sweep rows in the artifact store: pass --cache-dir DIR"
+        );
+        exit(2);
     }
-    let merged = sweep.merge(&cli.cfg).unwrap_or_else(|e| fail(e));
+    let merged = if cli.merge_only {
+        sweep.merge(&cli.cfg)
+    } else if let Executor::Shard(shard) = cli.cfg.executor {
+        let summary = sweep.run(&cli.cfg).unwrap_or_else(|e| fail(e));
+        eprintln!("{} shard {shard} {}", sweep.name(), summary.progress);
+        if let Some(cache) = &summary.cache {
+            eprintln!("{}", cache.summary_line());
+        }
+        return;
+    } else {
+        sweep.run_and_merge(&cli.cfg).map(|(merged, _)| merged)
+    };
+    let merged = merged.unwrap_or_else(|e| fail(e));
+    if let Some(cache) = &merged.cache {
+        println!("{}", cache.summary_line());
+    }
     println!("{}", merged.report);
     if let Some(path) = &merged.artifact {
-        println!(
-            "wrote {} ({} points from {} journal fragment(s))",
-            path.display(),
-            merged.points,
-            merged.fragments
-        );
+        println!("wrote {} ({} points)", path.display(), merged.points);
     }
 }
 
@@ -195,15 +196,8 @@ fn open_store(cli: &Cli) -> CasStore {
 fn reachable_keys(cli: &Cli) -> std::collections::BTreeSet<String> {
     let store = open_store(cli);
     let mut live = std::collections::BTreeSet::new();
-    let sweep_ids = ALL_IDS
-        .iter()
-        .copied()
-        .chain(std::iter::once("fault-sweep-reduced"));
-    for id in sweep_ids {
-        if let Some(sweep) = sweep_runner(id) {
-            if !sweep.cacheable() {
-                continue;
-            }
+    for sweep in sweep_ids().into_iter().filter_map(sweep_runner) {
+        if sweep.cacheable() {
             let hashes = sweep.point_hashes(&cli.cfg).unwrap_or_else(|e| fail(e));
             live.extend(hashes);
         }
@@ -221,7 +215,7 @@ fn drive_study(cli: &Cli) {
     let action = cli.positionals.get(1).map(String::as_str);
     let target = cli.positionals.get(2).map(String::as_str);
     if cli.sweep_flags_used {
-        eprintln!("--shard/--spawn/--merge/--resume apply to sweep ids, not 'study'");
+        eprintln!("--shard/--spawn/--merge apply to sweep ids, not 'study'");
         exit(2);
     }
     match (action, target) {
@@ -311,7 +305,7 @@ fn main() {
         Some("study") => drive_study(&cli),
         Some("all") => {
             if cli.sweep_flags_used {
-                eprintln!("--shard/--spawn/--merge/--resume apply to a single sweep id, not 'all'");
+                eprintln!("--shard/--spawn/--merge apply to a single sweep id, not 'all'");
                 exit(2);
             }
             for id in ALL_IDS.iter().filter(|&&i| i != "all") {
@@ -328,7 +322,10 @@ fn main() {
             if let Some(sweep) = sweep_runner(id) {
                 drive_sweep(sweep.as_ref(), &cli);
             } else if cli.sweep_flags_used {
-                eprintln!("'{id}' is not a sweep experiment; --shard/--spawn/--merge/--resume need one of: e1-ipc, fault-sweep, serve-saturation");
+                eprintln!(
+                    "'{id}' is not a sweep experiment; --shard/--spawn/--merge need one of: {}",
+                    sweep_ids().join(", ")
+                );
                 exit(2);
             } else {
                 match run(id) {

@@ -3,24 +3,22 @@
 //! `BENCH_throughput.json` into `--out-dir`.
 //!
 //! ```text
-//! throughput [--quick] [--out-dir DIR] [--seconds N] [--resume] [--lanes N]
+//! throughput [--quick] [--out-dir DIR] [--seconds N] [--lanes N]
 //! ```
 //!
 //! `--quick` runs a single pass per class (CI smoke); the default runs
 //! each class for ≥ 2 s of wall clock for stable numbers. Classes run
-//! serially (each point is wall-clock timed), journalling each finished
-//! class, so `--resume` restarts a killed run without re-measuring
-//! completed classes. `--lanes N` sizes the bit-sliced lane-kernel
+//! serially (each point is wall-clock timed), once, in this process; a
+//! killed run starts over. `--lanes N` sizes the bit-sliced lane-kernel
 //! class (default 256; must be a positive multiple of 64).
 
 use rsp_bench::throughput::{ThroughputSweep, DEFAULT_LANES};
-use rsp_bench::{sweep, SweepConfig};
+use rsp_bench::{SweepConfig, SweepRunner};
 use rsp_sim::SimConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
-const USAGE: &str =
-    "usage: throughput [--quick] [--out-dir DIR] [--seconds N] [--resume] [--lanes N]";
+const USAGE: &str = "usage: throughput [--quick] [--out-dir DIR] [--seconds N] [--lanes N]";
 
 /// Report a usage error and exit 2 (the `experiments` bin's exit-code
 /// convention: 1 = sweep error, 2 = usage).
@@ -47,7 +45,6 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--out-dir" => cfg.out_dir = PathBuf::from(need("--out-dir", args.next())),
-            "--resume" => cfg.resume = true,
             "--seconds" => {
                 seconds = need("--seconds", args.next())
                     .parse()
@@ -80,8 +77,8 @@ fn main() {
     };
 
     let harness = ThroughputSweep::new(SimConfig::default(), min_wall, quick).with_lanes(lanes);
-    match sweep::run_and_merge(&harness, &cfg) {
-        Ok(merged) => {
+    match harness.run_and_merge(&cfg) {
+        Ok((merged, _)) => {
             print!("{}", merged.report);
             if let Some(path) = merged.artifact {
                 println!("wrote {}", path.display());

@@ -45,7 +45,7 @@ pub struct E1Point {
 }
 
 /// E1 — IPC of steering vs static configurations vs FFU floor vs oracle,
-/// across the workload battery — as a [`Sweep`] (shardable, resumable,
+/// across the workload battery — as a [`Sweep`] (shardable, cacheable,
 /// artifact `BENCH_e1_ipc.json`).
 pub struct E1Sweep {
     programs: Vec<Program>,

@@ -23,7 +23,7 @@
 //! The grid runs on the sweep engine (DESIGN.md §12): each
 //! `(workload, upset rate, scrub interval)` point is keyed by those
 //! parameters alone, and — because the fault schedule is open-loop —
-//! each row is a pure function of its key, so the sweep shards, resumes
+//! each row is a pure function of its key, so the sweep shards, caches
 //! and merges to a byte-identical `BENCH_fault_sweep.json`. The
 //! cross-point assertions above re-run on every merged set.
 
@@ -412,7 +412,7 @@ impl Sweep for FaultSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_and_merge, SweepConfig};
+    use crate::sweep::{SweepConfig, SweepRunner};
 
     #[test]
     fn sweep_point_degrades_and_recovers() {
@@ -511,7 +511,7 @@ mod tests {
             out_dir: dir.clone(),
             ..SweepConfig::default()
         };
-        let summary = run_and_merge(&sweep, &cfg).expect("reduced sweep runs");
+        let (summary, _) = sweep.run_and_merge(&cfg).expect("reduced sweep runs");
         assert_eq!(summary.points, 2 * 2 * 2);
         let text = std::fs::read_to_string(summary.artifact.unwrap()).unwrap();
         let rows: Vec<FaultRow> = serde_json::from_str(&text).unwrap();

@@ -5,10 +5,11 @@
 //! Every function returns the report text it prints, so tests can assert
 //! on content.
 //!
-//! Experiments whose grid is worth sharding/resuming are [`crate::sweep::Sweep`]s and
-//! dispatch through [`sweep_runner`] (the `experiments` bin routes them
-//! onto the engine, honouring `--shard`/`--resume`/`--out-dir`/
-//! `--cache-dir`); the rest dispatch through [`run`]. Multi-stage
+//! Experiments whose grid is worth sharding or caching are
+//! [`crate::sweep::Sweep`]s and dispatch through [`sweep_runner`] (the
+//! `experiments` bin routes them onto the engine, honouring
+//! `--out-dir`/`--cache-dir` and, with a store, `--shard`/`--spawn`/
+//! `--merge`); the rest dispatch through [`run`]. Multi-stage
 //! [`studies`] compose the sweeps with pivot/report stages over the
 //! artifact store and dispatch through the `study` subcommand.
 
@@ -49,15 +50,18 @@ pub const ALL_IDS: [&str; 26] = [
     "all",
 ];
 
-/// The sweep-engine experiments: ids whose grids run sharded/resumable.
-/// `run(id)` returns `None` for these; drive them through the engine.
+/// Ids that resolve but are deliberately not in [`ALL_IDS`], so listings
+/// and the `all` driver stay stable: the reduced fault grid, sized for
+/// the CI cold→warm cache job and local smoke runs.
+pub const HIDDEN_IDS: [&str; 1] = ["fault-sweep-reduced"];
+
+/// The sweep-engine experiments: ids whose grids run on the engine and
+/// can shard over the artifact store. `run(id)` returns `None` for
+/// these; drive them through the engine.
 pub fn sweep_runner(id: &str) -> Option<Box<dyn SweepRunner>> {
     match id {
         "e1-ipc" => Some(Box::new(evals::E1Sweep::new())),
         "fault-sweep" => Some(Box::new(faults::FaultSweep::full())),
-        // Hidden id (deliberately not in ALL_IDS, so listings and the
-        // `all` driver stay stable): the reduced fault grid, sized for
-        // the CI cold→warm cache job and local smoke runs.
         "fault-sweep-reduced" => Some(Box::new(faults::FaultSweep::reduced())),
         "serve-saturation" => Some(Box::new(crate::serve_saturation::ServeSaturationSweep)),
         "serve-sched" => Some(Box::new(crate::serve_sched::ServeSchedSweep::full())),

@@ -6,13 +6,15 @@
 //! (DESIGN.md §12): a declarative ordered grid with stable per-point
 //! keys, executed in-process (rayon fan-out — each simulation is
 //! single-threaded and deterministic, so parallelism is free of
-//! ordering effects), as `hash(key) % N` shards across worker
-//! processes, or resumed from a keyed JSONL journal; a deterministic
-//! merge re-runs each sweep's cross-point assertions and emits the
-//! `BENCH_*.json` artifact byte-identically however the grid was split.
-//! With `--cache-dir`, every point result is a content-addressed
-//! artifact in a shared [`sweep::CasStore`] (DESIGN.md §17), and
-//! multi-stage studies run as [`sweep::StudyDag`]s over that store.
+//! ordering effects) or as `hash(key) % N` shards across worker
+//! processes. With `--cache-dir`, every point result is a
+//! content-addressed object in a shared [`sweep::CasStore`] (DESIGN.md
+//! §17) — the engine's only persistence: shards publish into it, a
+//! killed run resumes by running again, and a deterministic merge loads
+//! every point from it, re-runs each sweep's cross-point assertions and
+//! emits the `BENCH_*.json` artifact byte-identically however the grid
+//! was split. Multi-stage studies run as [`sweep::StudyDag`]s over the
+//! same store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

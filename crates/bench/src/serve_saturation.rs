@@ -184,8 +184,8 @@ impl Sweep for ServeSaturationSweep {
     }
 
     // Wall-clock fields (`wall_seconds`, `cycles_per_sec`) are
-    // informative-only and already replayed verbatim by `--resume`, so
-    // caching them is no worse than the existing journal contract.
+    // informative-only (verified only finite and positive), so a cached
+    // row may carry another run's timing.
     fn spec(&self) -> serde_json::Value {
         use serde_json::Value;
         let sched = saturation_scheduler();

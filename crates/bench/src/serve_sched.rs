@@ -322,8 +322,7 @@ impl Sweep for ServeSchedSweep {
     }
 
     // Like the saturation sweep, the wall-clock columns are
-    // informative-only, so cached rows honour the same contract as
-    // `--resume` replay.
+    // informative-only, so a cached row may carry another run's timing.
     fn spec(&self) -> serde_json::Value {
         use serde_json::Value;
         let wm = sched_watermarks();

@@ -1,7 +1,7 @@
 //! Canonical JSON and content hashing for the artifact store (DESIGN.md §17).
 //!
 //! A cache key must be the same however the inputs were assembled: the
-//! same parameters serialised from a struct, rebuilt from a journal, or
+//! same parameters serialised from a struct, read back from the store, or
 //! parsed back out of an artifact must hash identically, and any single
 //! changed parameter must hash differently. Two rules buy that:
 //!
@@ -26,7 +26,7 @@ use serde_json::Value;
 /// nesting level, compact separators, fixed number formatting.
 ///
 /// Canonicalisation is *hash input*, not wire output: artifacts and
-/// journals keep their field order; only key derivation routes through
+/// stored rows keep their field order; only key derivation routes through
 /// here.
 pub fn canonical_json(v: &Value) -> String {
     let mut out = String::new();

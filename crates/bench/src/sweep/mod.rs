@@ -1,4 +1,5 @@
-//! The sweep engine: sharded, resumable experiment grids (DESIGN.md §12).
+//! The sweep engine: experiment grids persisted in one artifact store
+//! (DESIGN.md §12).
 //!
 //! Every experiment harness in this crate used to hand-roll the same
 //! machinery — enumerate a parameter grid, fan it out, serialise rows,
@@ -9,54 +10,56 @@
 //!   derived only from its parameters (never from enumeration order),
 //!   plus the per-point runner, the cross-point verifier, and the
 //!   artifact renderer.
+//! * **One row path** — each point yields its row as a JSON value: from
+//!   [`CasStore::fetch_or_compute`] when a store is configured
+//!   ([`SweepConfig::cache_dir`]), otherwise encoded from `run_point`
+//!   directly. The values decode in spec order, then the sweep's
+//!   cross-point assertions run and the artifact is written.
+//! * **The store is the only persistence** — every row is a
+//!   content-addressed object in a [`cas::CasStore`], keyed by
+//!   [`canon::point_cache_key`] over (sweep name, spec, point params,
+//!   code version). Claim files give exactly-once work across threads,
+//!   shards and hosts; a killed run resumes by running again (its
+//!   finished points are hits); a changed parameter or code version
+//!   misses by construction (DESIGN.md §17).
 //! * **Executors** — [`Executor::InProcess`] runs the whole grid in one
-//!   process (rayon fan-out, or serial for wall-clock-timed sweeps);
-//!   [`Executor::Shard`] runs only the points whose key hashes to
-//!   `k mod N` ([`shard::stable_key_hash`]); [`Executor::Workers`]
-//!   spawns one `--shard k/N` subprocess per shard. Either way, every
-//!   completed point streams into a keyed JSONL journal.
-//! * **Checkpoint/resume** — with [`SweepConfig::resume`], keys already
-//!   present in the journal are skipped, so a killed 10k-point sweep
-//!   picks up where it died (a truncated trailing line is dropped).
-//! * **[`merge`]** — replays every shard journal in the output
-//!   directory, verifies the key set exactly matches the spec (no
-//!   duplicates, no gaps, no strays), orders rows by the spec's
-//!   enumeration order, re-runs the sweep's cross-point assertions, and
-//!   writes the artifact. Because every row is a pure function of its
-//!   key and f64s round-trip through JSON exactly, the merged artifact
-//!   is byte-for-byte identical whether the grid ran as one process,
-//!   N shards, or a killed-and-resumed run.
-//! * **Result cache** — with [`SweepConfig::cache_dir`], every point's
-//!   row is a content-addressed artifact in a shared [`cas::CasStore`],
-//!   keyed by [`canon::point_cache_key`] over (sweep name, spec, point
-//!   params, code version). `run_point` becomes a cache lookup: re-runs
-//!   are hits, concurrent shards/hosts dedupe work through claim files,
-//!   and a changed parameter or code version misses by construction.
-//!   Cached rows re-enter the journal as their stored JSON values, so
-//!   merged artifacts stay byte-identical to a cold run (DESIGN.md §17).
+//!   process; [`Executor::Shard`] runs only the points whose key hashes
+//!   to `k mod N` ([`shard::stable_key_hash`]) and publishes them;
+//!   [`Executor::Workers`] spawns one `--shard k/N` subprocess per shard
+//!   over the same store.
+//! * **Merge** — [`SweepRunner::merge`] loads every planned point from
+//!   the store in spec order (a gap is [`SweepError::MissingKeys`]),
+//!   re-runs the cross-point assertions, and writes the artifact.
+//!   Because every row is a pure function of its key and f64s
+//!   round-trip through JSON exactly, the artifact is byte-for-byte
+//!   identical however the grid was split, and whether its rows were
+//!   computed or read back.
 //! * **Studies** — [`study::StudyDag`] composes sweeps with downstream
 //!   pivot/report stages as a DAG of cached artifacts, each node keyed
 //!   by the hashes of its inputs, with per-node up-to-date
 //!   short-circuiting.
+//!
+//! Sharded runs, worker fan-out and merge persist rows only through the
+//! store, so they need `--cache-dir` and a cacheable sweep; without one
+//! they fail with [`SweepError::NoStore`]. A sweep that is not
+//! [`Sweep::cacheable`] (wall-clock timing) runs whole, in one process.
 
 pub mod canon;
 pub mod cas;
-pub mod journal;
 pub mod shard;
 pub mod study;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use rayon::prelude::*;
 use rsp_obs::{ProgressSnapshot, SweepProgress};
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use cas::ObjectMeta;
 pub use cas::{CacheSnapshot, CasStore};
-use journal::{Journal, JournalEntry};
 pub use shard::Shard;
 pub use study::{StageOp, StudyDag};
 
@@ -71,15 +74,6 @@ pub enum SweepError {
         /// The underlying error.
         err: std::io::Error,
     },
-    /// A journal line failed to parse before the end of the file.
-    Journal {
-        /// The journal file.
-        path: PathBuf,
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        msg: String,
-    },
     /// A row failed to serialise.
     Encode {
         /// The point key.
@@ -87,7 +81,7 @@ pub enum SweepError {
         /// Serialiser error.
         msg: String,
     },
-    /// A journalled row failed to deserialise.
+    /// A stored row failed to deserialise.
     Decode {
         /// The point key.
         key: String,
@@ -96,23 +90,25 @@ pub enum SweepError {
     },
     /// A `K/N` shard argument was malformed.
     BadShard(String),
-    /// A journal holds a key the spec does not enumerate (stale journal
-    /// or wrong sweep).
-    UnknownKey {
-        /// The stray key.
-        key: String,
-    },
-    /// The same key appears in more than one journal entry.
+    /// The spec enumerates the same key twice.
     DuplicateKey {
         /// The duplicated key.
         key: String,
     },
-    /// Keys the spec enumerates but no journal supplied.
+    /// Keys the spec enumerates but the store does not hold.
     MissingKeys {
         /// The absent keys, in spec order (first few).
         sample: Vec<String>,
         /// How many are missing in total.
         count: usize,
+    },
+    /// An action that persists rows had no store to persist them in:
+    /// no `--cache-dir`, or a sweep that is not cacheable.
+    NoStore {
+        /// The sweep.
+        sweep: &'static str,
+        /// What was attempted (`"a sharded run"`, `"merge"`, ...).
+        action: &'static str,
     },
     /// The sweep's cross-point assertions failed on the merged rows.
     Verify(String),
@@ -140,29 +136,25 @@ impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SweepError::Io { path, err } => write!(f, "{}: {err}", path.display()),
-            SweepError::Journal { path, line, msg } => {
-                write!(f, "{}:{line}: corrupt journal: {msg}", path.display())
-            }
             SweepError::Encode { key, msg } => write!(f, "point {key}: cannot encode row: {msg}"),
             SweepError::Decode { key, msg } => write!(f, "point {key}: cannot decode row: {msg}"),
             SweepError::BadShard(s) => {
                 write!(f, "bad shard {s:?} (expected K/N with K < N, N > 0)")
             }
-            SweepError::UnknownKey { key } => {
-                write!(
-                    f,
-                    "journal holds key {key:?} the sweep spec does not enumerate"
-                )
-            }
             SweepError::DuplicateKey { key } => {
-                write!(f, "key {key:?} appears more than once across the journals")
+                write!(f, "the sweep spec enumerates key {key:?} more than once")
             }
             SweepError::MissingKeys { sample, count } => {
                 write!(
                     f,
-                    "{count} point(s) missing from the journals, e.g. {sample:?}"
+                    "{count} point(s) missing from the store, e.g. {sample:?}"
                 )
             }
+            SweepError::NoStore { sweep, action } => write!(
+                f,
+                "{sweep}: {action} keeps rows only in the artifact store, \
+                 which needs --cache-dir and a cacheable sweep"
+            ),
             SweepError::Verify(msg) => write!(f, "cross-point verification failed: {msg}"),
             SweepError::Worker { shard, msg } => write!(f, "shard worker {shard}: {msg}"),
             SweepError::Study(msg) => write!(f, "study: {msg}"),
@@ -180,7 +172,7 @@ pub trait Sweep: Sync {
     /// One grid point's result row.
     type Row: Serialize + Deserialize + Send;
 
-    /// The sweep's name — journal files are `<name>.shard-KofN.jsonl`.
+    /// The sweep's name, baked into every point's cache key.
     fn name(&self) -> &'static str;
 
     /// The full grid, in canonical (artifact) order. Must be
@@ -190,8 +182,8 @@ pub trait Sweep: Sync {
 
     /// The point's stable key. **Derive it only from the point's
     /// parameters** — never from enumeration order or ambient state —
-    /// so shard assignment and resume survive grid re-orderings, and a
-    /// journal row can be matched back to its point across processes.
+    /// so shard assignment survives grid re-orderings and a stored row
+    /// can be matched back to its point across processes.
     fn key(&self, point: &Self::Point) -> String;
 
     /// Run one point. Must be a pure function of the point (plus the
@@ -211,8 +203,8 @@ pub trait Sweep: Sync {
     /// cache key, so a grid or knob change invalidates the whole sweep.
     /// The default (`null`) is acceptable only for sweeps whose rows
     /// depend on nothing but the point and the code version.
-    fn spec(&self) -> serde_json::Value {
-        serde_json::Value::Null
+    fn spec(&self) -> Value {
+        Value::Null
     }
 
     /// One point's parameters as a structured JSON value — the
@@ -220,15 +212,15 @@ pub trait Sweep: Sync {
     /// stable string key, which is correct exactly because keys are
     /// already required to be pure functions of the parameters;
     /// structured impls make `study explain` output self-describing.
-    fn point_params(&self, point: &Self::Point) -> serde_json::Value {
-        serde_json::Value::Str(self.key(point))
+    fn point_params(&self, point: &Self::Point) -> Value {
+        Value::Str(self.key(point))
     }
 
     /// False for sweeps whose rows are *not* pure functions of their
     /// keys — wall-clock timing sweeps — so measurements are never
-    /// served stale from the artifact store. Such sweeps run every
-    /// point even under `--cache-dir` (journaling still buys
-    /// checkpoint/resume; see `ThroughputSweep` for the exemplar).
+    /// served stale from the artifact store. Such sweeps never touch
+    /// the store: they run whole, in one process, every time (see
+    /// `ThroughputSweep` for the exemplar).
     fn cacheable(&self) -> bool {
         true
     }
@@ -263,27 +255,20 @@ pub enum Executor {
     /// The whole grid in this process (rayon fan-out unless the sweep
     /// asks for serial execution).
     InProcess,
-    /// Only the points of one shard, in this process.
+    /// Only the points of one shard, in this process, published into
+    /// the store.
     Shard(Shard),
     /// Spawn `count` worker subprocesses (`exe args... --shard k/N
-    /// --out-dir ... [--resume]`), one per shard.
+    /// --cache-dir DIR --code-version V`), one per shard, all publishing
+    /// into the same store.
     Workers {
         /// Worker executable (usually `std::env::current_exe()`).
         exe: PathBuf,
-        /// Arguments before the engine-appended `--shard`/`--out-dir`.
+        /// Arguments before the engine-appended `--shard`/`--cache-dir`.
         args: Vec<String>,
         /// Number of shards.
         count: u32,
     },
-}
-
-impl Executor {
-    fn shard(&self) -> Shard {
-        match self {
-            Executor::InProcess | Executor::Workers { .. } => Shard::WHOLE,
-            Executor::Shard(s) => *s,
-        }
-    }
 }
 
 /// Where and how a sweep runs.
@@ -291,15 +276,13 @@ impl Executor {
 pub struct SweepConfig {
     /// How to execute.
     pub executor: Executor,
-    /// Directory for journals and the merged artifact.
+    /// Directory for the merged artifact.
     pub out_dir: PathBuf,
-    /// Replay the journal and skip completed points instead of starting
-    /// over.
-    pub resume: bool,
     /// Echo per-point progress lines to stderr.
     pub verbose: bool,
     /// Root of the shared content-addressed result store. `None`
-    /// disables caching: every point runs.
+    /// disables caching: every point runs, and only a whole in-process
+    /// run can merge.
     pub cache_dir: Option<PathBuf>,
     /// Code version baked into every cache key. Defaults to the crate
     /// version, so a release bump invalidates the whole store;
@@ -318,21 +301,10 @@ impl Default for SweepConfig {
         SweepConfig {
             executor: Executor::InProcess,
             out_dir: PathBuf::from("."),
-            resume: false,
             verbose: false,
             cache_dir: None,
             code_version: default_code_version(),
         }
-    }
-}
-
-impl SweepConfig {
-    /// The journal path for `sweep`'s shard under this config.
-    pub fn journal_path(&self, sweep_name: &str, shard: Shard) -> PathBuf {
-        self.out_dir.join(format!(
-            "{sweep_name}.shard-{}of{}.jsonl",
-            shard.index, shard.count
-        ))
     }
 }
 
@@ -343,10 +315,7 @@ pub struct RunSummary {
     pub shard: Shard,
     /// Final progress counters (total = points in this shard).
     pub progress: ProgressSnapshot,
-    /// The journal the run streamed into.
-    pub journal: PathBuf,
-    /// Cache counters, when the run consulted a store (`--cache-dir`
-    /// set and the sweep is cacheable).
+    /// Cache counters, when the run consulted a store in this process.
     pub cache: Option<CacheSnapshot>,
 }
 
@@ -355,12 +324,13 @@ pub struct RunSummary {
 pub struct MergeSummary {
     /// Points merged (always the full grid).
     pub points: usize,
-    /// Journal fragments consumed.
-    pub fragments: usize,
     /// Path of the written artifact, if the sweep defines one.
     pub artifact: Option<PathBuf>,
     /// The sweep's rendered report.
     pub report: String,
+    /// Cache counters of the points this call ran in-process through a
+    /// store; `None` when it ran none that way.
+    pub cache: Option<CacheSnapshot>,
 }
 
 /// Object-safe driver facade over [`Sweep`] (the `experiments` bin holds
@@ -373,27 +343,25 @@ pub trait SweepRunner: Sync {
     fn total_points(&self) -> usize;
     /// Whether rows are pure functions of their keys (cache-eligible).
     fn cacheable(&self) -> bool;
-    /// Execute per the config, streaming results into the journal.
+    /// Execute per the config, publishing every row into the store.
+    /// Needs one: [`SweepError::NoStore`] otherwise.
     fn run(&self, cfg: &SweepConfig) -> Result<RunSummary, SweepError>;
-    /// Merge the journals in `cfg.out_dir`: validate, verify, write the
-    /// artifact, render the report.
+    /// Load every planned point from the store in spec order, verify,
+    /// write the artifact, render the report. A point the store lacks
+    /// is [`SweepError::MissingKeys`].
     fn merge(&self, cfg: &SweepConfig) -> Result<MergeSummary, SweepError>;
-    /// Merge, also returning the ordered row values (the study layer
-    /// stores them as the sweep node's artifact).
-    fn merge_with_rows(
-        &self,
-        cfg: &SweepConfig,
-    ) -> Result<(MergeSummary, serde_json::Value), SweepError>;
+    /// Run and merge. In-process, the rows go straight to the merge
+    /// (through the store when there is one); other executors run, then
+    /// merge from the store. Also returns the ordered row values (the
+    /// study layer stores them as the sweep node's artifact).
+    fn run_and_merge(&self, cfg: &SweepConfig) -> Result<(MergeSummary, Value), SweepError>;
     /// Every point's cache key, in grid order — computable without
     /// running anything, which is what lets `study status` answer cold.
     fn point_hashes(&self, cfg: &SweepConfig) -> Result<Vec<String>, SweepError>;
     /// Re-verify and re-render the artifact from cached row values (the
-    /// up-to-date short-circuit: no journals, no `run_point`).
-    fn render_from_rows(
-        &self,
-        rows: &serde_json::Value,
-        cfg: &SweepConfig,
-    ) -> Result<MergeSummary, SweepError>;
+    /// up-to-date short-circuit: no `run_point`).
+    fn render_from_rows(&self, rows: &Value, cfg: &SweepConfig)
+        -> Result<MergeSummary, SweepError>;
 }
 
 impl<S: Sweep> SweepRunner for S {
@@ -410,34 +378,45 @@ impl<S: Sweep> SweepRunner for S {
     }
 
     fn run(&self, cfg: &SweepConfig) -> Result<RunSummary, SweepError> {
-        if let Executor::Workers { exe, args, count } = &cfg.executor {
-            shard::spawn_shard_workers(exe, args, *count, cfg)?;
-            return Ok(RunSummary {
-                shard: Shard::WHOLE,
-                progress: ProgressSnapshot {
-                    total: self.total_points() as u64,
-                    ..ProgressSnapshot::default()
-                },
-                journal: cfg.out_dir.clone(),
-                cache: None,
-            });
-        }
-        run_shard(self, cfg)
+        let (shard, action) = match &cfg.executor {
+            Executor::InProcess => (Shard::WHOLE, "run"),
+            Executor::Shard(s) => (*s, "a sharded run"),
+            Executor::Workers { exe, args, count } => {
+                let store = require_store(self, cfg, "--spawn")?;
+                shard::spawn_shard_workers(exe, args, *count, store.root(), &cfg.code_version)?;
+                return Ok(RunSummary {
+                    shard: Shard::WHOLE,
+                    progress: ProgressSnapshot {
+                        total: self.total_points() as u64,
+                        ..ProgressSnapshot::default()
+                    },
+                    cache: None,
+                });
+            }
+        };
+        let store = require_store(self, cfg, action)?;
+        let progress = point_values(self, cfg, shard, Some(&store))?.2;
+        Ok(RunSummary {
+            shard,
+            progress,
+            cache: Some(store.stats()),
+        })
     }
 
     fn merge(&self, cfg: &SweepConfig) -> Result<MergeSummary, SweepError> {
-        merge(self, cfg)
+        let (keys, values) = stored_values(self, cfg)?;
+        Ok(merge_values(self, cfg, &keys, values, None)?.0)
     }
 
-    fn merge_with_rows(
-        &self,
-        cfg: &SweepConfig,
-    ) -> Result<(MergeSummary, serde_json::Value), SweepError> {
-        let (entries, fragments) = merged_entries(self, cfg)?;
-        let rows_value = serde_json::Value::Array(entries.iter().map(|e| e.row.clone()).collect());
-        let rows = decode_rows::<S>(&entries)?;
-        let summary = finish_merge(self, cfg, &rows, fragments)?;
-        Ok((summary, rows_value))
+    fn run_and_merge(&self, cfg: &SweepConfig) -> Result<(MergeSummary, Value), SweepError> {
+        if !matches!(cfg.executor, Executor::InProcess) {
+            let run = SweepRunner::run(self, cfg)?;
+            let (keys, values) = stored_values(self, cfg)?;
+            return merge_values(self, cfg, &keys, values, run.cache);
+        }
+        let store = open_store(self, cfg)?;
+        let (keys, values, _) = point_values(self, cfg, Shard::WHOLE, store.as_ref())?;
+        merge_values(self, cfg, &keys, values, store.map(|s| s.stats()))
     }
 
     fn point_hashes(&self, cfg: &SweepConfig) -> Result<Vec<String>, SweepError> {
@@ -446,249 +425,200 @@ impl<S: Sweep> SweepRunner for S {
         let spec = self.spec();
         Ok(points
             .iter()
-            .map(|p| {
-                canon::point_cache_key(
-                    Sweep::name(self),
-                    &spec,
-                    &self.point_params(p),
-                    &cfg.code_version,
-                )
-            })
+            .map(|p| point_hash(self, cfg, &spec, p))
             .collect())
     }
 
     fn render_from_rows(
         &self,
-        rows: &serde_json::Value,
+        rows: &Value,
         cfg: &SweepConfig,
     ) -> Result<MergeSummary, SweepError> {
-        let values = rows.as_array().ok_or_else(|| SweepError::Decode {
+        let decode = |msg: String| SweepError::Decode {
             key: "<stage>".into(),
-            msg: "cached sweep artifact is not a row array".into(),
-        })?;
+            msg,
+        };
+        let values = rows
+            .as_array()
+            .ok_or_else(|| decode("cached sweep artifact is not a row array".into()))?;
         let rows: Vec<S::Row> = values
             .iter()
-            .map(|v| {
-                serde_json::from_value(v.clone()).map_err(|e| SweepError::Decode {
-                    key: "<stage>".into(),
-                    msg: e.to_string(),
-                })
-            })
+            .map(|v| S::Row::from_value(v).map_err(|e| decode(e.to_string())))
             .collect::<Result<_, _>>()?;
-        finish_merge(self, cfg, &rows, 0)
+        finish_merge(self, cfg, &rows, None)
     }
 }
 
-/// Keys of the full grid, in canonical order plus as a set, validated
-/// unique.
-fn spec_keys<S: Sweep>(
-    sweep: &S,
-    points: &[S::Point],
-) -> Result<(Vec<String>, BTreeSet<String>), SweepError> {
+/// Keys of the full grid, in canonical order, validated unique.
+fn spec_keys<S: Sweep>(sweep: &S, points: &[S::Point]) -> Result<Vec<String>, SweepError> {
     let keys: Vec<String> = points.iter().map(|p| sweep.key(p)).collect();
     let mut seen = BTreeSet::new();
     for k in &keys {
-        if !seen.insert(k.clone()) {
+        if !seen.insert(k.as_str()) {
             return Err(SweepError::DuplicateKey { key: k.clone() });
         }
     }
-    Ok((keys, seen))
+    Ok(keys)
 }
 
-/// Run one shard of the sweep in-process, streaming each completed point
-/// into the shard's journal.
-fn run_shard<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<RunSummary, SweepError> {
-    let shard = cfg.executor.shard();
+/// The store address of `point`'s row under `cfg`'s code version.
+fn point_hash<S: Sweep>(sweep: &S, cfg: &SweepConfig, spec: &Value, point: &S::Point) -> String {
+    canon::point_cache_key(
+        Sweep::name(sweep),
+        spec,
+        &sweep.point_params(point),
+        &cfg.code_version,
+    )
+}
+
+/// The store rows go through, if any: cacheable sweeps with a
+/// `--cache-dir` only.
+fn open_store<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<Option<CasStore>, SweepError> {
+    match (&cfg.cache_dir, Sweep::cacheable(sweep)) {
+        (Some(dir), true) => Ok(Some(CasStore::open(dir)?)),
+        _ => Ok(None),
+    }
+}
+
+/// The store for an `action` that keeps rows nowhere else.
+fn require_store<S: Sweep>(
+    sweep: &S,
+    cfg: &SweepConfig,
+    action: &'static str,
+) -> Result<CasStore, SweepError> {
+    open_store(sweep, cfg)?.ok_or(SweepError::NoStore {
+        sweep: Sweep::name(sweep),
+        action,
+    })
+}
+
+/// The one row path: run the points `shard` owns, in spec order, each
+/// yielding its row as a JSON value — through `store` when there is one
+/// (a hit reads the stored value, a miss computes and publishes it),
+/// otherwise encoded from `run_point` directly. Returns the points'
+/// keys, their values, and the final progress counters. An encode
+/// failure stops the run as [`SweepError::Encode`] naming its point;
+/// rows published before it stay in the store.
+fn point_values<S: Sweep>(
+    sweep: &S,
+    cfg: &SweepConfig,
+    shard: Shard,
+    store: Option<&CasStore>,
+) -> Result<(Vec<String>, Vec<Value>, ProgressSnapshot), SweepError> {
     let points = sweep.points();
-    let (keys, key_set) = spec_keys(sweep, &points)?;
-    let journal_path = cfg.journal_path(Sweep::name(sweep), shard);
-
-    // Resume: replay the journal, keep only entries this shard owns and
-    // the spec still enumerates, and rewrite the file clean (dropping
-    // any truncated tail) before appending to it.
-    let mut done: BTreeSet<String> = BTreeSet::new();
-    if cfg.resume {
-        let existing = journal::load(&journal_path)?;
-        for e in &existing {
-            if !key_set.contains(&e.key) {
-                return Err(SweepError::UnknownKey { key: e.key.clone() });
-            }
-            if !shard.owns(&e.key) {
-                return Err(SweepError::Journal {
-                    path: journal_path.clone(),
-                    line: 0,
-                    msg: format!("entry {:?} does not belong to shard {shard}", e.key),
-                });
-            }
-            if !done.insert(e.key.clone()) {
-                return Err(SweepError::DuplicateKey { key: e.key.clone() });
-            }
-        }
-        journal::rewrite(&journal_path, &existing)?;
-    } else if journal_path.exists() {
-        fs::remove_file(&journal_path).map_err(|e| SweepError::io(&journal_path, e))?;
-    }
-
-    let todo: Vec<(usize, &S::Point)> = points
+    let mut keys = spec_keys(sweep, &points)?;
+    let todo: Vec<(&S::Point, &String)> = points
         .iter()
-        .enumerate()
-        .filter(|(i, _)| shard.owns(&keys[*i]) && !done.contains(&keys[*i]))
+        .zip(&keys)
+        .filter(|(_, k)| shard.owns(k))
         .collect();
-    let in_shard = keys.iter().filter(|k| shard.owns(k)).count();
+    let spec = sweep.spec();
+    let progress = SweepProgress::with_total(todo.len() as u64);
 
-    let progress = SweepProgress::with_total(in_shard as u64);
-    progress.points_skipped(done.len() as u64);
-    if cfg.verbose && !done.is_empty() {
-        eprintln!(
-            "{} {shard}: resumed {} completed point(s) from journal",
-            Sweep::name(sweep),
-            done.len()
-        );
-    }
-
-    // The result cache: only pure sweeps consult it. Rows land in the
-    // journal as the *stored* JSON values, which round-trip
-    // byte-identically, so a warm run merges to the same artifact bytes
-    // as a cold one.
-    let store = match (&cfg.cache_dir, Sweep::cacheable(sweep)) {
-        (Some(dir), true) => Some(CasStore::open(dir)?),
-        _ => None,
-    };
-    let spec_value = sweep.spec();
-
-    let writer = Mutex::new(Journal::append_to(&journal_path)?);
-    let complete_one = |(i, point): &(usize, &S::Point)| -> Result<(), SweepError> {
-        let key = &keys[*i];
-        let entry = match &store {
+    let complete_one = |&(point, key): &(&S::Point, &String)| -> Result<Value, SweepError> {
+        let compute = || {
+            serde_json::to_value(&sweep.run_point(point)).map_err(|e| SweepError::Encode {
+                key: key.clone(),
+                msg: e.to_string(),
+            })
+        };
+        let row = match store {
             Some(store) => {
                 let meta = ObjectMeta {
-                    hash: canon::point_cache_key(
-                        Sweep::name(sweep),
-                        &spec_value,
-                        &sweep.point_params(point),
-                        &cfg.code_version,
-                    ),
+                    hash: point_hash(sweep, cfg, &spec, point),
                     kind: "point",
                     name: Sweep::name(sweep).to_string(),
                     key: key.clone(),
                     code_version: cfg.code_version.clone(),
                     inputs: Vec::new(),
                 };
-                let (row, _outcome) = store.fetch_or_compute(&meta, || {
-                    serde_json::to_value(&sweep.run_point(point)).map_err(|e| SweepError::Encode {
-                        key: key.clone(),
-                        msg: e.to_string(),
-                    })
-                })?;
-                JournalEntry {
-                    key: key.clone(),
-                    row,
-                }
+                store.fetch_or_compute(&meta, compute)?.0
             }
-            None => JournalEntry::encode(key, &sweep.run_point(point))?,
+            None => compute()?,
         };
-        writer
-            .lock()
-            .expect("journal writer poisoned")
-            .append(&entry)?;
         let snap = progress.point_completed();
         if cfg.verbose {
             eprintln!("{} {shard} {snap} {key}", Sweep::name(sweep));
         }
-        Ok(())
+        Ok(row)
     };
-    let result: Result<Vec<()>, SweepError> = if sweep.parallel() {
+    let values: Result<Vec<Value>, SweepError> = if sweep.parallel() {
         todo.par_iter().map(complete_one).collect()
     } else {
         todo.iter().map(complete_one).collect()
     };
-    if result.is_err() {
+    if values.is_err() {
         progress.point_failed();
     }
-    result?;
-
-    Ok(RunSummary {
-        shard,
-        progress: progress.snapshot(),
-        journal: journal_path,
-        cache: store.map(|s| s.stats()),
-    })
+    let values = values?;
+    if shard != Shard::WHOLE {
+        keys.retain(|k| shard.owns(k));
+    }
+    Ok((keys, values, progress.snapshot()))
 }
 
-/// Replay every `<name>.shard-*.jsonl` fragment in `cfg.out_dir`,
-/// validate the key set against the spec (no duplicates, no gaps, no
-/// strays), order rows canonically, re-run the sweep's cross-point
-/// assertions, and write the artifact.
-pub fn merge<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<MergeSummary, SweepError> {
-    let (entries, fragments) = merged_entries(sweep, cfg)?;
-    let rows = decode_rows::<S>(&entries)?;
-    finish_merge(sweep, cfg, &rows, fragments)
-}
-
-/// The journal-replay half of a merge: every fragment's entries,
-/// deduplicated, validated against the spec's key set, and ordered by
-/// the spec's enumeration order — this ordering is what makes the
-/// merged artifact byte-identical to a single-process run's. Returns
-/// the entries plus the fragment count.
-fn merged_entries<S: Sweep>(
+/// The load half of a merge: every planned point's stored row, in spec
+/// order, with the keys naming them. Any point the store lacks —
+/// never run, or quarantined as corrupt — is reported in
+/// [`SweepError::MissingKeys`].
+fn stored_values<S: Sweep>(
     sweep: &S,
     cfg: &SweepConfig,
-) -> Result<(Vec<JournalEntry>, usize), SweepError> {
+) -> Result<(Vec<String>, Vec<Value>), SweepError> {
+    let store = require_store(sweep, cfg, "merge")?;
     let points = sweep.points();
-    let (keys, key_set) = spec_keys(sweep, &points)?;
-
-    let prefix = format!("{}.shard-", Sweep::name(sweep));
-    let mut fragments: Vec<PathBuf> = fs::read_dir(&cfg.out_dir)
-        .map_err(|e| SweepError::io(&cfg.out_dir, e))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".jsonl"))
-        })
-        .collect();
-    fragments.sort();
-
-    let mut by_key: BTreeMap<String, JournalEntry> = BTreeMap::new();
-    for path in &fragments {
-        for entry in journal::load(path)? {
-            if !key_set.contains(&entry.key) {
-                return Err(SweepError::UnknownKey { key: entry.key });
-            }
-            let key = entry.key.clone();
-            if by_key.insert(key.clone(), entry).is_some() {
-                return Err(SweepError::DuplicateKey { key });
-            }
+    let keys = spec_keys(sweep, &points)?;
+    let spec = sweep.spec();
+    let mut values = Vec::with_capacity(points.len());
+    let mut missing = Vec::new();
+    for (point, key) in points.iter().zip(&keys) {
+        match store.load(&point_hash(sweep, cfg, &spec, point), Some(key))? {
+            Some(obj) => values.push(obj.row),
+            None => missing.push(key.clone()),
         }
     }
-
-    let missing: Vec<String> = keys
-        .iter()
-        .filter(|k| !by_key.contains_key(*k))
-        .cloned()
-        .collect();
     if !missing.is_empty() {
         return Err(SweepError::MissingKeys {
             sample: missing.iter().take(4).cloned().collect(),
             count: missing.len(),
         });
     }
-
-    let entries: Vec<JournalEntry> = keys.iter().map(|k| by_key.remove(k).unwrap()).collect();
-    Ok((entries, fragments.len()))
+    Ok((keys, values))
 }
 
-fn decode_rows<S: Sweep>(entries: &[JournalEntry]) -> Result<Vec<S::Row>, SweepError> {
-    entries.iter().map(|e| e.decode::<S::Row>()).collect()
+/// Decode, verify and render the rows `values` hold (one per key, in
+/// spec order); hands the values back as one array.
+fn merge_values<S: Sweep>(
+    sweep: &S,
+    cfg: &SweepConfig,
+    keys: &[String],
+    values: Vec<Value>,
+    cache: Option<CacheSnapshot>,
+) -> Result<(MergeSummary, Value), SweepError> {
+    let rows = decode_rows::<S>(keys, &values)?;
+    let summary = finish_merge(sweep, cfg, &rows, cache)?;
+    Ok((summary, Value::Array(values)))
 }
 
-/// The verify-and-render half of a merge, shared by journal replay and
-/// the study layer's cached-rows short-circuit.
+fn decode_rows<S: Sweep>(keys: &[String], values: &[Value]) -> Result<Vec<S::Row>, SweepError> {
+    keys.iter()
+        .zip(values)
+        .map(|(key, v)| {
+            S::Row::from_value(v).map_err(|e| SweepError::Decode {
+                key: key.clone(),
+                msg: e.to_string(),
+            })
+        })
+        .collect()
+}
+
+/// The verify-and-render half of a merge, shared by every merge path
+/// and the study layer's cached-rows short-circuit.
 fn finish_merge<S: Sweep>(
     sweep: &S,
     cfg: &SweepConfig,
     rows: &[S::Row],
-    fragments: usize,
+    cache: Option<CacheSnapshot>,
 ) -> Result<MergeSummary, SweepError> {
     sweep.verify(rows).map_err(SweepError::Verify)?;
 
@@ -702,9 +632,9 @@ fn finish_merge<S: Sweep>(
 
     Ok(MergeSummary {
         points: rows.len(),
-        fragments,
         artifact,
         report: sweep.report(rows),
+        cache,
     })
 }
 
@@ -721,17 +651,9 @@ pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) -> Result<Path
     Ok(path)
 }
 
-/// Convenience driver: run the whole grid in-process (with optional
-/// resume) and merge, returning the merge summary. This is what a plain
-/// `experiments <sweep-id>` invocation does.
-pub fn run_and_merge<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<MergeSummary, SweepError> {
-    SweepRunner::run(sweep, cfg)?;
-    merge(sweep, cfg)
-}
-
 /// The light in-process path for experiments that want the fan-out and
-/// progress accounting but no journal/artifact plumbing: run every
-/// point (rayon), preserving point order in the returned rows.
+/// progress accounting but no store/artifact plumbing: run every point
+/// (rayon), preserving point order in the returned rows.
 pub fn run_grid<P, R>(name: &str, points: &[P], run: impl Fn(&P) -> R + Sync) -> Vec<R>
 where
     P: Sync,
@@ -821,13 +743,29 @@ mod tests {
         }
     }
 
+    /// `cfg_in(dir)` with a store at `dir/cas`.
+    fn stored_in(dir: &Path) -> SweepConfig {
+        SweepConfig {
+            cache_dir: Some(dir.join("cas")),
+            ..cfg_in(dir)
+        }
+    }
+
+    fn shard_cfg(dir: &Path, index: u32, count: u32) -> SweepConfig {
+        SweepConfig {
+            executor: Executor::Shard(Shard::new(index, count).unwrap()),
+            ..stored_in(dir)
+        }
+    }
+
     #[test]
     fn single_process_run_and_merge_produces_ordered_artifact() {
         let sweep = TestSweep { n: 7 };
         let dir = fresh_dir("single");
-        let summary = run_and_merge(&sweep, &cfg_in(&dir)).unwrap();
+        let (summary, values) = sweep.run_and_merge(&cfg_in(&dir)).unwrap();
         assert_eq!(summary.points, 7);
-        assert_eq!(summary.fragments, 1);
+        assert!(summary.cache.is_none(), "no store configured");
+        assert_eq!(values.as_array().map(<[_]>::len), Some(7));
         let artifact = fs::read_to_string(summary.artifact.unwrap()).unwrap();
         let rows: Vec<TestRow> = serde_json::from_str(&artifact).unwrap();
         assert_eq!(
@@ -838,102 +776,110 @@ mod tests {
                 .map(|p| sweep.run_point(p))
                 .collect::<Vec<_>>()
         );
+        // Nothing but the artifact is left behind.
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
     }
 
     #[test]
     fn sharded_runs_merge_byte_identically_to_single() {
         let sweep = TestSweep { n: 11 };
         let single = fresh_dir("shard-single");
-        let s1 = run_and_merge(&sweep, &cfg_in(&single)).unwrap();
+        let (s1, _) = sweep.run_and_merge(&cfg_in(&single)).unwrap();
         let want = fs::read(s1.artifact.unwrap()).unwrap();
 
         let dir = fresh_dir("shard-split");
+        let mut computed = 0;
         for index in 0..3 {
-            let cfg = SweepConfig {
-                executor: Executor::Shard(Shard::new(index, 3).unwrap()),
-                ..cfg_in(&dir)
-            };
-            let run = SweepRunner::run(&sweep, &cfg).unwrap();
+            let run = SweepRunner::run(&sweep, &shard_cfg(&dir, index, 3)).unwrap();
             assert_eq!(run.progress.completed, run.progress.total);
+            computed += run.cache.unwrap().misses;
         }
-        let merged = merge(&sweep, &cfg_in(&dir)).unwrap();
-        assert_eq!(merged.fragments, 3);
+        assert_eq!(computed, 11, "the shards partition the grid");
+        let merged = SweepRunner::merge(&sweep, &stored_in(&dir)).unwrap();
         let got = fs::read(merged.artifact.unwrap()).unwrap();
         assert_eq!(got, want);
     }
 
     #[test]
-    fn merge_rejects_gaps_duplicates_and_strays() {
+    fn merge_reports_gaps_in_the_store() {
         let sweep = TestSweep { n: 5 };
         let dir = fresh_dir("gaps");
-        let cfg = SweepConfig {
-            executor: Executor::Shard(Shard::new(0, 2).unwrap()),
-            ..cfg_in(&dir)
-        };
-        SweepRunner::run(&sweep, &cfg).unwrap();
-        // Shard 1 never ran → gaps.
-        assert!(matches!(
-            merge(&sweep, &cfg_in(&dir)),
-            Err(SweepError::MissingKeys { .. })
-        ));
-        // Same shard journalled twice under a different shard label → duplicates.
-        let src = cfg.journal_path("test_sweep", Shard::new(0, 2).unwrap());
-        fs::copy(&src, dir.join("test_sweep.shard-0of9.jsonl")).unwrap();
-        assert!(matches!(
-            merge(&sweep, &cfg_in(&dir)),
-            Err(SweepError::DuplicateKey { .. })
-        ));
-        // A key outside the spec → stray: a journal produced by a wider
-        // grid (n = 6 has p005) replayed against the n = 5 spec.
-        let wider = TestSweep { n: 6 };
-        let dir2 = fresh_dir("stray");
-        run_and_merge(&wider, &cfg_in(&dir2)).unwrap();
-        fs::remove_file(dir2.join("BENCH_test_sweep.json")).unwrap();
-        let err = merge(&sweep, &cfg_in(&dir2)).unwrap_err();
-        assert!(
-            matches!(err, SweepError::UnknownKey { ref key } if key == "p005"),
-            "{err}"
-        );
+        SweepRunner::run(&sweep, &shard_cfg(&dir, 0, 2)).unwrap();
+        // Shard 1 never ran → gaps, named in spec order.
+        let missing: Vec<String> = sweep
+            .points()
+            .iter()
+            .map(|p| sweep.key(p))
+            .filter(|k| !Shard::new(0, 2).unwrap().owns(k))
+            .collect();
+        match SweepRunner::merge(&sweep, &stored_in(&dir)) {
+            Err(SweepError::MissingKeys { sample, count }) => {
+                assert_eq!(count, missing.len());
+                assert_eq!(sample, missing[..count.min(4)]);
+            }
+            other => panic!("expected MissingKeys, got {other:?}"),
+        }
     }
 
     #[test]
-    fn resume_skips_journalled_points_and_completes() {
-        let sweep = TestSweep { n: 9 };
-        let ref_dir = fresh_dir("resume-ref");
-        let want = fs::read(
-            run_and_merge(&sweep, &cfg_in(&ref_dir))
-                .unwrap()
-                .artifact
-                .unwrap(),
-        )
-        .unwrap();
-
-        // Simulate a kill: keep only the first 4 journal lines plus a
-        // truncated tail.
-        let dir = fresh_dir("resume");
-        run_and_merge(&sweep, &cfg_in(&dir)).unwrap();
-        let jpath = dir.join("test_sweep.shard-0of1.jsonl");
-        let text = fs::read_to_string(&jpath).unwrap();
-        let keep: Vec<&str> = text.lines().take(4).collect();
-        fs::write(&jpath, format!("{}\n{{\"key\":\"p0", keep.join("\n"))).unwrap();
-        fs::remove_file(dir.join("BENCH_test_sweep.json")).unwrap();
-
-        let cfg = SweepConfig {
-            resume: true,
+    fn persisting_actions_need_a_store() {
+        let sweep = TestSweep { n: 3 };
+        let dir = fresh_dir("no-store");
+        let shard = SweepConfig {
+            executor: Executor::Shard(Shard::new(0, 2).unwrap()),
             ..cfg_in(&dir)
         };
-        let run = SweepRunner::run(&sweep, &cfg).unwrap();
-        assert_eq!(run.progress.skipped, 4);
-        assert_eq!(run.progress.completed, 5);
-        let merged = merge(&sweep, &cfg_in(&dir)).unwrap();
+        let spawn = SweepConfig {
+            executor: Executor::Workers {
+                exe: PathBuf::from("/nonexistent"),
+                args: Vec::new(),
+                count: 2,
+            },
+            ..cfg_in(&dir)
+        };
+        for (cfg, want) in [
+            (&shard, "a sharded run"),
+            (&spawn, "--spawn"),
+            (&cfg_in(&dir), "run"),
+        ] {
+            match SweepRunner::run(&sweep, cfg) {
+                Err(SweepError::NoStore { sweep, action }) => {
+                    assert_eq!((sweep, action), ("test_sweep", want));
+                }
+                other => panic!("{want}: expected NoStore, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            SweepRunner::merge(&sweep, &cfg_in(&dir)),
+            Err(SweepError::NoStore {
+                action: "merge",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn rerun_over_a_partial_store_computes_only_the_gaps() {
+        let sweep = TestSweep { n: 9 };
+        let ref_dir = fresh_dir("rerun-ref");
+        let (reference, _) = sweep.run_and_merge(&cfg_in(&ref_dir)).unwrap();
+        let want = fs::read(reference.artifact.unwrap()).unwrap();
+
+        // A killed run: only shard 0 of 2 reached the store.
+        let dir = fresh_dir("rerun");
+        let done = SweepRunner::run(&sweep, &shard_cfg(&dir, 0, 2)).unwrap();
+        let done = done.cache.unwrap().misses;
+        let (merged, _) = sweep.run_and_merge(&stored_in(&dir)).unwrap();
+        let cache = merged.cache.unwrap();
+        assert_eq!((cache.hits, cache.misses), (done, 9 - done));
         assert_eq!(fs::read(merged.artifact.unwrap()).unwrap(), want);
     }
 
     /// A row whose `Serialize` impl fails mid-grid surfaces from the
     /// full sweep run as [`SweepError::Encode`] naming the point —
-    /// propagated through `JournalEntry::encode` and `Journal::append`
-    /// rather than panicking the shard. Rows journalled before the
-    /// failure survive on disk, so a fixed serialiser can resume.
+    /// propagated out of the store's compute closure rather than
+    /// panicking the shard. Rows published before the failure stay in
+    /// the store, so a fixed serialiser reruns only the rest.
     #[test]
     fn failing_serialize_row_fails_the_run_with_encode_error() {
         struct PoisonRow {
@@ -973,7 +919,7 @@ mod tests {
                 PoisonRow { id: *p }
             }
             fn parallel(&self) -> bool {
-                false // deterministic journal contents up to the failure
+                false // deterministic store contents up to the failure
             }
             fn report(&self, rows: &[PoisonRow]) -> String {
                 format!("{} rows", rows.len())
@@ -981,7 +927,8 @@ mod tests {
         }
 
         let dir = fresh_dir("poison");
-        let err = run_and_merge(&PoisonSweep, &cfg_in(&dir)).unwrap_err();
+        let cfg = stored_in(&dir);
+        let err = PoisonSweep.run_and_merge(&cfg).unwrap_err();
         match err {
             SweepError::Encode { key, msg } => {
                 assert_eq!(key, "p3");
@@ -989,12 +936,15 @@ mod tests {
             }
             other => panic!("expected Encode error, got {other}"),
         }
-        // The three rows completed before the poisoned one are on disk.
-        let journal = journal::load(&dir.join("poison_sweep.shard-0of1.jsonl")).unwrap();
-        assert_eq!(
-            journal.iter().map(|e| e.key.as_str()).collect::<Vec<_>>(),
-            ["p0", "p1", "p2"]
-        );
+        // The three rows completed before the poisoned one are stored.
+        let store = CasStore::open(cfg.cache_dir.as_ref().unwrap()).unwrap();
+        let stored: Vec<bool> = PoisonSweep
+            .point_hashes(&cfg)
+            .unwrap()
+            .iter()
+            .map(|h| store.contains(h))
+            .collect();
+        assert_eq!(stored, [true, true, true, false, false, false]);
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! `DefaultHasher` (`std::hash::DefaultHasher`), whose algorithm is
 //! unspecified across releases — so the same key lands in the same
 //! shard on every machine, toolchain and run. Assignment depends only
-//! on the key, never on enumeration order, which is what makes shard
-//! fragments mergeable.
+//! on the key, never on enumeration order, so N shards cover the grid
+//! exactly once whichever process enumerates it.
 
 use std::path::Path;
 use std::process::Command;
 
-use super::{SweepConfig, SweepError};
+use super::SweepError;
 
 pub use rsp_obs::stable_key_hash;
 
@@ -60,17 +60,17 @@ impl std::fmt::Display for Shard {
 }
 
 /// Spawn one worker subprocess per shard — `exe args... --shard k/N
-/// --out-dir <out_dir> [--resume] [--cache-dir <dir> --code-version
-/// <v>]` — and wait for all of them. Workers stream their results into
-/// per-shard journals in `cfg.out_dir` (deduping any shared points
-/// through the artifact store when `cfg.cache_dir` is set); callers run
-/// the merge step afterwards. Any worker exiting non-zero fails the
-/// whole fan-out (the journals it did write remain valid for `--resume`).
+/// --cache-dir <cache_dir> --code-version <code_version>` — and wait
+/// for all of them. Workers publish their rows into the store at
+/// `cache_dir`; callers merge from it afterwards. Any worker exiting
+/// non-zero fails the whole fan-out (the rows it did publish stay in
+/// the store, so a rerun computes only the rest).
 pub fn spawn_shard_workers(
     exe: &Path,
     args: &[String],
     count: u32,
-    cfg: &SweepConfig,
+    cache_dir: &Path,
+    code_version: &str,
 ) -> Result<(), SweepError> {
     let mut children = Vec::new();
     for index in 0..count {
@@ -78,17 +78,10 @@ pub fn spawn_shard_workers(
         cmd.args(args)
             .arg("--shard")
             .arg(format!("{index}/{count}"))
-            .arg("--out-dir")
-            .arg(&cfg.out_dir);
-        if cfg.resume {
-            cmd.arg("--resume");
-        }
-        if let Some(cache_dir) = &cfg.cache_dir {
-            cmd.arg("--cache-dir")
-                .arg(cache_dir)
-                .arg("--code-version")
-                .arg(&cfg.code_version);
-        }
+            .arg("--cache-dir")
+            .arg(cache_dir)
+            .arg("--code-version")
+            .arg(code_version);
         let child = cmd.spawn().map_err(|e| SweepError::Worker {
             shard: Shard { index, count },
             msg: format!("spawn failed: {e}"),

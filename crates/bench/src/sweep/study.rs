@@ -296,14 +296,13 @@ impl StudyDag {
                 None => {
                     let (output, points, inputs) = match &node.op {
                         StageOp::Sweep(runner) => {
-                            let run = runner.run(cfg)?;
-                            if let Some(c) = run.cache {
+                            let (summary, rows) = runner.run_and_merge(cfg)?;
+                            if let Some(c) = summary.cache {
                                 cache.hits += c.hits;
                                 cache.misses += c.misses;
                                 cache.claim_waits += c.claim_waits;
                                 cache.quarantined += c.quarantined;
                             }
-                            let (summary, rows) = runner.merge_with_rows(cfg)?;
                             (rows, Some(summary.points), runner.point_hashes(cfg)?)
                         }
                         StageOp::Stage(apply) => {

@@ -284,13 +284,11 @@ pub fn measure_all(cfg: &SimConfig, min_wall: Duration, quick: bool) -> Throughp
 /// concurrent points would contend for the host CPU and corrupt the
 /// measurement). Rows here are *not* pure functions of their keys (they
 /// carry timing), so unlike the simulation sweeps the merged artifact is
-/// not byte-stable across reruns — but journaling still buys
-/// checkpoint/resume: a killed run resumes without re-measuring finished
-/// classes. For the same reason this sweep is **not cacheable**
-/// ([`Sweep::cacheable`] returns `false`): a wall-clock measurement
-/// taken on one host, at one load, has no business being served from a
-/// content-addressed store to a different run — resume within a run is
-/// the right tool, cross-run reuse is not.
+/// not byte-stable across reruns. For the same reason this sweep is
+/// **not cacheable** ([`Sweep::cacheable`] returns `false`): a
+/// wall-clock measurement taken on one host, at one load, has no
+/// business being served from a content-addressed store to a different
+/// run. It runs whole, once, in one process; a killed run starts over.
 pub struct ThroughputSweep {
     classes: Vec<WorkloadClass>,
     cfg: SimConfig,

@@ -82,10 +82,12 @@ fn experiments_usage_errors_exit_2() {
     let out = experiments(&["fault-sweep", "--shard", "nonsense"]);
     assert_eq!(out.status.code(), Some(2));
 
-    // Sharding flags demand a sweep experiment.
+    // Sharding flags demand a sweep experiment, and name every one.
     let out = experiments(&["table1", "--shard", "0/2"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("not a sweep experiment"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not a sweep experiment"), "{stderr}");
+    assert!(stderr.contains("serve-sched"), "{stderr}");
 
     // No id → the id list, as a usage error.
     let out = experiments(&[]);
@@ -95,14 +97,27 @@ fn experiments_usage_errors_exit_2() {
 }
 
 #[test]
+fn experiments_sharding_flags_without_a_store_exit_2() {
+    for flags in [&["--merge"][..], &["--shard", "0/2"], &["--spawn", "2"]] {
+        let out = experiments(&[&["fault-sweep"], flags].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains("--cache-dir"), "{flags:?}: {stderr}");
+    }
+}
+
+#[test]
 fn experiments_sweep_failure_exits_1_not_2() {
-    // Merging an empty directory is a *sweep* error (missing points),
+    // Merging from an empty store is a *sweep* error (missing points),
     // distinct from the usage exit code.
     let dir = std::env::temp_dir().join(format!("rsp-cli-usage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let out = experiments(&[
         "serve-saturation",
         "--merge",
+        "--cache-dir",
+        dir.join("cas").to_str().unwrap(),
         "--out-dir",
         dir.to_str().unwrap(),
     ]);

@@ -1,18 +1,17 @@
-//! Property tests for the sweep engine's merge invariants, on the real
+//! Property tests for the sweep engine's store invariants, on the real
 //! (reduced) fault sweep:
 //!
-//! * splitting a run's journal lines into an arbitrary number of shard
-//!   fragments, in any interleaving, merges into a `BENCH_*.json`
-//!   byte-identical to the single-process run's;
-//! * a journal truncated at an arbitrary point (a killed run, possibly
-//!   mid-line) resumes to completion and merges byte-identically;
-//! * actually re-running the grid as `--shard k/N` style shard runs
-//!   reproduces the artifact bytes too (rows are pure functions of their
-//!   keys — the fault schedule is open-loop).
+//! * a run killed after publishing an arbitrary subset of the grid —
+//!   possibly leaving one more object file torn mid-write — reruns by
+//!   computing exactly the missing points, and merges into a
+//!   `BENCH_*.json` byte-identical to the single-process run's;
+//! * actually re-running the grid as `--shard k/N` style shard runs over
+//!   one store reproduces the artifact bytes too (rows are pure
+//!   functions of their keys — the fault schedule is open-loop).
 //!
-//! The canonical single-process run happens once (`OnceLock`); the
-//! properties then mostly shuffle journal *lines*, so the per-case cost
-//! is parsing and merging, not re-simulation.
+//! The canonical single-process run happens once (`OnceLock`) and also
+//! fills a source store; the properties then copy object files out of
+//! it, so the per-case cost is the missing points, not the whole grid.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -21,28 +20,34 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use rsp_bench::experiments::faults::FaultSweep;
-use rsp_bench::sweep::{self, Executor, Shard, SweepConfig, SweepRunner};
+use rsp_bench::sweep::{Executor, Shard, SweepConfig, SweepRunner};
 
 /// The canonical single-process run of the reduced fault sweep: its
-/// journal lines and its artifact bytes.
+/// artifact bytes, its store, and every point's store address.
 struct Canonical {
-    lines: Vec<String>,
     artifact: Vec<u8>,
+    store: PathBuf,
+    hashes: Vec<String>,
 }
 
 fn canonical() -> &'static Canonical {
     static CANON: OnceLock<Canonical> = OnceLock::new();
     CANON.get_or_init(|| {
-        let dir = fresh_dir("canonical");
         let sweep = FaultSweep::reduced();
-        let summary = sweep::run_and_merge(&sweep, &cfg_in(&dir)).expect("canonical run");
+        let plain = fresh_dir("canonical");
+        let (summary, _) = sweep.run_and_merge(&cfg_in(&plain)).expect("canonical run");
         let artifact = fs::read(summary.artifact.expect("fault sweep writes an artifact"))
             .expect("read canonical artifact");
-        let journal = fs::read_to_string(dir.join("fault_sweep.shard-0of1.jsonl"))
-            .expect("read canonical journal");
-        let lines: Vec<String> = journal.lines().map(str::to_string).collect();
-        assert_eq!(lines.len(), 8, "reduced grid is 2 workloads x 2 x 2");
-        Canonical { lines, artifact }
+        let dir = fresh_dir("source");
+        let cfg = stored_in(&dir);
+        sweep.run(&cfg).expect("fill the source store");
+        let hashes = sweep.point_hashes(&cfg).expect("point hashes");
+        assert_eq!(hashes.len(), 8, "reduced grid is 2 workloads x 2 x 2");
+        Canonical {
+            artifact,
+            store: dir.join("cas"),
+            hashes,
+        }
     })
 }
 
@@ -63,82 +68,77 @@ fn cfg_in(dir: &Path) -> SweepConfig {
     }
 }
 
-fn merged_bytes(dir: &Path) -> Vec<u8> {
-    let sweep = FaultSweep::reduced();
-    let summary = sweep::merge(&sweep, &cfg_in(dir)).expect("merge succeeds");
-    fs::read(summary.artifact.expect("artifact written")).expect("read artifact")
+/// `cfg_in(dir)` with its store at `dir/cas`.
+fn stored_in(dir: &Path) -> SweepConfig {
+    SweepConfig {
+        cache_dir: Some(dir.join("cas")),
+        ..cfg_in(dir)
+    }
+}
+
+/// Where the store at `root` keeps object `hash`
+/// (`objects/<first two hex digits>/<rest>.json`).
+fn object_path(root: &Path, hash: &str) -> PathBuf {
+    root.join("objects")
+        .join(&hash[..2])
+        .join(format!("{}.json", &hash[2..]))
+}
+
+/// Copy `bytes` to object `hash`'s place in the store at `root`.
+fn plant(root: &Path, hash: &str, bytes: &[u8]) {
+    let path = object_path(root, hash);
+    fs::create_dir_all(path.parent().unwrap()).unwrap();
+    fs::write(path, bytes).unwrap();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any assignment of journal lines to any number of shard fragments,
-    /// written in any order, merges byte-identically to the
-    /// single-process artifact.
+    /// A kill leaves an arbitrary subset of the grid in the store, and
+    /// perhaps a truncated object file for one more point (the kill
+    /// arrived mid-publish). A rerun computes exactly the points the
+    /// store does not hold intact, quarantines the torn file, and merges
+    /// byte-identically.
     #[test]
-    fn any_fragmenting_and_interleaving_merges_identically(
-        n in 1usize..=5,
-        assign in proptest::collection::vec(0usize..5, 8),
-        prio in proptest::collection::vec(0u64..1_000_000, 8),
+    fn rerun_after_a_kill_computes_exactly_the_missing_points(
+        published in proptest::collection::vec(proptest::bool::ANY, 8),
+        torn in proptest::option::of((0usize..8, 1usize..10_000)),
     ) {
         let canon = canonical();
-        let dir = fresh_dir("fragment");
-        // Order lines by an arbitrary priority, then deal each to an
-        // arbitrary fragment (mod n) — neither respects hash-based shard
-        // ownership, which merge must not require.
-        let mut order: Vec<usize> = (0..canon.lines.len()).collect();
-        order.sort_by_key(|&i| (prio[i], i));
-        let mut fragments: Vec<Vec<&str>> = vec![Vec::new(); n];
-        for &i in &order {
-            fragments[assign[i] % n].push(&canon.lines[i]);
+        let dir = fresh_dir("kill");
+        let root = dir.join("cas");
+        let mut intact = 0u64;
+        for (hash, _) in canon.hashes.iter().zip(&published).filter(|(_, p)| **p) {
+            plant(&root, hash, &fs::read(object_path(&canon.store, hash)).unwrap());
+            intact += 1;
         }
-        for (k, lines) in fragments.iter().enumerate() {
-            // Empty fragments are written too: merge must tolerate them.
-            let mut text = lines.join("\n");
-            if !text.is_empty() {
-                text.push('\n');
-            }
-            fs::write(dir.join(format!("fault_sweep.shard-{k}of{n}.jsonl")), text).unwrap();
+        // The torn file goes to the first unpublished point at or after
+        // the drawn index, if there is one.
+        let torn = torn.and_then(|(at, cut)| {
+            (at..at + 8).map(|i| i % 8).find(|&i| !published[i]).map(|i| (i, cut))
+        });
+        if let Some((i, cut)) = torn {
+            let whole = fs::read(object_path(&canon.store, &canon.hashes[i])).unwrap();
+            plant(&root, &canon.hashes[i], &whole[..cut % (whole.len() - 1) + 1]);
         }
-        prop_assert_eq!(&merged_bytes(&dir), &canon.artifact);
-    }
 
-    /// A journal truncated at an arbitrary point — k complete lines,
-    /// optionally plus a partial line (the kill arrived mid-write) —
-    /// resumes to completion and merges byte-identically.
-    #[test]
-    fn resume_after_arbitrary_truncation_completes_identically(
-        keep in 0usize..8,
-        cut in 1usize..40,
-        partial in proptest::bool::ANY,
-    ) {
-        let canon = canonical();
-        let dir = fresh_dir("resume");
-        let mut text = String::new();
-        for line in canon.lines.iter().take(keep) {
-            text.push_str(line);
-            text.push('\n');
-        }
-        if partial {
-            let tail = &canon.lines[keep];
-            text.push_str(&tail[..cut.min(tail.len() - 1)]);
-        }
-        fs::write(dir.join("fault_sweep.shard-0of1.jsonl"), text).unwrap();
-
-        let sweep = FaultSweep::reduced();
-        let cfg = SweepConfig { resume: true, ..cfg_in(&dir) };
-        let run = SweepRunner::run(&sweep, &cfg).expect("resume run");
-        prop_assert_eq!(run.progress.skipped, keep as u64);
-        prop_assert_eq!(run.progress.completed, (8 - keep) as u64);
-        prop_assert_eq!(&merged_bytes(&dir), &canon.artifact);
+        let (merged, _) = FaultSweep::reduced()
+            .run_and_merge(&stored_in(&dir))
+            .expect("rerun");
+        let cache = merged.cache.expect("store configured");
+        prop_assert_eq!(cache.hits, intact);
+        prop_assert_eq!(cache.misses, 8 - intact);
+        prop_assert_eq!(cache.quarantined, u64::from(torn.is_some()));
+        let got = fs::read(merged.artifact.expect("artifact written")).unwrap();
+        prop_assert_eq!(&got, &canon.artifact);
     }
 }
 
 /// Genuinely re-run the grid as 2 shard processes' worth of work (same
-/// code path as `experiments fault-sweep --shard k/2`) and check the
-/// merged artifact bytes — this one re-simulates, proving rows are pure
-/// functions of their keys across runs, not just that merge shuffles
-/// lines correctly.
+/// code path as `experiments fault-sweep --shard k/2 --cache-dir DIR`)
+/// into a fresh store, merge from it, and check the artifact bytes —
+/// this one re-simulates every point, proving rows are pure functions of
+/// their keys across runs.
 #[test]
 fn two_shard_rerun_reproduces_artifact_bytes() {
     let canon = canonical();
@@ -147,9 +147,11 @@ fn two_shard_rerun_reproduces_artifact_bytes() {
     for index in 0..2 {
         let cfg = SweepConfig {
             executor: Executor::Shard(Shard::new(index, 2).unwrap()),
-            ..cfg_in(&dir)
+            ..stored_in(&dir)
         };
-        SweepRunner::run(&sweep, &cfg).expect("shard run");
+        sweep.run(&cfg).expect("shard run");
     }
-    assert_eq!(merged_bytes(&dir), canon.artifact);
+    let merged = sweep.merge(&stored_in(&dir)).expect("merge succeeds");
+    let got = fs::read(merged.artifact.expect("artifact written")).unwrap();
+    assert_eq!(got, canon.artifact);
 }

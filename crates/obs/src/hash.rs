@@ -1,14 +1,14 @@
 //! The workspace's one stable string hash.
 //!
-//! FNV-1a over the key bytes, 64-bit. Two on-disk/on-wire contracts
-//! hang off this exact function: sweep shard ownership (`rsp-bench`,
-//! `key hash mod N` decides which shard's journal a point lands in) and
-//! serve-fleet tenant affinity (`rsp-serve`, `tenant hash mod shards`
-//! decides placement). Both crates used to carry their own copy; this
-//! is the single shared one. Never replace it with `std::hash` — the
-//! standard hasher's algorithm is unspecified across releases, and a
-//! silent change here strands existing journals and reshuffles every
-//! tenant.
+//! FNV-1a over the key bytes, 64-bit. Two contracts hang off this
+//! exact function: sweep shard ownership (`rsp-bench`, `key hash mod N`
+//! decides which shard computes a point) and serve-fleet tenant
+//! affinity (`rsp-serve`, `tenant hash mod shards` decides placement).
+//! Both crates used to carry their own copy; this is the single shared
+//! one. Never replace it with `std::hash` — the standard hasher's
+//! algorithm is unspecified across releases, and a silent change here
+//! splits one sweep's shards differently across hosts and reshuffles
+//! every tenant.
 
 /// FNV-1a (64-bit) over `key`'s bytes.
 ///
@@ -27,9 +27,9 @@ pub fn stable_key_hash(key: &str) -> u64 {
 mod tests {
     use super::*;
 
-    /// The on-disk contract: these exact values are baked into every
-    /// existing sweep journal's shard assignment and every fleet's
-    /// tenant placement. They must never change.
+    /// The cross-host contract: these exact values decide every sweep
+    /// shard's points and every fleet's tenant placement. They must
+    /// never change.
     #[test]
     fn fnv1a_constants_are_pinned() {
         assert_eq!(stable_key_hash(""), 0xcbf29ce484222325);

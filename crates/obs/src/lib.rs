@@ -15,7 +15,7 @@
 //!   JSON Lines for the `rsp-timeline` analyzer.
 //!
 //! A fourth, host-side layer — [`SweepProgress`] — tallies experiment
-//! sweep progress (points completed / resumed / failed) for the
+//! sweep progress (points completed / failed) for the
 //! `rsp-bench` sweep engine; it counts host work, not simulated events.
 //!
 //! Two fleet-facing layers serve the `rsp-serve` stack (DESIGN.md §15):

@@ -5,8 +5,7 @@
 //! shared, thread-safe tally it reports through. Unlike
 //! [`MetricsRegistry`](crate::MetricsRegistry) — which counts *simulated*
 //! events inside one machine — a [`SweepProgress`] counts *host* work:
-//! grid points completed, points skipped by journal replay on resume,
-//! and points that failed. Counters are plain relaxed atomics: progress
+//! grid points completed and points that failed. Counters are plain relaxed atomics: progress
 //! is advisory (rendered to stderr and exported in run summaries), never
 //! load-bearing for correctness.
 
@@ -18,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct SweepProgress {
     total: AtomicU64,
     completed: AtomicU64,
-    skipped: AtomicU64,
     failed: AtomicU64,
 }
 
@@ -42,11 +40,6 @@ impl SweepProgress {
         self.snapshot()
     }
 
-    /// Record `n` points satisfied by journal replay instead of work.
-    pub fn points_skipped(&self, n: u64) {
-        self.skipped.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Record one point whose execution failed.
     pub fn point_failed(&self) {
         self.failed.fetch_add(1, Ordering::Relaxed);
@@ -57,7 +50,6 @@ impl SweepProgress {
         ProgressSnapshot {
             total: self.total.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            skipped: self.skipped.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
         }
     }
@@ -68,32 +60,22 @@ impl SweepProgress {
 pub struct ProgressSnapshot {
     /// Points this run must account for (its shard of the grid).
     pub total: u64,
-    /// Points computed by this run.
+    /// Points this run has finished (computed or served from a store).
     pub completed: u64,
-    /// Points satisfied by journal replay (resume).
-    pub skipped: u64,
     /// Points whose execution failed.
     pub failed: u64,
 }
 
 impl ProgressSnapshot {
-    /// Points accounted for so far (completed + skipped).
-    pub fn done(&self) -> u64 {
-        self.completed + self.skipped
-    }
-
     /// True once every point is accounted for and none failed.
     pub fn is_complete(&self) -> bool {
-        self.failed == 0 && self.done() >= self.total
+        self.failed == 0 && self.completed >= self.total
     }
 }
 
 impl std::fmt::Display for ProgressSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}/{}", self.done(), self.total)?;
-        if self.skipped > 0 {
-            write!(f, ", {} resumed", self.skipped)?;
-        }
+        write!(f, "[{}/{}", self.completed, self.total)?;
         if self.failed > 0 {
             write!(f, ", {} FAILED", self.failed)?;
         }
@@ -108,13 +90,13 @@ mod tests {
     #[test]
     fn counts_accumulate_and_complete() {
         let p = SweepProgress::with_total(3);
-        p.points_skipped(1);
+        p.point_completed();
         assert!(!p.snapshot().is_complete());
         p.point_completed();
         let snap = p.point_completed();
-        assert_eq!(snap.done(), 3);
+        assert_eq!(snap.completed, 3);
         assert!(snap.is_complete());
-        assert_eq!(snap.to_string(), "[3/3, 1 resumed]");
+        assert_eq!(snap.to_string(), "[3/3]");
     }
 
     #[test]
@@ -131,7 +113,7 @@ mod tests {
     fn snapshot_roundtrips_through_json() {
         let p = SweepProgress::with_total(9);
         p.point_completed();
-        p.points_skipped(2);
+        p.point_failed();
         let snap = p.snapshot();
         let s = serde_json::to_string(&snap).unwrap();
         let back: ProgressSnapshot = serde_json::from_str(&s).unwrap();

@@ -55,8 +55,7 @@ pub use engine::{
 pub use fleet::{merge_frames, merge_snapshots, merge_stats, shard_of, ShardedEngine};
 pub use protocol::{Request, Response, MAX_FRAME};
 pub use scheduler::{
-    LoadSnapshot, Scheduler, SchedulerKind, ShedReason, SpecNote, WatermarkScheduler, WfqScheduler,
-    SPEC_NOTE_CAP,
+    LoadSnapshot, Scheduler, ShedReason, SpecNote, WatermarkScheduler, WfqScheduler, SPEC_NOTE_CAP,
 };
 pub use server::{Server, ServerConfig};
 pub use slo::{MetricsFrame, SloRegistry, TenantMetrics, SLO_HISTO_NAMES};

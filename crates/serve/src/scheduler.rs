@@ -304,53 +304,6 @@ impl Scheduler for WfqScheduler {
     }
 }
 
-/// Runtime-selectable policy for the server CLI: one concrete type the
-/// server threads can own without monomorphising the transport twice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Flat round-robin under admission watermarks.
-    Watermark(WatermarkScheduler),
-    /// Weighted fair queueing under the same watermarks.
-    Wfq(WfqScheduler),
-}
-
-impl Scheduler for SchedulerKind {
-    fn admit(&self, load: &LoadSnapshot) -> Result<(), ShedReason> {
-        match self {
-            SchedulerKind::Watermark(s) => s.admit(load),
-            SchedulerKind::Wfq(s) => s.admit(load),
-        }
-    }
-
-    fn activations(&self, load: &LoadSnapshot) -> usize {
-        match self {
-            SchedulerKind::Watermark(s) => s.activations(load),
-            SchedulerKind::Wfq(s) => s.activations(load),
-        }
-    }
-
-    fn quantum(&self) -> u64 {
-        match self {
-            SchedulerKind::Watermark(s) => s.quantum(),
-            SchedulerKind::Wfq(s) => s.quantum(),
-        }
-    }
-
-    fn credit(&self, weight: u32) -> u64 {
-        match self {
-            SchedulerKind::Watermark(s) => s.credit(weight),
-            SchedulerKind::Wfq(s) => s.credit(weight),
-        }
-    }
-
-    fn burst(&self) -> u64 {
-        match self {
-            SchedulerKind::Watermark(s) => s.burst(),
-            SchedulerKind::Wfq(s) => s.burst(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,15 +398,33 @@ mod tests {
         assert_eq!(flat.burst(), 100);
     }
 
+    /// `max_weight: 1` is exactly the flat round-robin: the server runs
+    /// it when `--wfq` is off, so one engine type serves both modes.
     #[test]
-    fn scheduler_kind_delegates_to_the_wrapped_policy() {
-        let wm = WatermarkScheduler::default();
-        let kind = SchedulerKind::Watermark(wm);
-        assert_eq!(kind.quantum(), wm.quantum());
-        assert_eq!(kind.credit(5), wm.quantum());
-        let wfq = WfqScheduler::default();
-        let kind = SchedulerKind::Wfq(wfq);
-        assert_eq!(kind.credit(3), 3 * wfq.watermarks.quantum);
-        assert_eq!(kind.burst(), wfq.burst());
+    fn wfq_with_max_weight_one_is_the_watermark_policy() {
+        let wm = WatermarkScheduler {
+            queue_depth: 4,
+            max_active: 3,
+            step_lag_watermark: 2,
+            quantum: 64,
+        };
+        let flat = WfqScheduler {
+            watermarks: wm,
+            max_weight: 1,
+        };
+        for queued in 0..6 {
+            for active in 0..5 {
+                for step_lag in 0..4 {
+                    let l = load(queued, active, step_lag);
+                    assert_eq!(flat.admit(&l), wm.admit(&l), "{l:?}");
+                    assert_eq!(flat.activations(&l), wm.activations(&l), "{l:?}");
+                }
+            }
+        }
+        for w in 0..=rsp_workloads::MAX_STREAM_WEIGHT + 1 {
+            assert_eq!(flat.credit(w), wm.credit(w), "weight {w}");
+        }
+        assert_eq!(flat.quantum(), wm.quantum());
+        assert_eq!(flat.burst(), wm.burst());
     }
 }

@@ -26,7 +26,7 @@
 use crate::engine::{EngineConfig, EngineStats, PanicFlightGuard, ServeEngine};
 use crate::fleet::{merge_frames, merge_stats, shard_of};
 use crate::protocol::{self, Request, Response};
-use crate::scheduler::{Scheduler, SchedulerKind, WatermarkScheduler, WfqScheduler};
+use crate::scheduler::{Scheduler, WatermarkScheduler, WfqScheduler};
 use crate::slo::MetricsFrame;
 use crate::tenant::tenant_key;
 use std::io::{self, Read, Write};
@@ -206,13 +206,14 @@ impl Server {
 
         let engine_shutdown = shutdown.clone();
         let engine_cfg = cfg.engine.clone();
-        let scheduler = if cfg.wfq {
-            SchedulerKind::Wfq(WfqScheduler {
-                watermarks: cfg.scheduler,
-                ..WfqScheduler::default()
-            })
-        } else {
-            SchedulerKind::Watermark(cfg.scheduler)
+        // Flat round-robin is WFQ with every weight clamped to 1.
+        let scheduler = WfqScheduler {
+            watermarks: cfg.scheduler,
+            max_weight: if cfg.wfq {
+                rsp_workloads::MAX_STREAM_WEIGHT
+            } else {
+                1
+            },
         };
         let shards = cfg.shards;
         let idle_poll = cfg.idle_poll;
