@@ -49,6 +49,7 @@ pub fn saturation_scheduler() -> WatermarkScheduler {
         max_active: 8,
         step_lag_watermark: 64,
         quantum: 256,
+        ..WatermarkScheduler::default()
     }
 }
 

@@ -8,7 +8,8 @@
 //! trickle — and varies the *serving structure*: the weight skew
 //! between the two tenant classes, the number of engine shards, and
 //! the lane pack-hold. Every point runs the same cohort through an
-//! in-process [`ShardedEngine`] mounted on the [`WfqScheduler`].
+//! in-process [`ShardedEngine`] with weighted-fair quanta
+//! (`max_weight` 8).
 //!
 //! Three contracts are verified on every merge:
 //!
@@ -26,7 +27,7 @@
 //!    the pack-hold: holding lane tenants to pack fuller groups may
 //!    only ever delay first service, never buy it back.
 
-use rsp_serve::{EngineConfig, ShardedEngine, TenantRequest, WatermarkScheduler, WfqScheduler};
+use rsp_serve::{EngineConfig, ShardedEngine, TenantRequest, WatermarkScheduler};
 use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -57,6 +58,7 @@ pub fn sched_watermarks() -> WatermarkScheduler {
         max_active: 8,
         step_lag_watermark: 64,
         quantum: 256,
+        ..WatermarkScheduler::default()
     }
 }
 
@@ -160,9 +162,9 @@ pub fn measure_point(p: &SchedPoint) -> SchedRow {
         pack_hold_ticks: p.hold,
         ..EngineConfig::default()
     };
-    let scheduler = WfqScheduler {
-        watermarks: sched_watermarks(),
+    let scheduler = WatermarkScheduler {
         max_weight: 8,
+        ..sched_watermarks()
     };
     let started = Instant::now();
     let mut fleet = ShardedEngine::new(cfg, scheduler, p.shards);

@@ -33,6 +33,7 @@ fn fleet_analyzer_ingests_an_engine_flight_dump() {
         max_active: 2,
         step_lag_watermark: 1_000_000,
         quantum: 256,
+        ..WatermarkScheduler::default()
     };
     let mut engine = ServeEngine::new(cfg, scheduler);
     let mut shed = 0u64;

@@ -40,7 +40,6 @@ mod hash;
 mod metrics;
 mod progress;
 mod recorder;
-mod route;
 mod sink;
 
 pub use event::{Event, StallCause, Stamped, MAX_CANDIDATES};
@@ -55,7 +54,6 @@ pub use recorder::{
     parse_fleet_jsonl, FleetEntry, FleetEvent, FlightRecorder, ShedKind, TriggerKind,
     DEFAULT_FLIGHT_CAPACITY, DEFAULT_SHED_STORM_THRESHOLD, DEFAULT_SHED_STORM_WINDOW,
 };
-pub use route::TenantRouter;
 pub use sink::{EventSink, NoopSink, RingSink};
 
 /// Heads beyond this index skip load-latency pairing (far above any

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! `listen` runs the server until a client sends `Shutdown` —
-//! `--shards N` serves over N engine threads with tenant affinity,
+//! `--shards N` serves over N engine shards with tenant affinity,
 //! `--wfq` schedules weighted-fair quanta honouring stream weights,
 //! and `--pack-hold N` holds lane tenants up to N ticks to pack fuller
 //! groups (DESIGN.md §16). `drive` is the smoke client used by CI: it
@@ -37,13 +37,13 @@ use rsp_serve::{
     replay, ServeClient, Server, ServerConfig, ShedReason, TenantPhase, TenantRequest,
 };
 use rsp_sim::SimConfig;
-use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
+use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix, MAX_STREAM_WEIGHT};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: rsp-serve <listen|drive|stats|shutdown> ADDR [options]
   listen:   --queue-depth N  --max-active N  --lag-watermark N  --quantum N
-            --shards N (engine threads)  --wfq (weighted-fair quanta)
+            --shards N (engine shards)  --wfq (weighted-fair quanta)
             --pack-hold N (lane-group packing hold, ticks)
             --pool N  --telemetry-dir DIR  --no-slo
             --flight-dir DIR  --flight-capacity N
@@ -145,7 +145,7 @@ fn listen(mut args: impl Iterator<Item = String>) {
             "--lag-watermark" => cfg.scheduler.step_lag_watermark = parse(&a, args.next()),
             "--quantum" => cfg.scheduler.quantum = parse(&a, args.next()),
             "--shards" => cfg.shards = parse(&a, args.next()),
-            "--wfq" => cfg.wfq = true,
+            "--wfq" => cfg.scheduler.max_weight = MAX_STREAM_WEIGHT,
             "--pack-hold" => cfg.engine.pack_hold_ticks = parse(&a, args.next()),
             "--pool" => cfg.engine.pool_capacity = parse(&a, args.next()),
             "--telemetry-dir" => {

@@ -6,7 +6,7 @@
 //! * **Scalar tenants** (program streams) lease a `Machine` from the
 //!   [`MachinePool`]; each tick they step up to one scheduler quantum
 //!   of cycles, and on completion their telemetry ring is drained into
-//!   the [`TenantRouter`] and the machine returns to the pool.
+//!   the tenant's log and the machine returns to the pool.
 //! * **Lane tenants** (demand-trace streams whose config fits the
 //!   [`LaneParams::from_config`] envelope) are packed 64-per-word onto
 //!   a shared [`LaneBatch`]: activated tenants with an identical
@@ -30,13 +30,14 @@
 //! worker threads, then makes every shared write serially in visit
 //! order (DESIGN.md §14), so the worker count never changes output.
 
-use crate::scheduler::{LoadSnapshot, Scheduler, ShedReason, SpecNote, WatermarkScheduler};
+use crate::route::TenantRouter;
+use crate::scheduler::{LoadSnapshot, ShedReason, SpecNote, WatermarkScheduler};
 use crate::slo::{MetricsFrame, SloRegistry, TenantMetrics};
 use crate::tenant::{tenant_key, TenantPhase, TenantRequest, TenantStatus};
 use rsp_isa::units::UnitType;
 use rsp_obs::{
-    FleetEntry, FleetEvent, FlightRecorder, Telemetry, TenantRouter, TriggerKind,
-    DEFAULT_FLIGHT_CAPACITY, DEFAULT_SHED_STORM_THRESHOLD, DEFAULT_SHED_STORM_WINDOW,
+    FleetEntry, FleetEvent, FlightRecorder, Telemetry, TriggerKind, DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_SHED_STORM_THRESHOLD, DEFAULT_SHED_STORM_WINDOW,
 };
 use rsp_sim::lanes::{LaneBatch, LaneParams};
 use rsp_sim::pool::{MachinePool, PoolStats};
@@ -217,9 +218,9 @@ impl LaneGroup {
 }
 
 /// The serve engine (see module docs).
-pub struct ServeEngine<S: Scheduler = WatermarkScheduler> {
+pub struct ServeEngine {
     cfg: EngineConfig,
-    scheduler: S,
+    scheduler: WatermarkScheduler,
     pool: MachinePool,
     router: TenantRouter,
     queue: VecDeque<QueuedTenant>,
@@ -386,16 +387,14 @@ pub fn check_request(base: &SimConfig, req: &TenantRequest) -> Result<(), ShedRe
     Ok(())
 }
 
-impl ServeEngine<WatermarkScheduler> {
+impl ServeEngine {
     /// An engine with the default watermark scheduler.
-    pub fn with_defaults(cfg: EngineConfig) -> ServeEngine<WatermarkScheduler> {
+    pub fn with_defaults(cfg: EngineConfig) -> ServeEngine {
         ServeEngine::new(cfg, WatermarkScheduler::default())
     }
-}
 
-impl<S: Scheduler> ServeEngine<S> {
     /// A fresh engine over an empty fleet.
-    pub fn new(cfg: EngineConfig, scheduler: S) -> ServeEngine<S> {
+    pub fn new(cfg: EngineConfig, scheduler: WatermarkScheduler) -> ServeEngine {
         let pool = MachinePool::new(cfg.pool_capacity);
         let slo = SloRegistry::new(cfg.slo);
         let mut flight = FlightRecorder::new(cfg.flight_capacity);
@@ -404,7 +403,7 @@ impl<S: Scheduler> ServeEngine<S> {
             cfg,
             scheduler,
             pool,
-            router: TenantRouter::new(0),
+            router: TenantRouter::default(),
             queue: VecDeque::new(),
             scalars: Vec::new(),
             pending: Vec::new(),
@@ -947,41 +946,9 @@ impl<S: Scheduler> ServeEngine<S> {
         self.dump_seq
     }
 
-    /// Ticks executed so far.
-    pub fn ticks(&self) -> u64 {
-        self.tick
-    }
-
     /// Export per-tenant telemetry as `<dir>/t<id>.jsonl`.
     pub fn export_telemetry(&self, dir: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
         self.router.export_dir(dir)
-    }
-}
-
-/// A drop guard that turns an engine panic into a flight dump.
-///
-/// The serve loop drives the engine through this guard; if the stack
-/// unwinds past it (an engine panic), `Drop` stamps a
-/// [`TriggerKind::EnginePanic`] entry and dumps the flight ring, so
-/// the post-mortem evidence survives the crash. On a normal return the
-/// guard drops silently.
-pub struct PanicFlightGuard<'a, S: Scheduler> {
-    /// The guarded engine; deref-style access for the serve loop.
-    pub engine: &'a mut ServeEngine<S>,
-}
-
-impl<'a, S: Scheduler> PanicFlightGuard<'a, S> {
-    /// Guard `engine` for the duration of the borrow.
-    pub fn new(engine: &'a mut ServeEngine<S>) -> PanicFlightGuard<'a, S> {
-        PanicFlightGuard { engine }
-    }
-}
-
-impl<S: Scheduler> Drop for PanicFlightGuard<'_, S> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.engine.flight_trigger(TriggerKind::EnginePanic);
-        }
     }
 }
 
@@ -990,7 +957,7 @@ impl<S: Scheduler> Drop for PanicFlightGuard<'_, S> {
 pub fn replay(base: &SimConfig, req: &TenantRequest) -> Result<String, ShedReason> {
     check_request(base, req)?;
     let cfg = effective_cfg(base, req);
-    let mut router = TenantRouter::new(0);
+    let mut router = TenantRouter::default();
     if req.spec.is_lane() {
         let trace = req.spec.lane_trace().map_err(bad_spec)?;
         let rows = trace.generate_lane(0);
@@ -1187,6 +1154,7 @@ mod tests {
             max_active: 0, // nothing ever activates → lag grows
             step_lag_watermark: 3,
             quantum: 16,
+            ..WatermarkScheduler::default()
         };
         let mut engine = ServeEngine::new(EngineConfig::default(), tight);
         engine.submit(scalar_req(0, 1000)).unwrap();
@@ -1208,6 +1176,7 @@ mod tests {
                     max_active: 0,
                     step_lag_watermark: 3,
                     quantum: 16,
+                    ..WatermarkScheduler::default()
                 },
             );
             e2.submit(scalar_req(0, 1000)).unwrap();
@@ -1348,6 +1317,7 @@ mod tests {
             max_active: 0,
             step_lag_watermark: 1_000_000,
             quantum: 16,
+            ..WatermarkScheduler::default()
         };
         let cfg = EngineConfig {
             shed_storm_threshold: 4,
@@ -1390,29 +1360,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_guard_dumps_the_flight_ring_on_unwind() {
-        let mut engine = ServeEngine::with_defaults(EngineConfig::default());
-        engine.submit(scalar_req(0, 1000)).unwrap();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the expected panic
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let guard = PanicFlightGuard::new(&mut engine);
-            guard.engine.tick();
-            panic!("engine exploded");
-        }));
-        std::panic::set_hook(hook);
-        assert!(caught.is_err());
-        assert_eq!(engine.flight_triggers(), 1);
-        let entries = rsp_obs::parse_fleet_jsonl(&engine.flight_jsonl()).unwrap();
-        assert!(entries.iter().any(|e| matches!(
-            e.event,
-            FleetEvent::Trigger {
-                kind: TriggerKind::EnginePanic
-            }
-        )));
-    }
-
-    #[test]
     fn flight_dump_files_land_in_the_configured_dir() {
         let dir = std::env::temp_dir().join(format!("rsp-flight-{}", std::process::id()));
         let tight = WatermarkScheduler {
@@ -1420,6 +1367,7 @@ mod tests {
             max_active: 0,
             step_lag_watermark: 1_000_000,
             quantum: 16,
+            ..WatermarkScheduler::default()
         };
         let cfg = EngineConfig {
             shed_storm_threshold: 2,

@@ -28,22 +28,30 @@
 //! step phase out over worker threads (DESIGN.md §14). A thread per
 //! shard was measured and left out: it grew peak RSS through glibc's
 //! per-thread malloc arenas.
+//!
+//! The server runs a `ShardedEngine` at every shard count. One shard
+//! is a plain [`ServeEngine`] behind the id table: sheds burn no id,
+//! so global ids equal local ids, and every merged view equals the
+//! engine's own byte for byte.
+//!
+//! Flight dumps: every shard numbers its dumps `flight-<seq>-<kind>`
+//! from 0, so with more than one shard, shard *i* writes into
+//! `<flight_dir>/shard-<i>` and no dump overwrites another's.
 
 use crate::engine::{EngineConfig, EngineStats, ServeEngine};
-use crate::scheduler::{Scheduler, ShedReason, WatermarkScheduler};
+use crate::scheduler::{ShedReason, WatermarkScheduler};
 use crate::slo::MetricsFrame;
-use crate::tenant::{tenant_key, TenantStatus};
-use rsp_obs::{HistogramSnapshot, MetricsSnapshot};
+use crate::tenant::{tenant_key, TenantRequest, TenantStatus};
+use rsp_obs::{stable_key_hash, HistogramSnapshot, MetricsSnapshot, TriggerKind};
 use std::path::{Path, PathBuf};
 
-/// The stable hash behind shard affinity: the workspace's one shared
-/// FNV-1a ([`rsp_obs::stable_key_hash`], re-exported here for existing
-/// callers). Deliberately not `std::hash` (unspecified across
-/// releases): shard placement must be reproducible on every machine
-/// and toolchain, and its constants are pinned by test in `rsp-obs`.
-pub use rsp_obs::stable_key_hash;
-
 /// The shard that owns tenant `global_id` in a fleet of `shards`.
+///
+/// The hash is the workspace's one shared FNV-1a
+/// ([`rsp_obs::stable_key_hash`]), deliberately not `std::hash`
+/// (unspecified across releases): shard placement must be reproducible
+/// on every machine and toolchain, and its constants are pinned by
+/// test in `rsp-obs`.
 pub fn shard_of(global_id: u64, shards: usize) -> usize {
     (stable_key_hash(&tenant_key(global_id)) % shards.max(1) as u64) as usize
 }
@@ -51,8 +59,9 @@ pub fn shard_of(global_id: u64, shards: usize) -> usize {
 /// Sum per-shard engine counters into a fleet view. Monotonic counters
 /// and occupancy gauges add; `ticks` takes the max because shards tick
 /// in lockstep (wall progress, not work).
-pub fn merge_stats(parts: &[EngineStats]) -> EngineStats {
-    let mut m = EngineStats::default();
+pub fn merge_stats(parts: impl IntoIterator<Item = EngineStats>) -> EngineStats {
+    let mut parts = parts.into_iter();
+    let mut m = parts.next().unwrap_or_default();
     for s in parts {
         m.ticks = m.ticks.max(s.ticks);
         m.submitted += s.submitted;
@@ -80,7 +89,7 @@ pub fn merge_stats(parts: &[EngineStats]) -> EngineStats {
     m
 }
 
-fn merge_histograms(into: &mut Vec<HistogramSnapshot>, part: &[HistogramSnapshot]) {
+fn merge_histograms(into: &mut Vec<HistogramSnapshot>, part: Vec<HistogramSnapshot>) {
     for h in part {
         match into.iter_mut().find(|m| m.name == h.name) {
             Some(m) => {
@@ -94,98 +103,109 @@ fn merge_histograms(into: &mut Vec<HistogramSnapshot>, part: &[HistogramSnapshot
                     *mb += hb;
                 }
                 if m.bounds.is_empty() {
-                    m.bounds = h.bounds.clone();
+                    m.bounds = h.bounds;
                 }
             }
-            None => into.push(h.clone()),
+            None => into.push(h),
         }
     }
 }
 
 /// Merge per-shard metrics snapshots: counters sum by name, histograms
-/// add count/sum/buckets and take the max of maxes. Names keep the
-/// first shard's order, so merged snapshots have the same shape as a
-/// single engine's.
-pub fn merge_snapshots(parts: &[MetricsSnapshot]) -> MetricsSnapshot {
-    let mut m = MetricsSnapshot {
-        counters: Vec::new(),
-        histograms: Vec::new(),
-    };
+/// add count/sum/buckets and take the max of maxes. The first shard's
+/// snapshot is the base, so names keep its order and a merged snapshot
+/// has the same shape as a single engine's.
+pub fn merge_snapshots(parts: impl IntoIterator<Item = MetricsSnapshot>) -> MetricsSnapshot {
+    let mut parts = parts.into_iter();
+    let mut m = parts.next().unwrap_or_default();
     for p in parts {
-        for c in &p.counters {
+        for c in p.counters {
             match m.counters.iter_mut().find(|mc| mc.name == c.name) {
                 Some(mc) => mc.value += c.value,
-                None => m.counters.push(c.clone()),
+                None => m.counters.push(c),
             }
         }
-        merge_histograms(&mut m.histograms, &p.histograms);
+        merge_histograms(&mut m.histograms, p.histograms);
     }
     m
 }
 
 /// Merge per-shard metrics frames into one fleet frame.
 /// `globals[shard][local]` maps a shard-local tenant id back to its
-/// fleet-global id; per-tenant entries are rewritten and re-sorted so
-/// the merged frame is indistinguishable from a single engine's.
-pub fn merge_frames(parts: &[MetricsFrame], globals: &[Vec<u64>]) -> MetricsFrame {
-    let stats: Vec<EngineStats> = parts.iter().map(|f| f.stats.clone()).collect();
-    let aggs: Vec<MetricsSnapshot> = parts.iter().map(|f| f.aggregate.clone()).collect();
+/// fleet-global id; per-tenant entries are moved, rewritten and
+/// re-sorted so the merged frame is indistinguishable from a single
+/// engine's.
+pub fn merge_frames(
+    parts: impl IntoIterator<Item = MetricsFrame>,
+    globals: &[Vec<u64>],
+) -> MetricsFrame {
+    let mut tick = 0;
+    let mut stats = Vec::with_capacity(globals.len());
+    let mut aggregates = Vec::with_capacity(globals.len());
     let mut tenants = Vec::new();
-    for (shard, frame) in parts.iter().enumerate() {
-        for t in &frame.tenants {
-            let mut t = t.clone();
+    for (shard, frame) in parts.into_iter().enumerate() {
+        tick = tick.max(frame.tick);
+        stats.push(frame.stats);
+        aggregates.push(frame.aggregate);
+        let mut part = frame.tenants;
+        for t in &mut part {
             t.id = globals[shard][t.id as usize];
-            tenants.push(t);
+        }
+        if tenants.is_empty() {
+            tenants = part;
+        } else {
+            tenants.append(&mut part);
         }
     }
     tenants.sort_by_key(|t| t.id);
     MetricsFrame {
-        tick: parts.iter().map(|f| f.tick).max().unwrap_or(0),
-        stats: merge_stats(&stats),
-        aggregate: merge_snapshots(&aggs),
+        tick,
+        stats: merge_stats(stats),
+        aggregate: merge_snapshots(aggregates),
         tenants,
     }
 }
 
-/// An in-process sharded fleet: `N` engines ticked in lockstep, with
-/// tenant affinity by [`shard_of`] and merged read-side views (see
-/// module docs). The server's sharded mode runs the same routing over
-/// one thread per shard; this object ticks its shards serially on the
-/// calling thread (each fanning out inside its own tick) and is the
-/// reference the determinism tests pin.
-pub struct ShardedEngine<S: Scheduler = WatermarkScheduler> {
-    shards: Vec<ServeEngine<S>>,
+/// A sharded fleet: `N` engines ticked in lockstep, with tenant
+/// affinity by [`shard_of`] and merged read-side views (see module
+/// docs). It ticks its shards serially on the calling thread, each
+/// fanning out inside its own tick; the server and the determinism
+/// tests both drive it.
+pub struct ShardedEngine {
+    shards: Vec<ServeEngine>,
     /// Global id → (shard, local id), dense in admission order.
     routes: Vec<(usize, u64)>,
     /// `globals[shard][local]` → global id (the reverse of `routes`).
     globals: Vec<Vec<u64>>,
 }
 
-impl<S: Scheduler + Clone> ShardedEngine<S> {
+impl ShardedEngine {
     /// A fleet of `shards` fresh engines, each with the full `cfg` and
     /// its own copy of `scheduler` (shards multiply capacity — the
     /// watermarks and ceilings are per shard, like adding servers).
-    pub fn new(cfg: EngineConfig, scheduler: S, shards: usize) -> ShardedEngine<S> {
+    /// With more than one shard, shard *i* dumps its flight ring into
+    /// `<flight_dir>/shard-<i>`.
+    pub fn new(cfg: EngineConfig, scheduler: WatermarkScheduler, shards: usize) -> ShardedEngine {
         let n = shards.max(1);
         ShardedEngine {
             shards: (0..n)
-                .map(|_| ServeEngine::new(cfg.clone(), scheduler.clone()))
+                .map(|i| {
+                    let mut cfg = cfg.clone();
+                    if n > 1 {
+                        cfg.flight_dir = cfg.flight_dir.map(|d| d.join(format!("shard-{i}")));
+                    }
+                    ServeEngine::new(cfg, scheduler)
+                })
                 .collect(),
             routes: Vec::new(),
             globals: vec![Vec::new(); n],
         }
     }
-}
-
-impl<S: Scheduler> ShardedEngine<S> {
-    /// Number of shards in the fleet.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 
     /// Submit a tenant to its affinity shard; the returned id is
-    /// fleet-global. Sheds are counted on the shard that refused.
-    pub fn submit(&mut self, req: crate::tenant::TenantRequest) -> Result<u64, ShedReason> {
+    /// fleet-global. Sheds are counted on the shard that refused and
+    /// burn no id.
+    pub fn submit(&mut self, req: TenantRequest) -> Result<u64, ShedReason> {
         let global = self.routes.len() as u64;
         let shard = shard_of(global, self.shards.len());
         let local = self.shards[shard].submit(req)?;
@@ -218,13 +238,13 @@ impl<S: Scheduler> ShardedEngine<S> {
         self.is_idle()
     }
 
-    fn route(&self, global: u64) -> Option<(usize, u64)> {
+    fn locate(&self, global: u64) -> Option<(usize, u64)> {
         self.routes.get(global as usize).copied()
     }
 
     /// A tenant's status under its fleet-global id.
     pub fn status(&self, global: u64) -> Option<TenantStatus> {
-        let (shard, local) = self.route(global)?;
+        let (shard, local) = self.locate(global)?;
         let mut st = self.shards[shard].status(local)?.clone();
         st.id = global;
         Some(st)
@@ -237,27 +257,28 @@ impl<S: Scheduler> ShardedEngine<S> {
 
     /// A tenant's routed telemetry (JSONL), if any was produced.
     pub fn telemetry(&self, global: u64) -> Option<&str> {
-        let (shard, local) = self.route(global)?;
+        let (shard, local) = self.locate(global)?;
         self.shards[shard].telemetry(local)
     }
 
     /// Merged fleet counters ([`merge_stats`] over the shards).
     pub fn stats(&self) -> EngineStats {
-        let parts: Vec<EngineStats> = self.shards.iter().map(ServeEngine::stats).collect();
-        merge_stats(&parts)
+        merge_stats(self.shards.iter().map(ServeEngine::stats))
     }
 
     /// The merged SLO metrics frame, per-tenant entries under their
     /// fleet-global ids ([`merge_frames`] over the shards).
     pub fn metrics(&self) -> MetricsFrame {
-        let parts: Vec<MetricsFrame> = self.shards.iter().map(ServeEngine::metrics).collect();
-        merge_frames(&parts, &self.globals)
+        merge_frames(self.shards.iter().map(ServeEngine::metrics), &self.globals)
     }
 
-    /// One shard's metrics frame (shard-local tenant ids), for tests
-    /// that inspect a single slab.
-    pub fn shard_metrics(&self, shard: usize) -> MetricsFrame {
-        self.shards[shard].metrics()
+    /// Record an anomaly trigger on every shard: each stamps it into
+    /// its own flight ring and dumps that ring
+    /// ([`ServeEngine::flight_trigger`]).
+    pub fn flight_trigger(&mut self, kind: TriggerKind) {
+        for s in &mut self.shards {
+            s.flight_trigger(kind);
+        }
     }
 
     /// Export per-tenant telemetry as `<dir>/t<global>.jsonl`.
@@ -275,10 +296,37 @@ impl<S: Scheduler> ShardedEngine<S> {
     }
 }
 
+/// A drop guard that turns an engine panic into flight dumps.
+///
+/// The serve loop drives the fleet through this guard; if the stack
+/// unwinds past it (an engine panic), `Drop` stamps a
+/// [`TriggerKind::EnginePanic`] entry into every shard's flight ring
+/// and dumps each ([`ShardedEngine::flight_trigger`]), so the
+/// post-mortem evidence survives the crash. On a normal return the
+/// guard drops silently.
+pub struct PanicFlightGuard<'a> {
+    /// The guarded fleet; deref-style access for the serve loop.
+    pub engine: &'a mut ShardedEngine,
+}
+
+impl<'a> PanicFlightGuard<'a> {
+    /// Guard `engine` for the duration of the borrow.
+    pub fn new(engine: &'a mut ShardedEngine) -> PanicFlightGuard<'a> {
+        PanicFlightGuard { engine }
+    }
+}
+
+impl Drop for PanicFlightGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.engine.flight_trigger(TriggerKind::EnginePanic);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tenant::TenantRequest;
     use rsp_workloads::{StreamSpec, SynthSpec, UnitMix};
 
     fn scalar_req(seed: u64) -> TenantRequest {

@@ -7,27 +7,28 @@
 //! independent streams becomes observable — the queuing-model framing
 //! under which capacity should be configured to offered load.
 //!
-//! Four swappable layers:
+//! Six layers:
 //!
 //! * **transport** ([`protocol`], [`server`], [`client`]) — 4-byte
 //!   length-prefixed JSON frames over TCP or Unix sockets, std-only;
-//! * **admission** ([`scheduler`]) — the [`Scheduler`] trait separates
-//!   policy from stepping; the default [`WatermarkScheduler`] sheds
-//!   with explicit [`ShedReason`]s at a queue-depth or step-lag
-//!   watermark instead of silently stalling; [`WfqScheduler`] layers
-//!   weighted fairness (deficit-round-robin credits per tenant weight)
-//!   over the same watermarks (DESIGN.md §16);
+//! * **admission** ([`scheduler`]) — one policy, [`WatermarkScheduler`],
+//!   kept apart from stepping: it sheds with explicit [`ShedReason`]s
+//!   at a queue-depth or step-lag watermark instead of silently
+//!   stalling, and paces tenants with deficit-round-robin credits per
+//!   stream weight (flat round-robin at its default `max_weight` of 1;
+//!   DESIGN.md §16);
 //! * **stepping** ([`engine`]) — scalar tenants earn deficit-round-
 //!   robin grants on pooled `Machine`s; compatible lane tenants pack
 //!   64-per-word onto the bit-sliced lane kernel, optionally held a
 //!   few ticks to pack fuller groups;
-//! * **sharding** ([`fleet`]) — [`ShardedEngine`] fans tenants over N
-//!   engines by a stable affinity hash; stats, SLO slabs, and metrics
-//!   frames merge back into one fleet view with the per-tenant-sums-
-//!   to-aggregate invariant intact (DESIGN.md §16);
-//! * **telemetry** — per-tenant ring-JSONL streams routed through
-//!   `rsp_obs::TenantRouter`; any tenant is bit-identically
-//!   replayable offline from `(spec, seed)` alone ([`replay`]);
+//! * **sharding** ([`fleet`]) — [`ShardedEngine`], the engine the
+//!   server runs at every shard count, fans tenants over N engines by
+//!   a stable affinity hash; stats, SLO slabs, and metrics frames merge
+//!   back into one fleet view with the per-tenant-sums-to-aggregate
+//!   invariant intact (DESIGN.md §16);
+//! * **telemetry** — per-tenant ring-JSONL streams kept by the
+//!   engine's tenant router; any tenant is bit-identically replayable
+//!   offline from `(spec, seed)` alone ([`replay`]);
 //! * **observability** ([`slo`]) — per-tenant SLO histograms
 //!   (admission-to-first-step, queue residency, step lag, quantum
 //!   cycles) in fixed slabs off the hot path, exposed over the wire as
@@ -42,6 +43,7 @@ pub mod client;
 pub mod engine;
 pub mod fleet;
 pub mod protocol;
+mod route;
 pub mod scheduler;
 pub mod server;
 pub mod slo;
@@ -50,13 +52,13 @@ pub mod tenant;
 pub use client::ServeClient;
 pub use engine::{
     check_request, effective_cfg, lane_transition_line, replay, EngineConfig, EngineStats,
-    PanicFlightGuard, ServeEngine, LANES_PER_GROUP,
+    ServeEngine, LANES_PER_GROUP,
 };
-pub use fleet::{merge_frames, merge_snapshots, merge_stats, shard_of, ShardedEngine};
+pub use fleet::{
+    merge_frames, merge_snapshots, merge_stats, shard_of, PanicFlightGuard, ShardedEngine,
+};
 pub use protocol::{Request, Response, MAX_FRAME};
-pub use scheduler::{
-    LoadSnapshot, Scheduler, ShedReason, SpecNote, WatermarkScheduler, WfqScheduler, SPEC_NOTE_CAP,
-};
+pub use scheduler::{LoadSnapshot, ShedReason, SpecNote, WatermarkScheduler, SPEC_NOTE_CAP};
 pub use server::{Server, ServerConfig};
 pub use slo::{MetricsFrame, SloRegistry, TenantMetrics, SLO_HISTO_NAMES};
 pub use tenant::{tenant_key, TenantPhase, TenantRequest, TenantStatus};

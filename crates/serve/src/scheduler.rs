@@ -1,29 +1,25 @@
 //! Admission policy, separated from stepping (DESIGN.md §14, §16).
 //!
-//! The engine consults a [`Scheduler`] at three points: on `submit`
-//! (admit or shed, with an explicit [`ShedReason`]), on each tick
-//! (how many queued tenants to activate), and per active tenant (how
-//! many cycles of service credit its weight earns this tick, and the
-//! per-tick burst cap that bounds any one tenant's share). Keeping
-//! this behind a trait means admission policy is testable in-process —
-//! no sockets, no engine — and swappable without touching the stepping
-//! loop.
+//! The engine consults its [`WatermarkScheduler`] at three points: on
+//! `submit` (admit or shed, with an explicit [`ShedReason`]), on each
+//! tick (how many queued tenants to activate), and per active tenant
+//! (how many cycles of service credit its weight earns this tick, and
+//! the per-tick burst cap that bounds any one tenant's share). The
+//! policy is plain data with pure methods, so it is testable
+//! in-process — no sockets, no engine.
 //!
-//! [`WatermarkScheduler`] is the default policy: a bounded admission
-//! queue (reject `QueueFull` at the depth watermark), a step-lag bound
-//! (reject `StepLag` once the oldest queued tenant has waited more
-//! than `step_lag_watermark` ticks for a slot — the signal that the
-//! fleet is saturated and latency would otherwise collapse), and a
-//! fixed activation ceiling with round-robin quanta.
+//! Admission is a bounded queue (reject `QueueFull` at the depth
+//! watermark), a step-lag bound (reject `StepLag` once the oldest
+//! queued tenant has waited more than `step_lag_watermark` ticks for a
+//! slot — the signal that the fleet is saturated and latency would
+//! otherwise collapse), and a fixed activation ceiling.
 //!
-//! [`WfqScheduler`] layers weighted fair queueing on top: the same
-//! watermarks stay the outer admission guard, but each active tenant
-//! earns `base quantum × weight` cycles of deficit-round-robin credit
-//! per tick (clamped to `1..=max_weight`), capped at one burst
-//! (`base quantum × max_weight`). With every weight equal to 1 the
-//! grant collapses to the flat quantum, so equal-weight WFQ is
-//! bit-identical to the watermark round-robin — the degeneration the
-//! fairness suite pins.
+//! Service is weighted fair queueing by deficit round robin: each
+//! active tenant earns `quantum × weight` cycles of credit per tick
+//! (the weight clamped to `1..=max_weight`), capped at one burst
+//! (`quantum × max_weight`). The default `max_weight` of 1 clamps
+//! every weight to 1, so the grant collapses to the flat quantum: plain
+//! round-robin, the degeneration the fairness suite pins.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -179,35 +175,7 @@ pub struct LoadSnapshot {
     pub step_lag: u64,
 }
 
-/// Admission and pacing policy, decoupled from the stepping engine.
-pub trait Scheduler {
-    /// Admit a new tenant under `load`, or explain the shed.
-    fn admit(&self, load: &LoadSnapshot) -> Result<(), ShedReason>;
-
-    /// How many queued tenants to activate this tick under `load`.
-    fn activations(&self, load: &LoadSnapshot) -> usize;
-
-    /// Cycles each active tenant is stepped per tick (the round-robin
-    /// quantum; the weight-1 service rate).
-    fn quantum(&self) -> u64;
-
-    /// Deficit-round-robin credit in cycles a tenant of `weight` earns
-    /// per tick. Weight-blind policies keep the default: the flat
-    /// quantum, whatever the weight.
-    fn credit(&self, weight: u32) -> u64 {
-        let _ = weight;
-        self.quantum()
-    }
-
-    /// Per-tick cap on the cycles any one tenant may consume (the DRR
-    /// burst bound). Credit deferred by the cap carries over as
-    /// deficit, itself bounded by one burst.
-    fn burst(&self) -> u64 {
-        self.quantum()
-    }
-}
-
-/// The default watermark policy (see module docs).
+/// The admission and pacing policy (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WatermarkScheduler {
     /// Admission queue depth watermark (`QueueFull` beyond it).
@@ -216,8 +184,11 @@ pub struct WatermarkScheduler {
     pub max_active: usize,
     /// Queue-wait watermark in ticks (`StepLag` beyond it).
     pub step_lag_watermark: u64,
-    /// Cycles per active tenant per tick.
+    /// Cycles per active weight-1 tenant per tick.
     pub quantum: u64,
+    /// Weight clamp ceiling; also sets the burst to
+    /// `quantum × max_weight`. 1 = flat round-robin.
+    pub max_weight: u32,
 }
 
 impl Default for WatermarkScheduler {
@@ -227,12 +198,14 @@ impl Default for WatermarkScheduler {
             max_active: 32,
             step_lag_watermark: 16,
             quantum: 256,
+            max_weight: 1,
         }
     }
 }
 
-impl Scheduler for WatermarkScheduler {
-    fn admit(&self, load: &LoadSnapshot) -> Result<(), ShedReason> {
+impl WatermarkScheduler {
+    /// Admit a new tenant under `load`, or explain the shed.
+    pub fn admit(&self, load: &LoadSnapshot) -> Result<(), ShedReason> {
         if load.queued >= self.queue_depth {
             return Err(ShedReason::QueueFull);
         }
@@ -242,64 +215,28 @@ impl Scheduler for WatermarkScheduler {
         Ok(())
     }
 
-    fn activations(&self, load: &LoadSnapshot) -> usize {
+    /// How many queued tenants to activate this tick under `load`.
+    pub fn activations(&self, load: &LoadSnapshot) -> usize {
         self.max_active.saturating_sub(load.active)
     }
 
-    fn quantum(&self) -> u64 {
+    /// Cycles a weight-1 tenant is stepped per tick.
+    pub fn quantum(&self) -> u64 {
         self.quantum
     }
-}
 
-/// Weighted fair queueing over the watermark guard (DESIGN.md §16).
-///
-/// Admission and activation are exactly the inner
-/// [`WatermarkScheduler`]'s — the watermarks stay the outer guard — but
-/// service is apportioned by tenant weight: a weight-`w` tenant earns
-/// `quantum × clamp(w, 1..=max_weight)` cycles of DRR credit per tick,
-/// and no tenant consumes more than one burst
-/// (`quantum × max_weight`) in a single tick. Weights are the priority
-/// classes: completed-cycle shares track the weight ratio, which is
-/// what the `serve-sched` sweep verifies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WfqScheduler {
-    /// The outer admission guard and base quantum.
-    pub watermarks: WatermarkScheduler,
-    /// Weight clamp ceiling; also sets the burst to
-    /// `quantum × max_weight`.
-    pub max_weight: u32,
-}
-
-impl Default for WfqScheduler {
-    fn default() -> WfqScheduler {
-        WfqScheduler {
-            watermarks: WatermarkScheduler::default(),
-            max_weight: rsp_workloads::MAX_STREAM_WEIGHT,
-        }
-    }
-}
-
-impl Scheduler for WfqScheduler {
-    fn admit(&self, load: &LoadSnapshot) -> Result<(), ShedReason> {
-        self.watermarks.admit(load)
-    }
-
-    fn activations(&self, load: &LoadSnapshot) -> usize {
-        self.watermarks.activations(load)
-    }
-
-    fn quantum(&self) -> u64 {
-        self.watermarks.quantum
-    }
-
-    fn credit(&self, weight: u32) -> u64 {
+    /// Deficit-round-robin credit in cycles a tenant of `weight` earns
+    /// per tick: `quantum × clamp(weight, 1..=max_weight)`.
+    pub fn credit(&self, weight: u32) -> u64 {
         let w = weight.clamp(1, self.max_weight.max(1));
-        self.watermarks.quantum.saturating_mul(u64::from(w))
+        self.quantum.saturating_mul(u64::from(w))
     }
 
-    fn burst(&self) -> u64 {
-        self.watermarks
-            .quantum
+    /// Per-tick cap on the cycles any one tenant may consume (the DRR
+    /// burst bound). Credit deferred by the cap carries over as
+    /// deficit, itself bounded by one burst.
+    pub fn burst(&self) -> u64 {
+        self.quantum
             .saturating_mul(u64::from(self.max_weight.max(1)))
     }
 }
@@ -323,6 +260,7 @@ mod tests {
             max_active: 2,
             step_lag_watermark: 3,
             quantum: 16,
+            max_weight: 1,
         };
         assert_eq!(s.admit(&load(3, 2, 3)), Ok(()));
         assert_eq!(s.admit(&load(4, 0, 0)), Err(ShedReason::QueueFull));
@@ -372,59 +310,30 @@ mod tests {
     }
 
     #[test]
-    fn wfq_keeps_the_watermark_guard_and_scales_credit() {
-        let wfq = WfqScheduler {
-            watermarks: WatermarkScheduler {
-                queue_depth: 4,
-                max_active: 2,
-                step_lag_watermark: 3,
-                quantum: 100,
-            },
+    fn credit_scales_with_weight_up_to_the_burst() {
+        let weighted = WatermarkScheduler {
+            queue_depth: 4,
+            max_active: 2,
+            step_lag_watermark: 3,
+            quantum: 100,
             max_weight: 8,
         };
-        // Outer guard: identical to the inner watermark policy.
-        assert_eq!(wfq.admit(&load(4, 0, 0)), Err(ShedReason::QueueFull));
-        assert_eq!(wfq.admit(&load(0, 0, 4)), Err(ShedReason::StepLag));
-        assert_eq!(wfq.activations(&load(10, 1, 0)), 1);
+        // Admission ignores weights: the watermarks are the outer guard.
+        assert_eq!(weighted.admit(&load(4, 0, 0)), Err(ShedReason::QueueFull));
+        assert_eq!(weighted.admit(&load(0, 0, 4)), Err(ShedReason::StepLag));
+        assert_eq!(weighted.activations(&load(10, 1, 0)), 1);
         // Credit is quantum × weight, clamped into 1..=max_weight.
-        assert_eq!(wfq.credit(0), 100);
-        assert_eq!(wfq.credit(1), 100);
-        assert_eq!(wfq.credit(3), 300);
-        assert_eq!(wfq.credit(100), 800);
-        assert_eq!(wfq.burst(), 800);
-        // The flat policy is weight-blind.
-        let flat = wfq.watermarks;
+        assert_eq!(weighted.credit(0), 100);
+        assert_eq!(weighted.credit(1), 100);
+        assert_eq!(weighted.credit(3), 300);
+        assert_eq!(weighted.credit(100), 800);
+        assert_eq!(weighted.burst(), 800);
+        // max_weight 1 is weight-blind: the flat round-robin.
+        let flat = WatermarkScheduler {
+            max_weight: 1,
+            ..weighted
+        };
         assert_eq!(flat.credit(3), 100);
         assert_eq!(flat.burst(), 100);
-    }
-
-    /// `max_weight: 1` is exactly the flat round-robin: the server runs
-    /// it when `--wfq` is off, so one engine type serves both modes.
-    #[test]
-    fn wfq_with_max_weight_one_is_the_watermark_policy() {
-        let wm = WatermarkScheduler {
-            queue_depth: 4,
-            max_active: 3,
-            step_lag_watermark: 2,
-            quantum: 64,
-        };
-        let flat = WfqScheduler {
-            watermarks: wm,
-            max_weight: 1,
-        };
-        for queued in 0..6 {
-            for active in 0..5 {
-                for step_lag in 0..4 {
-                    let l = load(queued, active, step_lag);
-                    assert_eq!(flat.admit(&l), wm.admit(&l), "{l:?}");
-                    assert_eq!(flat.activations(&l), wm.activations(&l), "{l:?}");
-                }
-            }
-        }
-        for w in 0..=rsp_workloads::MAX_STREAM_WEIGHT + 1 {
-            assert_eq!(flat.credit(w), wm.credit(w), "weight {w}");
-        }
-        assert_eq!(flat.quantum(), wm.quantum());
-        assert_eq!(flat.burst(), wm.burst());
     }
 }

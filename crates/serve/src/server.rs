@@ -2,33 +2,29 @@
 //!
 //! Layering (DESIGN.md §14): connection threads own only framing —
 //! each decoded [`Request`] is forwarded over an mpsc channel to the
-//! engine side, which interleaves request handling with
-//! [`ServeEngine::tick`]. The engine never touches a socket and every
-//! admission decision happens on an engine thread, so the serving
-//! behaviour is exactly the in-process engine the unit tests drive.
+//! one engine thread, which interleaves request handling with
+//! [`ShardedEngine::tick`]. The engine never touches a socket and every
+//! admission decision happens on the engine thread, so the serving
+//! behaviour is exactly the in-process engine the tests drive.
 //!
-//! Sharded mode (DESIGN.md §16): with [`ServerConfig::shards`] > 1 the
-//! command channel feeds a *router* thread instead, which owns the
-//! global↔local id table and forwards each request to the tenant's
-//! affinity shard ([`crate::fleet::shard_of`]) — one engine thread per
-//! shard, each running the same serve loop as the single-engine path.
-//! Fleet-wide reads (`Stats`/`Metrics`/`Exposition`) fan out and merge
-//! with the [`crate::fleet`] helpers, so clients cannot tell a sharded
-//! server from a big single engine.
+//! The engine thread owns a [`ShardedEngine`] of [`ServerConfig::shards`]
+//! shards (DESIGN.md §16), ticked in lockstep. Per-tenant requests go
+//! to the tenant's affinity shard under fleet-global ids; fleet-wide
+//! reads (`Stats`/`Metrics`/`Exposition`) merge every shard's part, so
+//! clients cannot tell a sharded server from a big single engine. With
+//! one shard the replies are exactly a single engine's.
 //!
 //! Shutdown: a `Shutdown` request is answered with `Bye`, then the
-//! engine thread(s) finish their current drain, telemetry is exported
-//! under fleet-global ids (when configured), final stats are merged,
-//! and the accept loop exits. Connection reads use a short timeout so
-//! every thread observes the shutdown flag promptly instead of
-//! blocking forever.
+//! engine thread finishes its current drain, telemetry is exported
+//! under fleet-global ids (when configured), and the final merged stats
+//! are returned once the accept loop exits. Connection reads use a
+//! short timeout so every thread observes the shutdown flag promptly
+//! instead of blocking forever.
 
-use crate::engine::{EngineConfig, EngineStats, PanicFlightGuard, ServeEngine};
-use crate::fleet::{merge_frames, merge_stats, shard_of};
+use crate::engine::{EngineConfig, EngineStats};
+use crate::fleet::{PanicFlightGuard, ShardedEngine};
 use crate::protocol::{self, Request, Response};
-use crate::scheduler::{Scheduler, WatermarkScheduler, WfqScheduler};
-use crate::slo::MetricsFrame;
-use crate::tenant::tenant_key;
+use crate::scheduler::WatermarkScheduler;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -43,15 +39,12 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Engine parameters (base machine config, pool size).
     pub engine: EngineConfig,
-    /// Admission policy watermarks.
+    /// Admission watermarks and weighted-fair pacing (`max_weight` 1 =
+    /// flat round-robin), applied per shard.
     pub scheduler: WatermarkScheduler,
-    /// Serve with weighted-fair (deficit-round-robin) quanta honouring
-    /// per-tenant stream weights, instead of flat round-robin. The
-    /// watermarks above still gate admission either way.
-    pub wfq: bool,
-    /// Engine shards (threads); each owns a full machine pool and
-    /// scheduler, tenants are pinned by affinity hash. 0 or 1 = the
-    /// single-engine path.
+    /// Engine shards, ticked in lockstep on the engine thread; each
+    /// owns a full machine pool and scheduler, and tenants are pinned
+    /// by affinity hash. 0 is treated as 1.
     pub shards: usize,
     /// Engine idle-poll interval (how long the engine thread waits for
     /// commands when nothing is running).
@@ -65,7 +58,6 @@ impl Default for ServerConfig {
         ServerConfig {
             engine: EngineConfig::default(),
             scheduler: WatermarkScheduler::default(),
-            wfq: false,
             shards: 1,
             idle_poll: Duration::from_millis(2),
             telemetry_dir: None,
@@ -205,40 +197,14 @@ impl Server {
         let (tx, rx) = mpsc::channel::<Command>();
 
         let engine_shutdown = shutdown.clone();
-        let engine_cfg = cfg.engine.clone();
-        // Flat round-robin is WFQ with every weight clamped to 1.
-        let scheduler = WfqScheduler {
-            watermarks: cfg.scheduler,
-            max_weight: if cfg.wfq {
-                rsp_workloads::MAX_STREAM_WEIGHT
-            } else {
-                1
-            },
-        };
-        let shards = cfg.shards;
-        let idle_poll = cfg.idle_poll;
-        let telemetry_dir = cfg.telemetry_dir.clone();
         let engine_thread = std::thread::spawn(move || {
-            if shards > 1 {
-                router_loop(
-                    engine_cfg,
-                    scheduler,
-                    shards,
-                    rx,
-                    engine_shutdown,
-                    idle_poll,
-                    telemetry_dir,
-                )
-            } else {
-                engine_loop(
-                    engine_cfg,
-                    scheduler,
-                    rx,
-                    engine_shutdown,
-                    idle_poll,
-                    telemetry_dir,
-                )
+            let mut engine = ShardedEngine::new(cfg.engine, cfg.scheduler, cfg.shards);
+            run_engine(&mut engine, rx, cfg.idle_poll);
+            engine_shutdown.store(true, Ordering::SeqCst);
+            if let Some(dir) = cfg.telemetry_dir {
+                let _ = engine.export_telemetry(&dir);
             }
+            engine.stats()
         });
 
         match &listener {
@@ -379,14 +345,14 @@ fn read_n(
     Ok(true)
 }
 
-fn handle<S: Scheduler>(engine: &mut ServeEngine<S>, req: Request, bye: &mut bool) -> Response {
+fn handle(engine: &mut ShardedEngine, req: Request, bye: &mut bool) -> Response {
     match req {
         Request::Submit(r) => match engine.submit(r) {
             Ok(id) => Response::Admitted { id },
             Err(reason) => Response::Shed { reason },
         },
         Request::Status { id } => match engine.status(id) {
-            Some(s) => Response::Status(s.clone()),
+            Some(s) => Response::Status(s),
             None => Response::NotFound { id },
         },
         Request::Telemetry { id } => {
@@ -411,176 +377,10 @@ fn handle<S: Scheduler>(engine: &mut ServeEngine<S>, req: Request, bye: &mut boo
     }
 }
 
-fn engine_loop<S: Scheduler>(
-    cfg: EngineConfig,
-    scheduler: S,
-    rx: mpsc::Receiver<Command>,
-    shutdown: Arc<AtomicBool>,
-    idle_poll: Duration,
-    telemetry_dir: Option<PathBuf>,
-) -> EngineStats {
-    let mut engine = ServeEngine::new(cfg, scheduler);
-    run_engine(&mut engine, rx, idle_poll);
-    shutdown.store(true, Ordering::SeqCst);
-    if let Some(dir) = telemetry_dir {
-        let _ = engine.export_telemetry(&dir);
-    }
-    engine.stats()
-}
-
-/// Ask one shard thread and wait for its reply.
-fn ask(tx: &mpsc::Sender<Command>, req: Request) -> Response {
-    let (rtx, rrx) = mpsc::channel();
-    if tx.send(Command { req, reply: rtx }).is_err() {
-        return Response::Error {
-            msg: "shard unavailable".into(),
-        };
-    }
-    rrx.recv().unwrap_or(Response::Error {
-        msg: "shard dropped the request".into(),
-    })
-}
-
-/// The sharded serve loop: one engine thread per shard (each running
-/// the same [`run_engine`] as the single-engine path), plus this
-/// router, which owns the global↔local id table. See the module docs
-/// for the routing and merge rules.
-fn router_loop<S: Scheduler + Clone + Send + 'static>(
-    cfg: EngineConfig,
-    scheduler: S,
-    shards: usize,
-    rx: mpsc::Receiver<Command>,
-    shutdown: Arc<AtomicBool>,
-    idle_poll: Duration,
-    telemetry_dir: Option<PathBuf>,
-) -> EngineStats {
-    let mut txs = Vec::with_capacity(shards);
-    let mut threads = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (stx, srx) = mpsc::channel::<Command>();
-        let cfg = cfg.clone();
-        let scheduler = scheduler.clone();
-        threads.push(std::thread::spawn(move || {
-            let mut engine = ServeEngine::new(cfg, scheduler);
-            run_engine(&mut engine, srx, idle_poll);
-            engine
-        }));
-        txs.push(stx);
-    }
-    // Global id → (shard, local id), and its per-shard reverse.
-    let mut routes: Vec<(usize, u64)> = Vec::new();
-    let mut globals: Vec<Vec<u64>> = vec![Vec::new(); shards];
-    let mut bye = false;
-    while !bye {
-        let Ok(cmd) = rx.recv() else { break };
-        let resp = route(cmd.req, &txs, &mut routes, &mut globals, &mut bye);
-        let _ = cmd.reply.send(resp);
-    }
-    for tx in &txs {
-        let _ = ask(tx, Request::Shutdown);
-    }
-    drop(txs);
-    let engines: Vec<ServeEngine<S>> = threads
-        .into_iter()
-        .map(|t| t.join().expect("shard engine thread panicked"))
-        .collect();
-    shutdown.store(true, Ordering::SeqCst);
-    if let Some(dir) = telemetry_dir {
-        if std::fs::create_dir_all(&dir).is_ok() {
-            for (global, &(shard, local)) in routes.iter().enumerate() {
-                if let Some(jsonl) = engines[shard].telemetry(local) {
-                    let path = dir.join(format!("{}.jsonl", tenant_key(global as u64)));
-                    let _ = std::fs::write(path, jsonl);
-                }
-            }
-        }
-    }
-    let parts: Vec<EngineStats> = engines.iter().map(ServeEngine::stats).collect();
-    merge_stats(&parts)
-}
-
-/// Route one request: per-tenant requests go to the owning shard with
-/// ids rewritten both ways; fleet-wide reads fan out and merge.
-fn route(
-    req: Request,
-    txs: &[mpsc::Sender<Command>],
-    routes: &mut Vec<(usize, u64)>,
-    globals: &mut [Vec<u64>],
-    bye: &mut bool,
-) -> Response {
-    let frames = |txs: &[mpsc::Sender<Command>], globals: &[Vec<u64>]| -> MetricsFrame {
-        let parts: Vec<MetricsFrame> = txs
-            .iter()
-            .map(|tx| match ask(tx, Request::Metrics) {
-                Response::Metrics(f) => f,
-                _ => MetricsFrame::default(),
-            })
-            .collect();
-        merge_frames(&parts, globals)
-    };
-    match req {
-        Request::Submit(r) => {
-            // The prospective global id decides affinity; it is only
-            // consumed if the shard admits (sheds burn no ids).
-            let global = routes.len() as u64;
-            let shard = shard_of(global, txs.len());
-            match ask(&txs[shard], Request::Submit(r)) {
-                Response::Admitted { id: local } => {
-                    routes.push((shard, local));
-                    globals[shard].push(global);
-                    Response::Admitted { id: global }
-                }
-                other => other,
-            }
-        }
-        Request::Status { id } => match routes.get(id as usize) {
-            None => Response::NotFound { id },
-            Some(&(shard, local)) => match ask(&txs[shard], Request::Status { id: local }) {
-                Response::Status(mut st) => {
-                    st.id = id;
-                    Response::Status(st)
-                }
-                Response::NotFound { .. } => Response::NotFound { id },
-                other => other,
-            },
-        },
-        Request::Telemetry { id } => match routes.get(id as usize) {
-            None => Response::NotFound { id },
-            Some(&(shard, local)) => match ask(&txs[shard], Request::Telemetry { id: local }) {
-                Response::Telemetry { jsonl, .. } => Response::Telemetry { id, jsonl },
-                Response::NotFound { .. } => Response::NotFound { id },
-                other => other,
-            },
-        },
-        Request::Stats => {
-            let parts: Vec<EngineStats> = txs
-                .iter()
-                .map(|tx| match ask(tx, Request::Stats) {
-                    Response::Stats(s) => s,
-                    _ => EngineStats::default(),
-                })
-                .collect();
-            Response::Stats(merge_stats(&parts))
-        }
-        Request::Metrics => Response::Metrics(frames(txs, globals)),
-        Request::Exposition => Response::Exposition {
-            text: frames(txs, globals).to_prometheus(),
-        },
-        Request::Shutdown => {
-            *bye = true;
-            Response::Bye
-        }
-    }
-}
-
 /// The engine's serve loop, driven through a [`PanicFlightGuard`]: if
-/// the loop panics, the guard's `Drop` dumps the flight ring (with an
-/// `EnginePanic` trigger entry) before the thread unwinds.
-fn run_engine<S: Scheduler>(
-    engine: &mut ServeEngine<S>,
-    rx: mpsc::Receiver<Command>,
-    idle_poll: Duration,
-) {
+/// the loop panics, the guard's `Drop` dumps every shard's flight ring
+/// (with an `EnginePanic` trigger entry) before the thread unwinds.
+fn run_engine(engine: &mut ShardedEngine, rx: mpsc::Receiver<Command>, idle_poll: Duration) {
     let guard = PanicFlightGuard::new(engine);
     let mut bye = false;
     loop {

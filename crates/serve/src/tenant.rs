@@ -4,7 +4,7 @@
 //! per-tenant knobs the server honours (policy override, telemetry
 //! ring capacity). Tenants are identified by a server-assigned numeric
 //! id; the id's string form ([`tenant_key`]) keys the per-tenant
-//! telemetry routed through `rsp_obs::TenantRouter`.
+//! telemetry log the engine keeps for it.
 
 use rsp_sim::PolicyKind;
 use rsp_workloads::StreamSpec;

@@ -1,17 +1,17 @@
-//! Fairness regression tests for the weighted-fair scheduler.
+//! Fairness regression tests for weighted-fair scheduling.
 //!
 //! Two pins: (1) a 3:1 weight split yields completed-cycle shares
 //! within 10% of 3:1 while both tenants are saturating their grants;
-//! (2) with all weights equal (or unset) the WFQ scheduler degenerates
-//! bit-identically to the plain watermark round-robin — same stats,
-//! same telemetry, same metrics frames — so mounting WFQ is free until
-//! someone actually asks for skewed weights.
+//! (2) with all weights equal (or unset) a scheduler with
+//! `max_weight: MAX_STREAM_WEIGHT` degenerates bit-identically to the
+//! flat round-robin of `max_weight: 1` — same stats, same telemetry,
+//! same metrics frames — so weighted fairness is free until someone
+//! actually asks for skewed weights.
 
 use rsp_serve::{
     EngineConfig, EngineStats, ServeEngine, TenantPhase, TenantRequest, WatermarkScheduler,
-    WfqScheduler,
 };
-use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
+use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix, MAX_STREAM_WEIGHT};
 
 /// A scalar stream long enough that it cannot finish (or halt) inside
 /// the measurement window, so every tick it absorbs its full grant.
@@ -29,7 +29,7 @@ fn saturating_req(seed: u64, weight: u32) -> TenantRequest {
     }
 }
 
-fn tenant_cycles(engine: &ServeEngine<WfqScheduler>, id: u64) -> u64 {
+fn tenant_cycles(engine: &ServeEngine, id: u64) -> u64 {
     engine
         .metrics()
         .tenants
@@ -41,19 +41,14 @@ fn tenant_cycles(engine: &ServeEngine<WfqScheduler>, id: u64) -> u64 {
 
 #[test]
 fn three_to_one_weights_yield_three_to_one_cycle_shares() {
-    let wm = WatermarkScheduler {
+    let wfq = WatermarkScheduler {
         queue_depth: 8,
         max_active: 8,
         step_lag_watermark: 64,
         quantum: 256,
+        max_weight: 8,
     };
-    let mut engine = ServeEngine::new(
-        EngineConfig::default(),
-        WfqScheduler {
-            watermarks: wm,
-            max_weight: 8,
-        },
-    );
+    let mut engine = ServeEngine::new(EngineConfig::default(), wfq);
     let heavy = engine.submit(saturating_req(7, 3)).unwrap();
     let light = engine.submit(saturating_req(7, 1)).unwrap();
 
@@ -80,7 +75,7 @@ fn three_to_one_weights_yield_three_to_one_cycle_shares() {
 
 /// One full run under a scheduler: final stats, every tenant's
 /// telemetry, and the merged metrics frame.
-fn drive<S: rsp_serve::Scheduler>(sched: S) -> (EngineStats, Vec<Option<String>>, String) {
+fn drive(sched: WatermarkScheduler) -> (EngineStats, Vec<Option<String>>, String) {
     let mut engine = ServeEngine::new(EngineConfig::default(), sched);
     let mut ids = Vec::new();
     for seed in 0..4u64 {
@@ -110,11 +105,14 @@ fn drive<S: rsp_serve::Scheduler>(sched: S) -> (EngineStats, Vec<Option<String>>
 
 #[test]
 fn equal_weights_degenerate_to_round_robin_bit_identically() {
-    let wm = WatermarkScheduler::default();
-    let baseline = drive(wm);
-    let wfq = drive(WfqScheduler {
-        watermarks: wm,
-        ..WfqScheduler::default()
+    let flat = WatermarkScheduler {
+        max_weight: 1,
+        ..WatermarkScheduler::default()
+    };
+    let baseline = drive(flat);
+    let wfq = drive(WatermarkScheduler {
+        max_weight: MAX_STREAM_WEIGHT,
+        ..flat
     });
     assert_eq!(baseline.0, wfq.0, "stats diverged under equal weights");
     assert_eq!(baseline.1, wfq.1, "telemetry diverged under equal weights");

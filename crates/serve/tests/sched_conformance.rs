@@ -1,10 +1,10 @@
-//! Scheduler conformance kit: one generic harness, every policy.
+//! Scheduler conformance kit: one harness over the whole policy space.
 //!
-//! Any [`Scheduler`] the serve engine can mount must uphold the same
-//! contract; this suite drives the *same* generic check function over
-//! [`WatermarkScheduler`] and [`WfqScheduler`] with zero per-scheduler
-//! special cases, under proptest-generated watermarks and arrival
-//! schedules. Pinned properties:
+//! Every [`WatermarkScheduler`] the serve engine can mount — flat
+//! round-robin at `max_weight` 1 through weighted-fair pacing above it
+//! — must uphold the same contract; this suite drives one check
+//! function under proptest-generated watermarks, weight ceilings and
+//! arrival schedules. Pinned properties:
 //!
 //! * admission never exceeds the watermarks (queue depth is a hard
 //!   bound on observed queue occupancy);
@@ -15,12 +15,11 @@
 //! * quanta, credits, and bursts are positive, and no weight earns
 //!   credit above the burst cap (the DRR deficit bound);
 //! * identical `(specs, seeds, arrival schedule)` produce bit-identical
-//!   engine telemetry and counters — per scheduler, run-to-run.
+//!   engine telemetry and counters — per policy, run-to-run.
 
 use proptest::prelude::*;
 use rsp_serve::{
-    EngineConfig, EngineStats, Scheduler, ServeEngine, ShedReason, TenantRequest,
-    WatermarkScheduler, WfqScheduler,
+    EngineConfig, EngineStats, ServeEngine, ShedReason, TenantRequest, WatermarkScheduler,
 };
 use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
 
@@ -69,16 +68,15 @@ struct RunResult {
 
 const DRAIN_TICKS: u64 = 3_000;
 
-/// Drive one engine through the plan. Generic over the policy — this
-/// is the only driver in the suite, so no scheduler gets special
-/// treatment anywhere.
-fn drive<S: Scheduler>(sched: S, plan: &[Arrival]) -> RunResult {
+/// Drive one engine through the plan. This is the only driver in the
+/// suite, so no policy gets special treatment anywhere.
+fn drive(sched: WatermarkScheduler, plan: &[Arrival]) -> RunResult {
     let mut engine = ServeEngine::new(EngineConfig::default(), sched);
     let mut ids = Vec::new();
     let mut shed_reasons = Vec::new();
     let mut max_queued = 0usize;
     let mut max_active = 0usize;
-    let observe = |e: &ServeEngine<S>, mq: &mut usize, ma: &mut usize| {
+    let observe = |e: &ServeEngine, mq: &mut usize, ma: &mut usize| {
         let s = e.stats();
         *mq = (*mq).max(s.queued);
         *ma = (*ma).max(s.active);
@@ -115,10 +113,8 @@ fn drive<S: Scheduler>(sched: S, plan: &[Arrival]) -> RunResult {
     }
 }
 
-/// The conformance contract, checked for one policy instance. `wm` is
-/// the watermark configuration the policy was built from (both
-/// policies under test share it — the outer guard is common law).
-fn check<S: Scheduler + Clone>(sched: S, wm: WatermarkScheduler, plan: &[Arrival]) {
+/// The conformance contract, checked for one policy instance.
+fn check(sched: WatermarkScheduler, plan: &[Arrival]) {
     // Quanta, credits, and bursts are positive; credit never exceeds
     // the burst cap (so DRR deficits stay bounded by one burst).
     prop_assert!(sched.quantum() >= 1);
@@ -131,20 +127,20 @@ fn check<S: Scheduler + Clone>(sched: S, wm: WatermarkScheduler, plan: &[Arrival
         );
     }
 
-    let a = drive(sched.clone(), plan);
+    let a = drive(sched, plan);
 
     // Watermarks are hard bounds on what the engine ever holds.
     prop_assert!(
-        a.max_queued <= wm.queue_depth,
+        a.max_queued <= sched.queue_depth,
         "queue {} exceeded depth watermark {}",
         a.max_queued,
-        wm.queue_depth
+        sched.queue_depth
     );
     prop_assert!(
-        a.max_active <= wm.max_active,
+        a.max_active <= sched.max_active,
         "active {} exceeded ceiling {}",
         a.max_active,
-        wm.max_active
+        sched.max_active
     );
 
     // Every shed is explained and counted: nothing is silently dropped.
@@ -190,17 +186,19 @@ proptest! {
         max_active in 0usize..5,
         step_lag_watermark in 1u64..8,
         quantum in 1u64..300,
+        max_weight in 1u32..=8,
         plan in proptest::collection::vec(arrival(), 1..8),
     ) {
-        let wm = WatermarkScheduler { queue_depth, max_active, step_lag_watermark, quantum };
-        check(wm, wm, &plan);
-        check(WfqScheduler { watermarks: wm, max_weight: 8 }, wm, &plan);
+        check(
+            WatermarkScheduler { queue_depth, max_active, step_lag_watermark, quantum, max_weight },
+            &plan,
+        );
     }
 }
 
 /// Fixed-plan smoke for CI logs: exercises all three shed reasons
-/// through the same generic checker (a bad spec, a queue overflow
-/// under a tight depth, and a lag shed under a zero ceiling).
+/// through the same checker, flat and weighted (a bad spec, a queue
+/// overflow under a tight depth, and a lag shed under a zero ceiling).
 #[test]
 fn fixed_plan_covers_every_shed_reason() {
     let wm = WatermarkScheduler {
@@ -208,6 +206,7 @@ fn fixed_plan_covers_every_shed_reason() {
         max_active: 0,
         step_lag_watermark: 2,
         quantum: 64,
+        max_weight: 1,
     };
     let plan: Vec<Arrival> = (0..6)
         .map(|i| Arrival {
@@ -217,13 +216,12 @@ fn fixed_plan_covers_every_shed_reason() {
             weight: 1,
         })
         .collect();
-    check(wm, wm, &plan);
+    check(wm, &plan);
     check(
-        WfqScheduler {
-            watermarks: wm,
+        WatermarkScheduler {
             max_weight: 4,
+            ..wm
         },
-        wm,
         &plan,
     );
 

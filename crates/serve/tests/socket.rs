@@ -1,7 +1,8 @@
 //! End-to-end socket tests: a real server thread, a real client, 16
-//! tenants through the wire, clean shutdown, replay bit-identity
-//! across the transport boundary, the SLO metrics frame and its
-//! Prometheus exposition, and flight-recorder dumps on a shed storm.
+//! tenants through the wire on one and two shards, clean shutdown,
+//! replay bit-identity across the transport boundary, telemetry export
+//! under fleet-global ids, the SLO metrics frame and its Prometheus
+//! exposition, and flight-recorder dumps on a shed storm.
 
 use rsp_obs::{parse_fleet_jsonl, FleetEvent, PromDump, TriggerKind};
 use rsp_serve::{
@@ -35,7 +36,21 @@ fn lane_req(i: u64) -> TenantRequest {
 
 #[test]
 fn sixteen_tenants_over_tcp_with_clean_shutdown() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    for shards in [1, 2] {
+        sixteen_tenants_over_tcp(shards);
+    }
+}
+
+fn sixteen_tenants_over_tcp(shards: usize) {
+    let tel_dir =
+        std::env::temp_dir().join(format!("rsp-sock-tel-{}-{shards}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tel_dir);
+    let cfg = ServerConfig {
+        shards,
+        telemetry_dir: Some(tel_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run());
 
@@ -50,9 +65,11 @@ fn sixteen_tenants_over_tcp_with_clean_shutdown() {
         let id = client.submit(req.clone()).unwrap().expect("admitted");
         admitted.push((id, req));
     }
+    let ids: Vec<u64> = admitted.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, (0..16).collect::<Vec<u64>>(), "ids are fleet-global");
 
     let deadline = Instant::now() + Duration::from_secs(120);
-    let mut pending: Vec<u64> = admitted.iter().map(|(id, _)| *id).collect();
+    let mut pending = ids.clone();
     while !pending.is_empty() {
         assert!(Instant::now() < deadline, "tenants did not finish in time");
         pending.retain(|&id| {
@@ -67,8 +84,10 @@ fn sixteen_tenants_over_tcp_with_clean_shutdown() {
     let base = SimConfig::default();
     let mut checked_scalar = false;
     let mut checked_lane = false;
+    let mut served = Vec::new();
     for (id, req) in &admitted {
         let status = client.status(*id).unwrap().unwrap();
+        assert_eq!(status.id, *id);
         assert_eq!(status.phase, TenantPhase::Done, "tenant {id}");
         assert!(status.cycles > 0);
         let jsonl = client.telemetry(*id).unwrap().unwrap();
@@ -82,6 +101,7 @@ fn sixteen_tenants_over_tcp_with_clean_shutdown() {
                 checked_scalar = true;
             }
         }
+        served.push(jsonl);
     }
     assert!(checked_scalar && checked_lane);
 
@@ -94,6 +114,16 @@ fn sixteen_tenants_over_tcp_with_clean_shutdown() {
     client.shutdown().unwrap();
     let final_stats = handle.join().unwrap().unwrap();
     assert_eq!(final_stats.completed, 16);
+
+    // Shutdown exported each tenant's served telemetry as
+    // `t<global>.jsonl`, one file per tenant.
+    let files = std::fs::read_dir(&tel_dir).unwrap().count();
+    assert_eq!(files, 16, "{shards} shard(s)");
+    for (id, jsonl) in ids.iter().zip(&served) {
+        let path = tel_dir.join(format!("t{id}.jsonl"));
+        assert_eq!(&std::fs::read_to_string(&path).unwrap(), jsonl, "{path:?}");
+    }
+    std::fs::remove_dir_all(&tel_dir).ok();
 }
 
 #[cfg(unix)]
@@ -199,6 +229,7 @@ fn shed_storm_writes_a_wellformed_flight_dump() {
             max_active: 0, // nothing activates → deterministic sheds
             step_lag_watermark: 1_000_000,
             quantum: 64,
+            ..WatermarkScheduler::default()
         },
         ..ServerConfig::default()
     };
@@ -266,6 +297,7 @@ fn saturated_server_sheds_with_reasons_over_the_wire() {
             max_active: 0,
             step_lag_watermark: 1_000_000, // queue-depth is the binding watermark
             quantum: 64,
+            ..WatermarkScheduler::default()
         },
         ..ServerConfig::default()
     };

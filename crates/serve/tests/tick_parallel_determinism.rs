@@ -12,9 +12,9 @@
 //! the cores, shuffling which chunk finishes first.
 
 use rsp_serve::{
-    EngineConfig, EngineStats, MetricsFrame, ServeEngine, TenantRequest, WfqScheduler,
+    EngineConfig, EngineStats, MetricsFrame, ServeEngine, TenantRequest, WatermarkScheduler,
 };
-use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
+use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix, MAX_STREAM_WEIGHT};
 
 const SCALARS: u64 = 48;
 const LANES: u64 = 4;
@@ -67,7 +67,11 @@ fn serve_cohort(workers: usize) -> Observed {
         replay_audit_every: 8,
         ..EngineConfig::default()
     };
-    let mut engine = ServeEngine::new(cfg, WfqScheduler::default());
+    let wfq = WatermarkScheduler {
+        max_weight: MAX_STREAM_WEIGHT,
+        ..WatermarkScheduler::default()
+    };
+    let mut engine = ServeEngine::new(cfg, wfq);
     engine.set_step_workers(workers);
     let mut submitted = 0;
     let mut ticks = 0;

@@ -171,6 +171,7 @@ fn engine_shed_storm_is_allocation_free() {
         max_active: 0,
         step_lag_watermark: 4,
         quantum: 64,
+        ..WatermarkScheduler::default()
     };
     let cfg = EngineConfig {
         flight_capacity: 64,
