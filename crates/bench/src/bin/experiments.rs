@@ -197,10 +197,7 @@ fn reachable_keys(cli: &Cli) -> std::collections::BTreeSet<String> {
     let store = open_store(cli);
     let mut live = std::collections::BTreeSet::new();
     for sweep in sweep_ids().into_iter().filter_map(sweep_runner) {
-        if sweep.cacheable() {
-            let hashes = sweep.point_hashes(&cli.cfg).unwrap_or_else(|e| fail(e));
-            live.extend(hashes);
-        }
+        live.extend(sweep.point_hashes(&cli.cfg).unwrap_or_else(|e| fail(e)));
     }
     for id in studies::STUDY_IDS {
         let study = studies::study(id).expect("listed study resolves");

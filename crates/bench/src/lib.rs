@@ -1,13 +1,13 @@
 //! # rsp-bench — experiment harness
 //!
 //! Shared plumbing for the `experiments` binary (one subcommand per
-//! table/figure/experiment of DESIGN.md §4) and the Criterion
-//! micro-benchmarks. Parameter grids run on the [`sweep`] engine
+//! table/figure/experiment of DESIGN.md §4), the `rsp-timeline` log
+//! analyser, and the seeded [`throughput`] inputs the repository
+//! benchmark (`perf/`) measures. Parameter grids run on the [`sweep`] engine
 //! (DESIGN.md §12): a declarative ordered grid with stable per-point
-//! keys, executed in-process (rayon fan-out — each simulation is
-//! single-threaded and deterministic, so parallelism is free of
-//! ordering effects) or as `hash(key) % N` shards across worker
-//! processes. With `--cache-dir`, every point result is a
+//! keys, executed in-process or as `hash(key) % N` shards across worker
+//! processes (each simulation is single-threaded and deterministic, so
+//! the split is free of ordering effects). With `--cache-dir`, every point result is a
 //! content-addressed object in a shared [`sweep::CasStore`] (DESIGN.md
 //! §17) — the engine's only persistence: shards publish into it, a
 //! killed run resumes by running again, and a deterministic merge loads

@@ -40,9 +40,8 @@
 //!   short-circuiting.
 //!
 //! Sharded runs, worker fan-out and merge persist rows only through the
-//! store, so they need `--cache-dir` and a cacheable sweep; without one
-//! they fail with [`SweepError::NoStore`]. A sweep that is not
-//! [`Sweep::cacheable`] (wall-clock timing) runs whole, in one process.
+//! store, so they need `--cache-dir`; without one they fail with
+//! [`SweepError::NoStore`].
 
 pub mod canon;
 pub mod cas;
@@ -103,7 +102,7 @@ pub enum SweepError {
         count: usize,
     },
     /// An action that persists rows had no store to persist them in:
-    /// no `--cache-dir`, or a sweep that is not cacheable.
+    /// no `--cache-dir`.
     NoStore {
         /// The sweep.
         sweep: &'static str,
@@ -153,7 +152,7 @@ impl std::fmt::Display for SweepError {
             SweepError::NoStore { sweep, action } => write!(
                 f,
                 "{sweep}: {action} keeps rows only in the artifact store, \
-                 which needs --cache-dir and a cacheable sweep"
+                 which needs --cache-dir"
             ),
             SweepError::Verify(msg) => write!(f, "cross-point verification failed: {msg}"),
             SweepError::Worker { shard, msg } => write!(f, "shard worker {shard}: {msg}"),
@@ -214,15 +213,6 @@ pub trait Sweep: Sync {
     /// structured impls make `study explain` output self-describing.
     fn point_params(&self, point: &Self::Point) -> Value {
         Value::Str(self.key(point))
-    }
-
-    /// False for sweeps whose rows are *not* pure functions of their
-    /// keys — wall-clock timing sweeps — so measurements are never
-    /// served stale from the artifact store. Such sweeps never touch
-    /// the store: they run whole, in one process, every time (see
-    /// `ThroughputSweep` for the exemplar).
-    fn cacheable(&self) -> bool {
-        true
     }
 
     /// Cross-point assertions, re-run on every merged set.
@@ -341,7 +331,9 @@ pub trait SweepRunner: Sync {
     fn name(&self) -> &'static str;
     /// Total points in the grid.
     fn total_points(&self) -> usize;
-    /// Whether rows are pure functions of their keys (cache-eligible).
+    /// Whether rows are pure functions of their keys (cache-eligible):
+    /// always, for every sweep. Kept for the benchmark's callers; it
+    /// goes with the next benchmark change.
     fn cacheable(&self) -> bool;
     /// Execute per the config, publishing every row into the store.
     /// Needs one: [`SweepError::NoStore`] otherwise.
@@ -374,7 +366,7 @@ impl<S: Sweep> SweepRunner for S {
     }
 
     fn cacheable(&self) -> bool {
-        Sweep::cacheable(self)
+        true
     }
 
     fn run(&self, cfg: &SweepConfig) -> Result<RunSummary, SweepError> {
@@ -414,7 +406,7 @@ impl<S: Sweep> SweepRunner for S {
             let (keys, values) = stored_values(self, cfg)?;
             return merge_values(self, cfg, &keys, values, run.cache);
         }
-        let store = open_store(self, cfg)?;
+        let store = open_store(cfg)?;
         let (keys, values, _) = point_values(self, cfg, Shard::WHOLE, store.as_ref())?;
         merge_values(self, cfg, &keys, values, store.map(|s| s.stats()))
     }
@@ -471,13 +463,9 @@ fn point_hash<S: Sweep>(sweep: &S, cfg: &SweepConfig, spec: &Value, point: &S::P
     )
 }
 
-/// The store rows go through, if any: cacheable sweeps with a
-/// `--cache-dir` only.
-fn open_store<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<Option<CasStore>, SweepError> {
-    match (&cfg.cache_dir, Sweep::cacheable(sweep)) {
-        (Some(dir), true) => Ok(Some(CasStore::open(dir)?)),
-        _ => Ok(None),
-    }
+/// The store rows go through, if `cfg` names one (`--cache-dir`).
+fn open_store(cfg: &SweepConfig) -> Result<Option<CasStore>, SweepError> {
+    cfg.cache_dir.as_deref().map(CasStore::open).transpose()
 }
 
 /// The store for an `action` that keeps rows nowhere else.
@@ -486,7 +474,7 @@ fn require_store<S: Sweep>(
     cfg: &SweepConfig,
     action: &'static str,
 ) -> Result<CasStore, SweepError> {
-    open_store(sweep, cfg)?.ok_or(SweepError::NoStore {
+    open_store(cfg)?.ok_or(SweepError::NoStore {
         sweep: Sweep::name(sweep),
         action,
     })

@@ -231,15 +231,6 @@ impl StudyDag {
     ) -> Result<(&'static str, String), SweepError> {
         match &node.op {
             StageOp::Sweep(runner) => {
-                if !runner.cacheable() {
-                    return Err(SweepError::Study(format!(
-                        "{}: sweep node {:?} ({}) is not cacheable — wall-clock \
-                         sweeps cannot be study nodes",
-                        self.name,
-                        node.id,
-                        runner.name()
-                    )));
-                }
                 let inputs = runner.point_hashes(cfg)?;
                 Ok((
                     "sweep",

@@ -45,7 +45,7 @@ fn warm_rerun_of_fault_sweep_is_all_hits_and_byte_identical() {
 
     let cold_cfg = cfg(&base, "out1");
     let cold = runner.run(&cold_cfg).unwrap();
-    let cold_cache = cold.cache.expect("cache-dir set, sweep cacheable");
+    let cold_cache = cold.cache.expect("cache-dir set");
     assert_eq!(cold_cache.hits, 0);
     assert_eq!(cold_cache.misses, 8, "reduced grid is 2 x 2 x 2");
     let merged = runner.merge(&cold_cfg).unwrap();

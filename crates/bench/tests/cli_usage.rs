@@ -1,15 +1,16 @@
 //! Exit-code contract of the CLI bins: usage errors exit 2 with the
-//! usage string on stderr (never a panic), sweep failures exit 1. Pins
-//! the fix for the old `--lanes`/`--seconds` panic path: a missing or
-//! non-numeric flag value used to die in `.expect` with a backtrace.
+//! usage string on stderr (never a panic); failures to run — a sweep
+//! that fails, an input that is missing or does not parse — exit 1 with
+//! a message that names the problem.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn throughput(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_throughput"))
+fn timeline(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rsp-timeline"))
         .args(args)
         .output()
-        .expect("spawn throughput")
+        .expect("spawn rsp-timeline")
 }
 
 fn experiments(args: &[&str]) -> Output {
@@ -40,37 +41,48 @@ fn assert_usage(out: &Output, needle: &str) {
     );
 }
 
-#[test]
-fn throughput_missing_flag_values_exit_2() {
-    assert_usage(&throughput(&["--lanes"]), "--lanes needs a value");
-    assert_usage(&throughput(&["--seconds"]), "--seconds needs a value");
-    assert_usage(&throughput(&["--out-dir"]), "--out-dir needs a value");
+/// A fresh scratch directory for one test.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rsp-cli-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
-#[test]
-fn throughput_bad_flag_values_exit_2() {
-    assert_usage(&throughput(&["--lanes", "abc"]), "--lanes needs a number");
-    assert_usage(&throughput(&["--lanes", "100"]), "multiple of 64");
-    assert_usage(&throughput(&["--lanes", "0"]), "multiple of 64");
-    assert_usage(
-        &throughput(&["--seconds", "zero"]),
-        "--seconds needs a number",
+/// Assert `out` is a run failure: exit 1, `needle` on stderr, no panic.
+fn assert_failure(out: &Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains(needle),
+        "stderr lacks {needle:?}:\n{stderr}"
     );
-    assert_usage(&throughput(&["--seconds", "0"]), "positive");
-    assert_usage(&throughput(&["--seconds", "-3"]), "positive");
+    assert!(!stderr.contains("panicked"), "must not panic:\n{stderr}");
 }
 
 #[test]
-fn throughput_unknown_argument_exits_2() {
-    assert_usage(&throughput(&["--bogus"]), "unknown argument");
-    assert_usage(&throughput(&["extra"]), "unknown argument");
+fn timeline_usage_errors_exit_2() {
+    assert_usage(&timeline(&["--json"]), "rsp-timeline");
+    assert_usage(&timeline(&["--bogus"]), "rsp-timeline");
+    assert_usage(&timeline(&["--demo", "events.jsonl"]), "rsp-timeline");
 }
 
 #[test]
-fn throughput_help_exits_0() {
-    let out = throughput(&["--help"]);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+fn timeline_missing_input_exits_1() {
+    let path = scratch("timeline-missing").join("absent.jsonl");
+    let path = path.to_str().unwrap();
+    assert_failure(&timeline(&[path]), "cannot read");
+    assert_failure(&timeline(&["--flight", path]), "cannot read");
+}
+
+#[test]
+fn timeline_malformed_line_exits_1_and_names_it() {
+    // Line 1 is blank (skipped); line 2 is not JSON.
+    let path = scratch("timeline-malformed").join("torn.jsonl");
+    std::fs::write(&path, "\n{\"tick\": 3,\n").unwrap();
+    let path = path.to_str().unwrap();
+    assert_failure(&timeline(&[path]), "line 2");
+    assert_failure(&timeline(&["--flight", path]), "line 2");
 }
 
 #[test]
@@ -110,9 +122,7 @@ fn experiments_sharding_flags_without_a_store_exit_2() {
 fn experiments_sweep_failure_exits_1_not_2() {
     // Merging from an empty store is a *sweep* error (missing points),
     // distinct from the usage exit code.
-    let dir = std::env::temp_dir().join(format!("rsp-cli-usage-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("sweep-failure");
     let out = experiments(&[
         "serve-saturation",
         "--merge",

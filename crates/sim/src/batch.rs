@@ -3,7 +3,7 @@
 //!
 //! [`Processor::run`](crate::Processor::run) builds a fresh [`Machine`]
 //! per program — fine for one long simulation, wasteful when sweeping
-//! thousands of short synthetic workloads (the throughput-harness and
+//! thousands of short synthetic workloads (the benchmark and
 //! experiment-sweep pattern). [`BatchRunner`] validates the
 //! configuration once and reuses one machine's wake-up array, register
 //! update unit and data memory across programs via [`Machine::reset`],
@@ -111,8 +111,7 @@ impl BatchSummary {
 }
 
 /// Run every program on one reused machine with a per-program cycle
-/// budget, returning aggregate counters. The throughput harness in
-/// `rsp-bench` builds on this.
+/// budget, returning aggregate counters.
 pub fn run_batch(
     cfg: &SimConfig,
     programs: &[Program],

@@ -3,9 +3,9 @@
 //! [`LaneRunner`] owns a [`LaneBatch`] plus the [`LaneStimulus`] it
 //! replays (wrapping around when the run is longer than the recorded
 //! trace — synthetic-mix traces are built to be replay-safe), and
-//! exposes the same run-to-summary shape the scalar throughput harness
-//! drives, so the bench can report aggregate lane cycles/sec next to
-//! the scalar per-machine floor.
+//! exposes the same run-to-summary shape as the scalar driver, so a
+//! benchmark can report aggregate lane cycles/sec next to the scalar
+//! per-machine floor.
 //!
 //! [`BatchRunner`]: crate::batch::BatchRunner
 
@@ -22,7 +22,7 @@ pub struct LaneSummary {
     /// Kernel steps taken (cycles per lane).
     pub cycles: u64,
     /// Aggregate lane-cycles evaluated (`lanes * cycles`) — the unit
-    /// the throughput harness divides wall time into.
+    /// a benchmark divides wall time into.
     pub lane_cycles: u64,
     /// Reconfiguration loads begun, summed over lanes.
     pub loads_started: u64,

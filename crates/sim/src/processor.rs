@@ -197,8 +197,7 @@ impl Processor {
 /// Reusable per-cycle working buffers: every stage of [`Machine::step`]
 /// that needs a temporary list borrows one of these instead of
 /// allocating, so the steady-state cycle loop performs zero heap
-/// allocations (the throughput harness and a counting-allocator test
-/// pin this).
+/// allocations (a counting-allocator test pins this).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// `stage_complete`: executions due this cycle, oldest first.
