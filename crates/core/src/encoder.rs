@@ -16,7 +16,7 @@ use rsp_isa::units::{TypeCounts, UnitType};
 use rsp_isa::Instruction;
 
 /// The bank of five resource requirement encoders.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequirementEncoder {
     /// When `Some(n)`, saturate each per-type count at `n` (hardware
     /// width). `None` disables saturation (idealised encoder for

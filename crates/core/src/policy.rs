@@ -19,7 +19,7 @@ use crate::loader::ConfigurationLoader;
 use crate::select::{ConfigChoice, SelectionUnit};
 use rsp_fabric::config::{Configuration, SteeringSet};
 use rsp_fabric::fabric::{Fabric, LoadError};
-use rsp_isa::units::{TypeCounts, UnitType};
+use rsp_isa::units::{SlotEncoding, TypeCounts, UnitType};
 use rsp_obs::{Event, Telemetry, MAX_CANDIDATES};
 
 /// What a policy did this cycle.
@@ -66,6 +66,68 @@ pub trait SteeringPolicy {
 /// configurations twice for nothing (reconfiguration thrash).
 pub const DEFAULT_CAPACITY_HYSTERESIS: u32 = 32;
 
+/// The selection unit's last evaluation and every input it depends on.
+/// The unit is a pure function of these inputs, and they rarely change
+/// from one cycle to the next, so a tick whose inputs equal the saved
+/// ones reuses the saved result. The steering set is the loader's,
+/// fixed when the policy is built.
+#[derive(Debug, Clone)]
+struct SelectionMemo {
+    /// False until the first evaluation.
+    valid: bool,
+    /// Key: the 3-bit ready-demand signature.
+    required: TypeCounts,
+    /// Key: the current configuration's counts (nominal or effective).
+    current_counts: TypeCounts,
+    /// Key: whether predefined candidates were scored against their
+    /// dead-slot-aware counts.
+    effective_view: bool,
+    /// Key: the live allocation vector (the reconfiguration costs).
+    alloc: Vec<SlotEncoding>,
+    /// Key: the unit's encoder, CEM and tie rule (public, so mutable
+    /// between ticks).
+    unit: SelectionUnit,
+    /// Result: the chosen configuration.
+    choice: ConfigChoice,
+    /// Result: candidates scored.
+    scored: usize,
+    /// Result: each candidate's CEM error, for `SteeringDecision`.
+    scores: [u32; MAX_CANDIDATES],
+}
+
+impl SelectionMemo {
+    fn new(unit: SelectionUnit, rfu_slots: usize) -> SelectionMemo {
+        SelectionMemo {
+            valid: false,
+            required: TypeCounts::ZERO,
+            current_counts: TypeCounts::ZERO,
+            effective_view: false,
+            alloc: Vec::with_capacity(rfu_slots),
+            unit,
+            choice: ConfigChoice::Current,
+            scored: 0,
+            scores: [0; MAX_CANDIDATES],
+        }
+    }
+
+    /// True iff the saved result was computed from exactly these inputs.
+    fn hits(
+        &self,
+        required: TypeCounts,
+        current_counts: TypeCounts,
+        effective_view: bool,
+        alloc: &[SlotEncoding],
+        unit: &SelectionUnit,
+    ) -> bool {
+        self.valid
+            && self.required == required
+            && self.current_counts == current_counts
+            && self.effective_view == effective_view
+            && self.unit == *unit
+            && self.alloc == alloc
+    }
+}
+
 /// The paper's steering mechanism: selection unit + configuration loader.
 #[derive(Debug, Clone)]
 pub struct PaperSteering {
@@ -94,6 +156,9 @@ pub struct PaperSteering {
     /// Largest per-candidate capacity deficit (in units) due to dead
     /// slots, for the `CapacityRerank` telemetry.
     max_dead_deficit: u32,
+    /// The selection unit's last evaluation, reused while its inputs
+    /// repeat.
+    memo: SelectionMemo,
 }
 
 impl PaperSteering {
@@ -106,6 +171,7 @@ impl PaperSteering {
     /// Steering over a custom set / selection unit.
     pub fn new(unit: SelectionUnit, set: SteeringSet) -> PaperSteering {
         PaperSteering {
+            memo: SelectionMemo::new(unit, set.rfu_slots),
             unit,
             loader: ConfigurationLoader::new(set),
             hysteresis: DEFAULT_CAPACITY_HYSTERESIS,
@@ -241,21 +307,41 @@ impl SteeringPolicy for PaperSteering {
                 current_counts = effective;
             }
         }
-        let candidate_counts: &[TypeCounts] = if self.effective_view {
-            let k = self.loader.set().predefined.len().min(MAX_CANDIDATES);
-            &self.candidate_counts[..k]
-        } else {
-            &[]
-        };
-        let mut scores = [0u32; MAX_CANDIDATES];
-        let (choice, _err, scored) = self.unit.choose_with_scores_overriding(
-            demand.saturating_3bit(),
+        let required = demand.saturating_3bit();
+        let alloc = fabric.alloc().encodings();
+        let memo = &mut self.memo;
+        if !memo.hits(
+            required,
             current_counts,
-            candidate_counts,
-            fabric.alloc(),
-            self.loader.set(),
-            &mut scores,
-        );
+            self.effective_view,
+            alloc,
+            &self.unit,
+        ) {
+            let candidate_counts: &[TypeCounts] = if self.effective_view {
+                let k = self.loader.set().predefined.len().min(MAX_CANDIDATES);
+                &self.candidate_counts[..k]
+            } else {
+                &[]
+            };
+            let (choice, _err, scored) = self.unit.choose_with_scores_overriding(
+                required,
+                current_counts,
+                candidate_counts,
+                fabric.alloc(),
+                self.loader.set(),
+                &mut memo.scores,
+            );
+            memo.valid = true;
+            memo.required = required;
+            memo.current_counts = current_counts;
+            memo.effective_view = self.effective_view;
+            memo.alloc.clear();
+            memo.alloc.extend_from_slice(alloc);
+            memo.unit = self.unit;
+            memo.choice = choice;
+            memo.scored = scored;
+        }
+        let (choice, scored, scores) = (memo.choice, memo.scored, memo.scores);
         if obs.enabled() {
             let last = self.loader.last_choice();
             obs.emit(Event::SteeringDecision {

@@ -163,7 +163,7 @@ impl SelectionResult {
 /// );
 /// assert_eq!(choice, ConfigChoice::Predefined(2), "steer to the FP config");
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectionUnit {
     /// Stage-2 encoder bank.
     pub encoder: RequirementEncoder,

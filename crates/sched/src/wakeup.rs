@@ -133,6 +133,9 @@ pub struct WakeupArray {
     /// (`timer == Some(t)` with `t > 0`): `tick` walks only these
     /// instead of scanning every slot.
     ticking: u64,
+    /// Bitmask of occupied slots: occupancy queries and `insert`'s
+    /// free-slot search are bit operations instead of slot scans.
+    occupied: u64,
 }
 
 impl WakeupArray {
@@ -145,6 +148,7 @@ impl WakeupArray {
             demand_unsched: TypeCounts::ZERO,
             demand_rdy: TypeCounts::ZERO,
             ticking: 0,
+            occupied: 0,
         }
     }
 
@@ -163,6 +167,7 @@ impl WakeupArray {
         self.demand_unsched = TypeCounts::ZERO;
         self.demand_rdy = TypeCounts::ZERO;
         self.ticking = 0;
+        self.occupied = 0;
     }
 
     /// Capacity in slots.
@@ -172,18 +177,42 @@ impl WakeupArray {
     }
 
     /// Occupied slot count.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.occupied_mask().count_ones() as usize
     }
 
     /// True iff no slot is occupied.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+        self.occupied_mask() == 0
     }
 
     /// True iff every slot is occupied.
+    #[inline]
     pub fn is_full(&self) -> bool {
-        self.slots.iter().all(|s| s.is_some())
+        self.free_slot().is_none()
+    }
+
+    /// The slot [`WakeupArray::insert`] would fill next: the lowest free
+    /// slot, or `None` when the array is full.
+    #[inline]
+    pub fn free_slot(&self) -> Option<SlotIdx> {
+        let free = !self.occupied_mask() & (u64::MAX >> (64 - self.capacity()));
+        (free != 0).then(|| free.trailing_zeros() as SlotIdx)
+    }
+
+    /// The occupancy mask (bit `i` set ⇒ slot `i` holds an entry).
+    #[inline]
+    fn occupied_mask(&self) -> u64 {
+        debug_assert_eq!(self.occupied, self.occupied_scan());
+        self.occupied
+    }
+
+    /// The occupancy mask recomputed from scratch by scanning every slot
+    /// — the specification the incremental mask is checked against.
+    pub fn occupied_scan(&self) -> u64 {
+        self.entries().fold(0, |m, (i, _)| m | 1 << i)
     }
 
     /// The entry in `slot`, if any.
@@ -208,7 +237,7 @@ impl WakeupArray {
     /// Panics if a dependency references an empty slot — the register
     /// update unit must only record dependencies on live entries.
     pub fn insert(&mut self, unit: UnitType, deps: &[SlotIdx], tag: u64) -> Option<SlotIdx> {
-        let free = self.slots.iter().position(|s| s.is_none())?;
+        let free = self.free_slot()?;
         let mut depmask = 0u64;
         for &d in deps {
             assert!(d < self.capacity(), "dependency slot out of range");
@@ -235,6 +264,7 @@ impl WakeupArray {
             tag,
         });
         self.pending[free] = pending;
+        self.occupied |= 1 << free;
         self.demand_unsched.add(unit, 1);
         if pending == 0 {
             self.demand_rdy.add(unit, 1);
@@ -367,6 +397,7 @@ impl WakeupArray {
         }
         self.pending[slot] = 0;
         self.ticking &= !(1 << slot);
+        self.occupied &= !(1 << slot);
         let bit = 1u64 << slot;
         let result_was_missing = !e.result_available();
         for (i, s) in self.slots.iter_mut().enumerate() {
@@ -730,6 +761,39 @@ mod tests {
         check(&w);
         assert_eq!(w.demand_ready().get(UnitType::IntMdu), 1);
         let _ = d;
+    }
+
+    #[test]
+    fn occupancy_mask_tracks_slots() {
+        let mut w = WakeupArray::paper();
+        let check = |w: &WakeupArray| {
+            assert_eq!(w.len(), w.entries().count());
+            assert_eq!(w.len() as u32, w.occupied_scan().count_ones());
+            assert_eq!(w.free_slot(), (0..7).find(|&s| w.get(s).is_none()));
+        };
+        assert!(w.is_empty());
+        let slots: Vec<_> = (0..7)
+            .map(|i| w.insert(UnitType::IntAlu, &[], i).unwrap())
+            .collect();
+        assert!(w.is_full());
+        check(&w);
+        w.clear(slots[4]);
+        w.clear(slots[1]);
+        check(&w);
+        assert_eq!(w.free_slot(), Some(1), "lowest free slot first");
+        assert_eq!(w.insert(UnitType::Lsu, &[], 7), Some(1));
+        assert_eq!(w.insert(UnitType::Lsu, &[], 8), Some(4));
+        assert!(w.is_full());
+        w.reset();
+        check(&w);
+        assert!(w.is_empty());
+        // A full 64-slot array has no free slot.
+        let mut wide = WakeupArray::new(64);
+        for i in 0..64 {
+            assert_eq!(wide.insert(UnitType::IntAlu, &[], i), Some(i as usize));
+        }
+        assert!(wide.is_full());
+        assert_eq!(wide.insert(UnitType::IntAlu, &[], 64), None);
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use pool::{MachinePool, PoolStats};
 pub use processor::{Processor, RunError};
 pub use rsp_fabric::fault::{FaultParams, FaultStats};
 pub use rsp_obs::{MetricsSnapshot, Telemetry};
-pub use stats::SimReport;
+pub use stats::{RetiredMix, SimReport};
 pub use trace::{SteeringTrace, TraceSample};

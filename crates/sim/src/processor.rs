@@ -22,13 +22,16 @@
 //! 6. **fetch** — the front end fetches and decodes along the predicted
 //!    path;
 //! 7. **tick** — timers, reconfiguration progress, unit drain.
+//!
+//! Each stage is a [`PipeStage`] that [`Machine::step_stage`] runs on its
+//! own; `step` is the seven calls in this order.
 
 use crate::config::{DemandMode, PolicyKind, SelectMode, SimConfig};
 use crate::exec::{execute, operand_value};
 use crate::frontend::{FetchUnit, FetchedInstr};
 use crate::lanes::SteerRecord;
 use crate::rob::{Rob, RobEntry, Seq, Stage};
-use crate::stats::SimReport;
+use crate::stats::{RetiredMix, SimReport};
 use rsp_core::cem::CemUnit;
 use rsp_core::loader::LoaderStats;
 use rsp_core::policy::{DemandDriven, PaperSteering, PolicyOutcome, StaticPolicy, SteeringPolicy};
@@ -200,8 +203,6 @@ impl Processor {
 /// allocations (a counting-allocator test pins this).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// `stage_complete`: executions due this cycle, oldest first.
-    due: Vec<Seq>,
     /// `stage_issue`: requesting wake-up slots.
     requests: Vec<SlotIdx>,
     /// `stage_issue`: arbitrated grants.
@@ -212,6 +213,40 @@ struct Scratch {
     squashed: Vec<RobEntry>,
     /// `stage_tick`: reconfigurations that completed this cycle.
     loads_done: Vec<PlacedUnit>,
+}
+
+/// One stage of [`Machine::step`], for [`Machine::step_stage`].
+/// (`Stage` names a register-update-unit entry's lifecycle.)
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PipeStage {
+    /// In-order retirement from the register-update-unit head.
+    Retire,
+    /// Executions whose latency elapsed finish; mispredicts flush.
+    Complete,
+    /// Wake-up requests are arbitrated onto idle units and executed.
+    Issue,
+    /// The steering policy observes demand and may start loads.
+    Steer,
+    /// Decoded instructions enter the wake-up array and the ROB.
+    Dispatch,
+    /// The front end fetches along the predicted path.
+    Fetch,
+    /// Timers, reconfiguration progress and unit drain; ends the cycle.
+    Tick,
+}
+
+impl PipeStage {
+    /// Every stage, in the order one cycle runs them.
+    pub const ALL: [PipeStage; 7] = [
+        PipeStage::Retire,
+        PipeStage::Complete,
+        PipeStage::Issue,
+        PipeStage::Steer,
+        PipeStage::Dispatch,
+        PipeStage::Fetch,
+        PipeStage::Tick,
+    ];
 }
 
 /// Live state of one run.
@@ -255,7 +290,7 @@ pub struct Machine {
     // statistics
     retired: u64,
     collisions: u64,
-    retired_mix: TypeCounts,
+    retired_mix: RetiredMix,
     issued_ffu: u64,
     issued_rfu: u64,
     flushes: u64,
@@ -293,7 +328,7 @@ impl Machine {
             halted: false,
             retired: 0,
             collisions: 0,
-            retired_mix: TypeCounts::ZERO,
+            retired_mix: RetiredMix::default(),
             issued_ffu: 0,
             issued_rfu: 0,
             flushes: 0,
@@ -334,7 +369,7 @@ impl Machine {
         self.halted = false;
         self.retired = 0;
         self.collisions = 0;
-        self.retired_mix = TypeCounts::ZERO;
+        self.retired_mix = RetiredMix::default();
         self.issued_ffu = 0;
         self.issued_rfu = 0;
         self.flushes = 0;
@@ -597,30 +632,60 @@ impl Machine {
         if self.halted {
             return false;
         }
-        // Heavyweight cross-structure validation, opt-in via the
-        // `validate` feature (it rescans and allocates every cycle).
-        #[cfg(feature = "validate")]
-        self.check_invariants();
-        self.telemetry.set_cycle(self.cycle);
-        self.stage_retire();
-        if !self.halted {
-            self.stage_complete();
-            self.stage_issue();
-            self.stage_steer();
-            self.stage_dispatch();
-            self.stage_fetch();
-        }
-        self.stage_tick();
-        self.cycle += 1;
-        // Natural end: everything drained without an explicit halt.
-        if !self.halted
-            && self.rob.is_empty()
-            && self.dispatch_buf.is_empty()
-            && self.fetch.drained()
-        {
-            self.halted = true;
-        }
+        self.step_stage(PipeStage::Retire);
+        self.step_stage(PipeStage::Complete);
+        self.step_stage(PipeStage::Issue);
+        self.step_stage(PipeStage::Steer);
+        self.step_stage(PipeStage::Dispatch);
+        self.step_stage(PipeStage::Fetch);
+        self.step_stage(PipeStage::Tick);
         !self.halted
+    }
+
+    /// Run one stage of the current cycle. One cycle is every stage of
+    /// [`PipeStage::ALL`] in order, which is exactly what
+    /// [`Machine::step`] does; a caller driving the stages itself starts
+    /// a cycle only while [`Machine::finished`] is false. The stages after
+    /// retire do nothing in the cycle the program ends; the tick still
+    /// runs and closes the cycle.
+    #[doc(hidden)]
+    #[inline(always)]
+    pub fn step_stage(&mut self, stage: PipeStage) {
+        match stage {
+            PipeStage::Retire => {
+                // Heavyweight cross-structure validation, opt-in via the
+                // `validate` feature (it rescans and allocates every
+                // cycle).
+                #[cfg(feature = "validate")]
+                self.check_invariants();
+                self.telemetry.set_cycle(self.cycle);
+                self.stage_retire();
+            }
+            PipeStage::Complete
+            | PipeStage::Issue
+            | PipeStage::Steer
+            | PipeStage::Dispatch
+            | PipeStage::Fetch
+                if self.halted => {}
+            PipeStage::Complete => self.stage_complete(),
+            PipeStage::Issue => self.stage_issue(),
+            PipeStage::Steer => self.stage_steer(),
+            PipeStage::Dispatch => self.stage_dispatch(),
+            PipeStage::Fetch => self.stage_fetch(),
+            PipeStage::Tick => {
+                self.stage_tick();
+                self.cycle += 1;
+                // Natural end: everything drained without an explicit
+                // halt.
+                if !self.halted
+                    && self.rob.is_empty()
+                    && self.dispatch_buf.is_empty()
+                    && self.fetch.drained()
+                {
+                    self.halted = true;
+                }
+            }
+        }
     }
 
     fn stage_retire(&mut self) {
@@ -636,9 +701,7 @@ impl Machine {
                 self.regfile.write(d, v);
             }
             self.retired += 1;
-            if self.retired_mix.get(e.instr.unit_type()) < u8::MAX {
-                self.retired_mix.add(e.instr.unit_type(), 1);
-            }
+            self.retired_mix.record(e.instr.unit_type());
             // Train the branch predictor at retirement (non-speculative).
             if e.instr.opcode.is_conditional_branch() {
                 let taken = e.resolved_next != Some(e.pc + 1);
@@ -653,27 +716,20 @@ impl Machine {
     }
 
     fn stage_complete(&mut self) {
-        // Collect due completions oldest-first; re-check existence because
-        // an older mispredict flushes younger due entries. The list lives
-        // in a scratch buffer (taken out of `self` because `flush_after`
-        // below needs the whole machine).
-        let mut due = std::mem::take(&mut self.scratch.due);
-        due.clear();
-        due.extend(self.rob.iter().filter_map(|e| match e.stage {
-            Stage::Executing { done_at, .. } if done_at <= self.cycle => Some(e.seq),
-            _ => None,
-        }));
-        for &seq in &due {
-            let Some(e) = self.rob.get_mut(seq) else {
-                continue; // flushed by an older branch this same cycle
-            };
-            let Stage::Executing { unit, .. } = e.stage else {
+        // One pass, oldest first. A mispredict flushes every younger
+        // entry, so the walk ends at the first flush.
+        let mut i = 0;
+        while let Some(e) = self.rob.at_mut(i) {
+            i += 1;
+            let Stage::Executing { unit, done_at } = e.stage else {
                 continue;
             };
+            if done_at > self.cycle {
+                continue;
+            }
             e.stage = Stage::Completed;
-            let opcode = e.instr.opcode;
-            let predicted = e.predicted_next;
-            let resolved = e.resolved_next;
+            let (seq, opcode) = (e.seq, e.instr.opcode);
+            let (predicted, resolved) = (e.predicted_next, e.resolved_next);
             self.fabric.clear_busy(unit);
             if opcode.is_control_flow() {
                 // `jal` is followed at decode and always matches; `jalr`
@@ -685,10 +741,10 @@ impl Machine {
                 };
                 if mispredict {
                     self.flush_after(seq, resolved.unwrap_or(u64::MAX));
+                    break;
                 }
             }
         }
-        self.scratch.due = due;
     }
 
     fn flush_after(&mut self, seq: Seq, redirect_to: u64) {
@@ -1068,6 +1124,19 @@ mod tests {
         );
         assert_eq!(r.retired, 5);
         assert!(r.cycles > 0);
+    }
+
+    #[test]
+    fn retired_mix_sums_to_retired_past_a_byte() {
+        // 300 iterations of addi/addi/bne: 902 retired, all on the
+        // integer ALU (branches and halt included), far past the 255 a
+        // byte counter could hold.
+        let r = check_vs_reference(
+            "addi r1, r0, 300\nloop: addi r2, r2, 1\naddi r1, r1, -1\nbne r1, r0, loop\nhalt",
+        );
+        assert!(r.retired > 255, "retired {}", r.retired);
+        assert_eq!(r.retired_mix.total(), r.retired, "mix {}", r.retired_mix);
+        assert!(r.retired_mix.get(UnitType::IntAlu) > 255);
     }
 
     #[test]

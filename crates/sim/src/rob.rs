@@ -196,6 +196,12 @@ impl Rob {
         Some(&mut self.entries[i])
     }
 
+    /// Mutable entry by position, oldest first (index 0 is the head).
+    #[inline]
+    pub fn at_mut(&mut self, index: usize) -> Option<&mut RobEntry> {
+        self.entries.get_mut(index)
+    }
+
     /// Iterate entries oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
         self.entries.iter()

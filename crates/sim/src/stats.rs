@@ -3,7 +3,7 @@
 use rsp_core::loader::LoaderStats;
 use rsp_fabric::fabric::FabricStats;
 use rsp_fabric::fault::FaultStats;
-use rsp_isa::units::TypeCounts;
+use rsp_isa::units::{UnitType, NUM_UNIT_TYPES};
 use rsp_obs::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -28,6 +28,43 @@ pub struct StallStats {
     pub unit_unconfigured: u64,
 }
 
+/// Retired instructions per unit type. Unlike the 3-bit [`TypeCounts`]
+/// lanes of the selection unit, these counters never saturate, so they
+/// always sum to [`SimReport::retired`]. Displays like [`TypeCounts`].
+///
+/// [`TypeCounts`]: rsp_isa::units::TypeCounts
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RetiredMix([u64; NUM_UNIT_TYPES]);
+
+impl RetiredMix {
+    /// Instructions of type `t` retired.
+    #[inline]
+    pub fn get(&self, t: UnitType) -> u64 {
+        self.0[t.index()]
+    }
+
+    /// Count one more retired instruction of type `t`.
+    #[inline]
+    pub fn record(&mut self, t: UnitType) {
+        self.0[t.index()] += 1;
+    }
+
+    /// Retired instructions of every type.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+}
+
+impl std::fmt::Display for RetiredMix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "[ALU:{} MDU:{} LSU:{} FPALU:{} FPMDU:{}]",
+            self.0[0], self.0[1], self.0[2], self.0[3], self.0[4]
+        )
+    }
+}
+
 /// The report produced by a completed (or budget-exhausted) run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
@@ -38,7 +75,7 @@ pub struct SimReport {
     /// True iff the program halted (vs. the cycle budget running out).
     pub halted: bool,
     /// Per-type retired-instruction mix.
-    pub retired_mix: TypeCounts,
+    pub retired_mix: RetiredMix,
     /// Instructions issued to FFUs.
     pub issued_ffu: u64,
     /// Instructions issued to RFUs.
@@ -141,5 +178,30 @@ mod tests {
         assert_eq!(r.rfu_issue_fraction(), 0.25);
         assert_eq!(r.trace_hit_rate(), 0.9);
         assert!(r.summary().contains("IPC=2.500"));
+    }
+
+    #[test]
+    fn retired_mix_counts_past_a_byte_and_displays_like_type_counts() {
+        let mut mix = RetiredMix::default();
+        for _ in 0..300 {
+            mix.record(UnitType::IntAlu);
+        }
+        mix.record(UnitType::FpMdu);
+        assert_eq!(mix.get(UnitType::IntAlu), 300);
+        assert_eq!(mix.total(), 301);
+        assert_eq!(mix.to_string(), "[ALU:300 MDU:0 LSU:0 FPALU:0 FPMDU:1]");
+        let small = rsp_isa::units::TypeCounts::new([3, 0, 2, 0, 1]);
+        let mut same = RetiredMix::default();
+        for (t, n) in small.iter() {
+            for _ in 0..n {
+                same.record(t);
+            }
+        }
+        assert_eq!(same.to_string(), small.to_string());
+        assert_eq!(
+            serde_json::to_string(&same).unwrap(),
+            serde_json::to_string(&small).unwrap(),
+            "same JSON shape as the TypeCounts field it replaced"
+        );
     }
 }

@@ -2,9 +2,11 @@
 //! hot loop relies on.
 //!
 //! `Machine::step` never rescans the wake-up array or the fabric to
-//! learn demand and availability: `WakeupArray` maintains
+//! learn demand, occupancy and availability: `WakeupArray` maintains
 //! `demand_unscheduled()` / `demand_ready()` across insert / grant /
-//! clear / tick / reschedule, and `Fabric` maintains
+//! clear / tick / reschedule, and an occupancy mask behind `len()`,
+//! `is_empty()`, `is_full()` and `insert`'s free-slot pick
+//! (`free_slot()`), and `Fabric` maintains
 //! `configured_counts()` / `idle_counts()` across loads, busy toggles
 //! and ticks. Each structure also keeps the original O(n) scan around
 //! (`*_scan`) precisely so the incremental value can be checked against
@@ -41,8 +43,8 @@ fn synth(seed: u64, mix_idx: usize, body_len: usize, branch_prob: f64, iteration
 }
 
 /// Step `program` to completion, asserting on every cycle that the
-/// incremental wakeup demand counters and fabric availability counters
-/// equal their from-scratch scans.
+/// incremental wakeup demand counters, the wakeup occupancy mask and the
+/// fabric availability counters equal their from-scratch scans.
 fn assert_counters_track_scans(program: &Program, cfg: SimConfig) {
     let proc = Processor::new(cfg);
     let mut m = proc.start(program).unwrap();
@@ -59,6 +61,35 @@ fn assert_counters_track_scans(program: &Program, cfg: SimConfig) {
             w.demand_ready(),
             w.demand_ready_scan(),
             "[{}] cycle {}: ready demand diverged from slot scan",
+            program.name,
+            m.cycle()
+        );
+        let occupied_count = w.occupied_scan().count_ones() as usize;
+        assert_eq!(
+            w.len(),
+            occupied_count,
+            "[{}] cycle {}: len() diverged from slot scan",
+            program.name,
+            m.cycle()
+        );
+        assert_eq!(
+            w.is_empty(),
+            occupied_count == 0,
+            "[{}] cycle {}: is_empty() diverged from slot scan",
+            program.name,
+            m.cycle()
+        );
+        assert_eq!(
+            w.is_full(),
+            occupied_count == w.capacity(),
+            "[{}] cycle {}: is_full() diverged from slot scan",
+            program.name,
+            m.cycle()
+        );
+        assert_eq!(
+            w.free_slot(),
+            (0..w.capacity()).find(|&s| w.get(s).is_none()),
+            "[{}] cycle {}: insert's slot is not the lowest free slot",
             program.name,
             m.cycle()
         );
