@@ -8,11 +8,10 @@
 //! requesting entries to idle units of their type, **oldest first** (by
 //! entry tag), at most one instruction per idle unit per cycle.
 
-use crate::wakeup::{SlotIdx, WakeupArray};
-use rsp_isa::units::{TypeCounts, UnitType};
+use crate::wakeup::{bits, SlotIdx, WakeupArray};
+use rsp_isa::units::{TypeCounts, UnitType, NUM_UNIT_TYPES};
 
-/// One issued grant: which slot goes to which unit type, plus how many
-/// idle units of that type remained before this grant.
+/// One issued grant: which slot goes to which unit type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
     /// The wake-up slot granted execution.
@@ -25,11 +24,14 @@ pub struct Grant {
 /// `requests` are the requesting slots (from
 /// [`WakeupArray::requests_into`]); `idle_units[t]` is the number of
 /// idle units of each type. Grants come out grouped by unit type in
-/// [`UnitType::ALL`] order, oldest tag first within a type.
+/// [`UnitType::ALL`] order, oldest tag first within a type (ties, which
+/// the simulator never produces, by slot).
 ///
-/// Allocation-free: requests fit a fixed on-stack table (the array
-/// capacity is ≤ 64 slots) and the per-type grouping is a single sort
-/// by `(type, tag)`. The hot loop reuses one grant buffer per machine.
+/// Allocation-free once `grants` can hold every request: the requests
+/// are bucketed into one slot mask per type, and each type's bucket is
+/// emitted in slot order, put in `(tag, slot)` order when it holds more
+/// than one request, and cut to the type's idle quota. The hot loop
+/// reuses one grant buffer per machine, sized to the array capacity.
 ///
 /// Note the arbiter does **not** mutate the array — the caller issues
 /// [`WakeupArray::grant`] per returned grant once it has bound a concrete
@@ -41,26 +43,27 @@ pub fn arbitrate_into(
     grants: &mut Vec<Grant>,
 ) {
     grants.clear();
-    // (type index, tag, slot) sorts into exactly the emission order:
-    // types ascending, oldest tag first within a type.
-    let mut keyed = [(0usize, 0u64, 0usize); 64];
-    let n = requests.len();
-    debug_assert!(n <= 64, "more requests than the 64-slot maximum");
-    for (k, &s) in keyed.iter_mut().zip(requests) {
+    let mut by_type = [0u64; NUM_UNIT_TYPES];
+    for &s in requests {
         let e = array.get(s).expect("requesting slot must be occupied");
-        *k = (e.unit.index(), e.tag, s);
+        by_type[e.unit.index()] |= 1 << s;
     }
-    let keyed = &mut keyed[..n];
-    keyed.sort_unstable();
-    let mut quota_left = idle_units.as_array();
-    for &(t, _, slot) in keyed.iter() {
-        if quota_left[t] > 0 {
-            quota_left[t] -= 1;
-            grants.push(Grant {
-                slot,
-                unit: UnitType::from_index(t).expect("valid type index"),
-            });
+    let age = |g: &Grant| (array.get(g.slot).map_or(0, |e| e.tag), g.slot);
+    for (unit, (mask, quota)) in UnitType::ALL
+        .into_iter()
+        .zip(by_type.into_iter().zip(idle_units.as_array()))
+    {
+        if mask == 0 || quota == 0 {
+            continue;
         }
+        let start = grants.len();
+        grants.extend(bits(mask).map(|slot| Grant { slot, unit }));
+        let bucket = &mut grants[start..];
+        let n = bucket.len();
+        if n > 1 {
+            bucket.sort_unstable_by_key(age);
+        }
+        grants.truncate(start + n.min(quota as usize));
     }
 }
 

@@ -30,23 +30,15 @@
 //!
 //! Entries are **not** removed at completion but at retirement ("entries
 //! … are not removed until the instruction is retired"); clearing an
-//! entry clears its column in every other entry, so late-arriving
+//! entry clears its column in every dependent entry, so late-arriving
 //! dependents never wait on a retired producer.
 
-use rsp_isa::units::{TypeCounts, UnitType};
+use rsp_isa::units::{TypeCounts, UnitType, NUM_UNIT_TYPES};
 use serde::{Deserialize, Serialize};
 
 /// The paper's instruction queue depth: seven entries, which is what
 /// makes the 3-bit requirement encoders and adders sufficient.
 pub const PAPER_QUEUE_SIZE: usize = 7;
-
-/// Decrement one type's count in an incremental demand signature.
-#[inline]
-fn dec(counts: &mut TypeCounts, t: UnitType) {
-    let v = counts.get(t);
-    debug_assert!(v > 0, "incremental demand counter underflow for {t:?}");
-    counts.set(t, v.saturating_sub(1));
-}
 
 /// Index of a wake-up array slot.
 pub type SlotIdx = usize;
@@ -98,7 +90,39 @@ pub enum EntryState {
     Done,
 }
 
+/// One row of the array: the entry plus the per-slot bookkeeping the
+/// masks are derived from, kept together so a wake-up touches one row.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Row {
+    entry: Option<Entry>,
+    /// Dependency columns whose producer result is not yet available
+    /// (0 for an empty slot). `pending == 0` is the entry's wake-up
+    /// condition.
+    pending: u8,
+    /// The transposed dependency column: bit `d` set ⇔ the entry in
+    /// slot `d` has this slot's bit in its `deps` row. A producer's
+    /// result line fans out to exactly these slots.
+    dependents: u64,
+}
+
+/// Iterate the set bits of `mask` as slot indices, lowest first.
+#[inline]
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = SlotIdx> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let s = mask.trailing_zeros() as SlotIdx;
+            mask &= mask - 1;
+            s
+        })
+    })
+}
+
 /// The wake-up array.
+///
+/// The bit-matrix columns of Fig. 5 are its source of truth: besides
+/// the per-slot rows it keeps one `u64` per line group (occupied,
+/// unscheduled, ready, running timer, one per unit type), so a cycle's
+/// request lines, demand signatures and wake-ups are mask operations.
 ///
 /// ```
 /// use rsp_sched::WakeupArray;
@@ -118,24 +142,21 @@ pub enum EntryState {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WakeupArray {
-    slots: Vec<Option<Entry>>,
-    /// Per-slot count of dependency columns whose producer result is not
-    /// yet available (0 for empty slots). `pending[s] == 0` means entry
-    /// `s`'s wake-up condition is met; maintained incrementally by every
-    /// mutation so requests and demand signatures need no dep-walk.
-    pending: Vec<u8>,
-    /// Incremental demand signature over unscheduled entries (§3.2).
-    demand_unsched: TypeCounts,
-    /// Incremental demand signature over ready entries — unscheduled
-    /// with `pending == 0` (§3.1).
-    demand_rdy: TypeCounts,
-    /// Bitmask of slots whose countdown timer is still running
-    /// (`timer == Some(t)` with `t > 0`): `tick` walks only these
-    /// instead of scanning every slot.
-    ticking: u64,
-    /// Bitmask of occupied slots: occupancy queries and `insert`'s
-    /// free-slot search are bit operations instead of slot scans.
+    rows: Vec<Row>,
+    /// Occupied slots: occupancy queries and `insert`'s free-slot
+    /// search are bit operations instead of slot scans.
     occupied: u64,
+    /// Occupied slots whose scheduled bit is clear.
+    unscheduled: u64,
+    /// Unscheduled slots with `pending == 0`: the request lines with
+    /// every resource available.
+    ready: u64,
+    /// Slots whose countdown timer is still running (`timer == Some(t)`
+    /// with `t > 0`): `tick` walks only these.
+    ticking: u64,
+    /// The resource vectors as columns: occupied slots needing each
+    /// unit type, indexed by [`UnitType::index`].
+    of_type: [u64; NUM_UNIT_TYPES],
 }
 
 impl WakeupArray {
@@ -143,12 +164,12 @@ impl WakeupArray {
     pub fn new(capacity: usize) -> WakeupArray {
         assert!((1..=64).contains(&capacity), "capacity must be 1..=64");
         WakeupArray {
-            slots: vec![None; capacity],
-            pending: vec![0; capacity],
-            demand_unsched: TypeCounts::ZERO,
-            demand_rdy: TypeCounts::ZERO,
-            ticking: 0,
+            rows: vec![Row::default(); capacity],
             occupied: 0,
+            unscheduled: 0,
+            ready: 0,
+            ticking: 0,
+            of_type: [0; NUM_UNIT_TYPES],
         }
     }
 
@@ -160,20 +181,18 @@ impl WakeupArray {
     /// Empty every slot for a fresh run, keeping the allocation (used by
     /// the simulator's batched driver).
     pub fn reset(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.pending.fill(0);
-        self.demand_unsched = TypeCounts::ZERO;
-        self.demand_rdy = TypeCounts::ZERO;
-        self.ticking = 0;
+        self.rows.fill(Row::default());
         self.occupied = 0;
+        self.unscheduled = 0;
+        self.ready = 0;
+        self.ticking = 0;
+        self.of_type = [0; NUM_UNIT_TYPES];
     }
 
     /// Capacity in slots.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.rows.len()
     }
 
     /// Occupied slot count.
@@ -215,18 +234,52 @@ impl WakeupArray {
         self.entries().fold(0, |m, (i, _)| m | 1 << i)
     }
 
+    /// The ready mask: bit `i` set ⇒ slot `i` is unscheduled with every
+    /// dependency column satisfied, so it requests whenever an idle
+    /// unit of its type exists.
+    #[inline]
+    pub fn ready(&self) -> u64 {
+        debug_assert_eq!(self.ready, self.ready_scan());
+        self.ready
+    }
+
+    /// The ready mask recomputed from scratch via the per-entry
+    /// dependency walk of [`WakeupArray::requests_entry`] — the
+    /// specification [`WakeupArray::ready`] is checked against.
+    pub fn ready_scan(&self) -> u64 {
+        (0..self.capacity())
+            .filter(|&s| self.requests_entry(s, &[true; 5]))
+            .fold(0, |m, s| m | 1 << s)
+    }
+
+    /// The transposed dependency column of `slot`: bit `d` set ⇒ the
+    /// entry in slot `d` waits on (or waited on) this slot's result.
+    #[inline]
+    pub fn dependents(&self, slot: SlotIdx) -> u64 {
+        debug_assert_eq!(self.rows[slot].dependents, self.dependents_scan(slot));
+        self.rows[slot].dependents
+    }
+
+    /// [`WakeupArray::dependents`] recomputed from scratch by scanning
+    /// every entry's `deps` row — its specification.
+    pub fn dependents_scan(&self, slot: SlotIdx) -> u64 {
+        self.entries()
+            .filter(|(_, e)| e.deps & 1 << slot != 0)
+            .fold(0, |m, (i, _)| m | 1 << i)
+    }
+
     /// The entry in `slot`, if any.
     #[inline]
     pub fn get(&self, slot: SlotIdx) -> Option<&Entry> {
-        self.slots.get(slot).and_then(|s| s.as_ref())
+        self.rows.get(slot).and_then(|r| r.entry.as_ref())
     }
 
     /// Iterate `(slot, entry)` over occupied slots.
     pub fn entries(&self) -> impl Iterator<Item = (SlotIdx, &Entry)> {
-        self.slots
+        self.rows
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|e| (i, e)))
+            .filter_map(|(i, r)| r.entry.as_ref().map(|e| (i, e)))
     }
 
     /// Insert an instruction needing `unit`, depending on the results of
@@ -238,36 +291,42 @@ impl WakeupArray {
     /// update unit must only record dependencies on live entries.
     pub fn insert(&mut self, unit: UnitType, deps: &[SlotIdx], tag: u64) -> Option<SlotIdx> {
         let free = self.free_slot()?;
+        let bit = 1u64 << free;
         let mut depmask = 0u64;
         for &d in deps {
             assert!(d < self.capacity(), "dependency slot out of range");
             assert!(d != free, "self-dependency");
-            assert!(self.slots[d].is_some(), "dependency on an empty slot {d}");
+            assert!(
+                self.occupied & 1 << d != 0,
+                "dependency on an empty slot {d}"
+            );
             depmask |= 1 << d;
         }
         // Count producers whose result is not yet available (the mask
-        // de-duplicates repeated dependency mentions).
+        // de-duplicates repeated dependency mentions) and enter this
+        // slot in each producer's dependents column.
         let mut pending = 0u8;
-        let mut m = depmask;
-        while m != 0 {
-            let d = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if !self.slots[d].as_ref().unwrap().result_available() {
+        for d in bits(depmask) {
+            let producer = &mut self.rows[d];
+            producer.dependents |= bit;
+            if !producer.entry.as_ref().unwrap().result_available() {
                 pending += 1;
             }
         }
-        self.slots[free] = Some(Entry {
+        let row = &mut self.rows[free];
+        row.entry = Some(Entry {
             unit,
             deps: depmask,
             scheduled: false,
             timer: None,
             tag,
         });
-        self.pending[free] = pending;
-        self.occupied |= 1 << free;
-        self.demand_unsched.add(unit, 1);
+        row.pending = pending;
+        self.occupied |= bit;
+        self.unscheduled |= bit;
+        self.of_type[unit.index()] |= bit;
         if pending == 0 {
-            self.demand_rdy.add(unit, 1);
+            self.ready |= bit;
         }
         Some(free)
     }
@@ -287,10 +346,7 @@ impl WakeupArray {
             return false;
         }
         // Every needed entry column must have its available line high.
-        let mut deps = e.deps;
-        while deps != 0 {
-            let d = deps.trailing_zeros() as usize;
-            deps &= deps - 1;
+        for d in bits(e.deps) {
             match self.get(d) {
                 Some(p) if p.result_available() => {}
                 Some(_) => return false,
@@ -304,26 +360,27 @@ impl WakeupArray {
 
     /// All requesting slots this cycle, in slot order, appended to a
     /// caller-provided buffer (cleared first). The hot loop reuses one
-    /// buffer across cycles so no allocation happens in steady state;
-    /// the incremental `pending` counters stand in for the per-entry
-    /// dependency walk of [`WakeupArray::requests_entry`].
+    /// buffer across cycles so no allocation happens in steady state.
+    /// The request lines are one mask expression — the ready mask ANDed
+    /// with the resource columns of the available types — standing in
+    /// for the per-entry walk of [`WakeupArray::requests_entry`].
     pub fn requests_into(&self, resource_available: &[bool; 5], out: &mut Vec<SlotIdx>) {
         out.clear();
-        for (s, e) in self.slots.iter().enumerate() {
-            let requesting = match e {
-                Some(e) => {
-                    !e.scheduled && self.pending[s] == 0 && resource_available[e.unit.index()]
-                }
-                None => false,
-            };
-            debug_assert_eq!(
-                requesting,
-                self.requests_entry(s, resource_available),
-                "pending counter out of sync with dependency walk in slot {s}"
-            );
-            if requesting {
-                out.push(s);
+        let mut wanted = 0u64;
+        for (t, &avail) in resource_available.iter().enumerate() {
+            if avail {
+                wanted |= self.of_type[t];
             }
+        }
+        let requesting = self.ready() & wanted;
+        out.extend(bits(requesting));
+        #[cfg(debug_assertions)]
+        for s in 0..self.capacity() {
+            assert_eq!(
+                requesting & 1 << s != 0,
+                self.requests_entry(s, resource_available),
+                "request mask out of sync with dependency walk in slot {s}"
+            );
         }
     }
 
@@ -340,25 +397,24 @@ impl WakeupArray {
     /// # Panics
     /// Panics if the slot is empty or already scheduled.
     pub fn grant(&mut self, slot: SlotIdx, latency: u32) {
-        let e = self.slots[slot].as_mut().expect("grant on empty slot");
+        let e = self.rows[slot].entry.as_mut().expect("grant on empty slot");
         assert!(!e.scheduled, "grant on already-scheduled slot {slot}");
         assert!(latency >= 1, "latency must be at least one cycle");
         e.scheduled = true;
         e.timer = Some(latency);
-        self.ticking |= 1 << slot;
-        // Was unscheduled (and ready iff pending == 0); now neither. The
-        // timer starts ≥ 1, so no result became available.
-        let unit = e.unit;
-        dec(&mut self.demand_unsched, unit);
-        if self.pending[slot] == 0 {
-            dec(&mut self.demand_rdy, unit);
-        }
+        // Now neither unscheduled nor ready. The timer starts ≥ 1, so no
+        // result became available.
+        let bit = 1u64 << slot;
+        self.ticking |= bit;
+        self.unscheduled &= !bit;
+        self.ready &= !bit;
     }
 
     /// The reschedule input of the scheduled bit (Fig. 6): de-assert it
     /// so the entry requests again (replay). Clears the timer.
     pub fn reschedule(&mut self, slot: SlotIdx) {
-        let Some(e) = self.slots[slot].as_mut() else {
+        let row = &mut self.rows[slot];
+        let Some(e) = row.entry.as_mut() else {
             return;
         };
         if !e.scheduled {
@@ -367,13 +423,13 @@ impl WakeupArray {
             return;
         }
         let was_available = e.result_available();
-        let unit = e.unit;
         e.scheduled = false;
         e.timer = None;
-        self.ticking &= !(1 << slot);
-        self.demand_unsched.add(unit, 1);
-        if self.pending[slot] == 0 {
-            self.demand_rdy.add(unit, 1);
+        let bit = 1u64 << slot;
+        self.ticking &= !bit;
+        self.unscheduled |= bit;
+        if row.pending == 0 {
+            self.ready |= bit;
         }
         if was_available {
             // The result line de-asserts: dependents lose a satisfied
@@ -383,36 +439,37 @@ impl WakeupArray {
     }
 
     /// Retire (or squash) the entry in `slot`: empty the slot and clear
-    /// its column in every other entry.
+    /// its column in every dependent entry.
     pub fn clear(&mut self, slot: SlotIdx) {
-        let Some(e) = self.slots[slot].take() else {
+        let dependents = self.dependents(slot);
+        let row = &mut self.rows[slot];
+        let Some(e) = row.entry.take() else {
             // Already empty: column bits on empty slots cannot exist.
             return;
         };
-        if !e.scheduled {
-            dec(&mut self.demand_unsched, e.unit);
-            if self.pending[slot] == 0 {
-                dec(&mut self.demand_rdy, e.unit);
-            }
-        }
-        self.pending[slot] = 0;
-        self.ticking &= !(1 << slot);
-        self.occupied &= !(1 << slot);
+        row.pending = 0;
+        row.dependents = 0;
         let bit = 1u64 << slot;
+        self.occupied &= !bit;
+        self.unscheduled &= !bit;
+        self.ready &= !bit;
+        self.ticking &= !bit;
+        self.of_type[e.unit.index()] &= !bit;
+        // Leave the dependents columns of this entry's producers.
+        for p in bits(e.deps) {
+            self.rows[p].dependents &= !bit;
+        }
         let result_was_missing = !e.result_available();
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            let Some(d) = s.as_mut() else { continue };
-            if d.deps & bit == 0 {
-                continue;
-            }
-            d.deps &= !bit;
+        for d in bits(dependents) {
+            let row = &mut self.rows[d];
+            row.entry.as_mut().expect("dependent slot occupied").deps &= !bit;
             if result_was_missing {
                 // The dependent was counting this unavailable producer;
                 // dropping the column may complete its wake-up.
-                debug_assert!(self.pending[i] > 0);
-                self.pending[i] -= 1;
-                if self.pending[i] == 0 && !d.scheduled {
-                    self.demand_rdy.add(d.unit, 1);
+                debug_assert!(row.pending > 0);
+                row.pending -= 1;
+                if row.pending == 0 {
+                    self.ready |= self.unscheduled & 1 << d;
                 }
             }
         }
@@ -420,38 +477,28 @@ impl WakeupArray {
 
     /// Advance every running countdown timer by one cycle.
     pub fn tick(&mut self) {
-        // Pass 1: decrement running timers (only the slots in the
-        // `ticking` mask — expired timers stay at zero and are skipped),
-        // recording which result lines assert this cycle (the 1 → 0
-        // transitions).
-        let mut newly_available = 0u64;
-        let mut running = self.ticking;
-        while running != 0 {
-            let i = running.trailing_zeros() as usize;
-            running &= running - 1;
-            let e = self.slots[i]
-                .as_mut()
-                .expect("ticking bit set on empty slot");
+        // Decrement running timers (only the slots in the `ticking` mask
+        // — expired timers stay at zero and are skipped). A 1 → 0
+        // transition asserts the result line, which fans out down the
+        // producer's dependents column.
+        for p in bits(self.ticking) {
+            let row = &mut self.rows[p];
+            let e = row.entry.as_mut().expect("ticking bit set on empty slot");
             let t = e.timer.as_mut().expect("ticking bit set without timer");
             debug_assert!(*t > 0, "ticking bit set on expired timer");
             *t -= 1;
-            if *t == 0 {
-                newly_available |= 1 << i;
-                self.ticking &= !(1 << i);
+            if *t > 0 {
+                continue;
             }
-        }
-        if newly_available == 0 {
-            return;
-        }
-        // Pass 2: wake dependents of the newly available results.
-        for (i, e) in self.slots.iter_mut().enumerate() {
-            let Some(e) = e else { continue };
-            let hits = (e.deps & newly_available).count_ones() as u8;
-            if hits > 0 {
-                debug_assert!(self.pending[i] >= hits);
-                self.pending[i] -= hits;
-                if self.pending[i] == 0 && !e.scheduled {
-                    self.demand_rdy.add(e.unit, 1);
+            let dependents = row.dependents;
+            self.ticking &= !(1 << p);
+            debug_assert_eq!(dependents, self.dependents_scan(p));
+            for d in bits(dependents) {
+                let row = &mut self.rows[d];
+                debug_assert!(row.pending > 0);
+                row.pending -= 1;
+                if row.pending == 0 {
+                    self.ready |= self.unscheduled & 1 << d;
                 }
             }
         }
@@ -460,16 +507,10 @@ impl WakeupArray {
     /// A producer's asserted result line went away (replay): every
     /// dependent regains a pending column; ready ones drop out.
     fn producer_result_lost(&mut self, slot: SlotIdx) {
-        let bit = 1u64 << slot;
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            let Some(d) = s.as_mut() else { continue };
-            if d.deps & bit == 0 {
-                continue;
-            }
-            if self.pending[i] == 0 && !d.scheduled {
-                dec(&mut self.demand_rdy, d.unit);
-            }
-            self.pending[i] += 1;
+        let dependents = self.dependents(slot);
+        self.ready &= !dependents;
+        for d in bits(dependents) {
+            self.rows[d].pending += 1;
         }
     }
 
@@ -482,26 +523,38 @@ impl WakeupArray {
         })
     }
 
+    /// Per-type population counts of `mask`.
+    #[inline]
+    fn counts_of(&self, mask: u64) -> TypeCounts {
+        let mut c = [0u8; NUM_UNIT_TYPES];
+        for (n, col) in c.iter_mut().zip(&self.of_type) {
+            *n = (mask & col).count_ones() as u8;
+        }
+        TypeCounts::new(c)
+    }
+
     /// Demand signature of all **unscheduled** entries — the selection
     /// unit's §3.2 reading ("instructions … that have not been
-    /// scheduled"). O(1): maintained incrementally on every mutation.
+    /// scheduled"): a popcount of the unscheduled mask per type column.
     pub fn demand_unscheduled(&self) -> TypeCounts {
-        debug_assert_eq!(self.demand_unsched, self.demand_unscheduled_scan());
-        self.demand_unsched
+        let c = self.counts_of(self.unscheduled);
+        debug_assert_eq!(c, self.demand_unscheduled_scan());
+        c
     }
 
     /// Demand signature of entries that are **ready** (unscheduled with
     /// all dependencies satisfied, ignoring resource availability) — the
-    /// selection unit's §3.1 reading ("ready to be executed"). O(1):
-    /// maintained incrementally on every mutation.
+    /// selection unit's §3.1 reading ("ready to be executed"): a
+    /// popcount of the ready mask per type column.
     pub fn demand_ready(&self) -> TypeCounts {
-        debug_assert_eq!(self.demand_rdy, self.demand_ready_scan());
-        self.demand_rdy
+        let c = self.counts_of(self.ready());
+        debug_assert_eq!(c, self.demand_ready_scan());
+        c
     }
 
     /// [`WakeupArray::demand_unscheduled`] recomputed from scratch by
-    /// scanning every slot — the specification the incremental counter
-    /// is checked against (differential tests and debug assertions).
+    /// scanning every slot — the specification the mask-derived counts
+    /// are checked against (differential tests and debug assertions).
     pub fn demand_unscheduled_scan(&self) -> TypeCounts {
         self.entries()
             .filter(|(_, e)| !e.scheduled)
@@ -510,8 +563,8 @@ impl WakeupArray {
     }
 
     /// [`WakeupArray::demand_ready`] recomputed from scratch via the
-    /// per-entry dependency walk — the specification the incremental
-    /// counter is checked against.
+    /// per-entry dependency walk — the specification the mask-derived
+    /// counts are checked against.
     pub fn demand_ready_scan(&self) -> TypeCounts {
         let all_avail = [true; 5];
         (0..self.capacity())
@@ -712,7 +765,7 @@ mod tests {
         assert!(m.contains("LSU"), "{m}");
     }
 
-    /// The incremental demand counters must track the from-scratch scans
+    /// The mask-derived demand counts must track the from-scratch scans
     /// through every mutation, including the reschedule (replay) path
     /// that de-asserts an already-available result line.
     #[test]
@@ -721,6 +774,10 @@ mod tests {
         let check = |w: &WakeupArray| {
             assert_eq!(w.demand_unscheduled(), w.demand_unscheduled_scan());
             assert_eq!(w.demand_ready(), w.demand_ready_scan());
+            assert_eq!(w.ready(), w.ready_scan());
+            for s in 0..w.capacity() {
+                assert_eq!(w.dependents(s), w.dependents_scan(s));
+            }
         };
         let a = w.insert(UnitType::IntAlu, &[], 0).unwrap();
         let b = w.insert(UnitType::Lsu, &[a], 1).unwrap();

@@ -55,8 +55,8 @@ pub const LANES_PER_GROUP: usize = 64;
 
 /// Granted cycles a tick needs before its scalar step phase fans out to
 /// worker threads: 16 base quanta of the default scheduler (16 × 256 =
-/// 4096 cycles), about 1.5 ms of stepping at the scalar machine's
-/// ~2.7 M cycles/s. That pays for a scoped spawn and join many times
+/// 4096 cycles), about 1 ms of stepping at the scalar machine's
+/// ~4.1 M cycles/s. That pays for a scoped spawn and join many times
 /// over, while an open-loop tick with 1–3 tenants stays inline and its
 /// latency never waits on a spawn.
 const FAN_OUT_MIN_CYCLES: u64 = 16 * 256;

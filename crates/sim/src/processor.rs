@@ -316,7 +316,14 @@ impl Machine {
             policy,
             draining: Vec::new(),
             collision_cooldown: vec![0; cfg.queue_size],
-            scratch: Scratch::default(),
+            // `grants` briefly holds every request of a type before the
+            // arbiter cuts it to the idle quota, so both buffers take the
+            // whole array up front.
+            scratch: Scratch {
+                requests: Vec::with_capacity(cfg.queue_size),
+                grants: Vec::with_capacity(cfg.queue_size),
+                ..Scratch::default()
+            },
             telemetry: Telemetry::off(),
             issue_stall: None,
             dispatch_stall: None,
@@ -811,7 +818,7 @@ impl Machine {
             debug_assert_eq!(avail[t.index()], self.fabric.available(t));
         }
         // Stat: a waiting entry whose unit type is not configured at all
-        // (the wake-up array's incremental demand counters know the
+        // (the wake-up array's unscheduled and per-type masks give the
         // per-type waiting population without a slot scan).
         let unscheduled = self.wakeup.demand_unscheduled();
         if UnitType::ALL
@@ -824,8 +831,8 @@ impl Machine {
         self.wakeup
             .requests_into(&avail, &mut self.scratch.requests);
         // How many entries would request with every resource available:
-        // exactly the ready-demand total (incremental counter).
-        let ready_any = self.wakeup.demand_ready().total() as usize;
+        // exactly the ready mask's population.
+        let ready_any = self.wakeup.ready().count_ones() as usize;
         // Select-free mode: slots in collision recovery cannot request.
         if let SelectMode::SelectFree { .. } = self.cfg.select_mode {
             let now = self.cycle;
@@ -866,9 +873,15 @@ impl Machine {
                 UnitId::Ffu(_) => self.issued_ffu += 1,
                 UnitId::Rfu { .. } => self.issued_rfu += 1,
             }
-            // Read the entry's fields, resolve operands, execute.
+            // Read the entry's fields, resolve operands, execute. Nothing
+            // below retires or flushes, so one lookup serves both the read
+            // and the write-back.
+            let at = self
+                .rob
+                .index_of(tag)
+                .expect("wake-up tag names a live entry");
             let (instr, pc, producers, dispatched_at) = {
-                let e = self.rob.get(tag).expect("wake-up tag names a live entry");
+                let e = self.rob.at(at).unwrap();
                 (e.instr, e.pc, e.src_producers, e.dispatched_at)
             };
             let s1 = instr
@@ -879,7 +892,7 @@ impl Machine {
                 .map(|r| operand_value(&self.rob, &self.regfile, r, producers[1]));
             let issued = execute(&instr, pc, s1, s2, &mut self.mem);
             let latency = self.cfg.latencies.of(instr.opcode.latency_class());
-            let e = self.rob.get_mut(tag).unwrap();
+            let e = self.rob.at_mut(at).unwrap();
             e.value = issued.value;
             e.resolved_next = issued.resolved_next;
             e.stage = Stage::Executing {

@@ -165,8 +165,9 @@ impl Rob {
     /// retire pops the front, flush drains the tail), and gaps only
     /// appear after flushes — so the entry sits at index
     /// `seq - front.seq` or below. Starting there and walking down makes
-    /// the gap-free common case a single probe.
-    fn index_of(&self, seq: Seq) -> Option<usize> {
+    /// the gap-free common case a single probe. [`Rob::at`] and
+    /// [`Rob::at_mut`] read the index; it shifts when the head retires.
+    pub fn index_of(&self, seq: Seq) -> Option<usize> {
         let front = self.entries.front()?.seq;
         if seq < front {
             return None;
@@ -194,6 +195,12 @@ impl Rob {
     pub fn get_mut(&mut self, seq: Seq) -> Option<&mut RobEntry> {
         let i = self.index_of(seq)?;
         Some(&mut self.entries[i])
+    }
+
+    /// Entry by position, oldest first (index 0 is the head).
+    #[inline]
+    pub fn at(&self, index: usize) -> Option<&RobEntry> {
+        self.entries.get(index)
     }
 
     /// Mutable entry by position, oldest first (index 0 is the head).

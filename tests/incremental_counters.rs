@@ -2,13 +2,14 @@
 //! hot loop relies on.
 //!
 //! `Machine::step` never rescans the wake-up array or the fabric to
-//! learn demand, occupancy and availability: `WakeupArray` maintains
-//! `demand_unscheduled()` / `demand_ready()` across insert / grant /
-//! clear / tick / reschedule, and an occupancy mask behind `len()`,
-//! `is_empty()`, `is_full()` and `insert`'s free-slot pick
-//! (`free_slot()`), and `Fabric` maintains
-//! `configured_counts()` / `idle_counts()` across loads, busy toggles
-//! and ticks. Each structure also keeps the original O(n) scan around
+//! learn demand, occupancy and availability: `WakeupArray` keeps ready,
+//! unscheduled and per-type masks across insert / grant / clear / tick /
+//! reschedule (`demand_unscheduled()` / `demand_ready()` are their
+//! popcounts), an occupancy mask behind `len()`, `is_empty()`,
+//! `is_full()` and `insert`'s free-slot pick (`free_slot()`), and a
+//! transposed `dependents()` column per slot for wake-ups; `Fabric`
+//! maintains `configured_counts()` / `idle_counts()` across loads, busy
+//! toggles and ticks. Each structure also keeps the original O(n) scan around
 //! (`*_scan`) precisely so the incremental value can be checked against
 //! it. These tests run randomly generated rsp-workloads programs
 //! through whole machines and assert the two agree on **every cycle**,
@@ -43,8 +44,9 @@ fn synth(seed: u64, mix_idx: usize, body_len: usize, branch_prob: f64, iteration
 }
 
 /// Step `program` to completion, asserting on every cycle that the
-/// incremental wakeup demand counters, the wakeup occupancy mask and the
-/// fabric availability counters equal their from-scratch scans.
+/// wakeup demand counts, ready mask, dependents columns and occupancy
+/// mask, and the fabric availability counters, equal their
+/// from-scratch scans.
 fn assert_counters_track_scans(program: &Program, cfg: SimConfig) {
     let proc = Processor::new(cfg);
     let mut m = proc.start(program).unwrap();
@@ -64,6 +66,22 @@ fn assert_counters_track_scans(program: &Program, cfg: SimConfig) {
             program.name,
             m.cycle()
         );
+        assert_eq!(
+            w.ready(),
+            w.ready_scan(),
+            "[{}] cycle {}: ready mask diverged from dependency walk",
+            program.name,
+            m.cycle()
+        );
+        for s in 0..w.capacity() {
+            assert_eq!(
+                w.dependents(s),
+                w.dependents_scan(s),
+                "[{}] cycle {}: dependents column of slot {s} diverged from deps rows",
+                program.name,
+                m.cycle()
+            );
+        }
         let occupied_count = w.occupied_scan().count_ones() as usize;
         assert_eq!(
             w.len(),
@@ -167,6 +185,27 @@ proptest! {
         cfg.latencies.fp_div = fp_div;
         cfg.latencies.int_div = fp_div / 2 + 1;
         let program = synth(seed, mix_idx, 80, 0.2, 2);
+        assert_counters_track_scans(&program, cfg);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Wide instruction queues: the wake-up masks span up to all 64
+    /// bits, and more entries wait on (and fan out to) each producer.
+    #[test]
+    fn prop_counters_match_scans_wide_queue(
+        seed in 0u64..1_000_000,
+        mix_idx in 0usize..6,
+        queue_size in 8usize..=64,
+    ) {
+        let cfg = SimConfig {
+            queue_size,
+            rob_size: 64,
+            ..SimConfig::default()
+        };
+        let program = synth(seed, mix_idx, 80, 0.15, 2);
         assert_counters_track_scans(&program, cfg);
     }
 }
