@@ -39,14 +39,17 @@ pub struct FaultEpisode {
 }
 
 impl FaultEpisode {
-    /// Inject-to-detect latency in cycles, when detected.
+    /// Inject-to-detect latency in cycles, when detected (0 when the log
+    /// runs backwards, as a concatenation of runs does).
     pub fn detect_latency(&self) -> Option<u64> {
-        self.detected_at.map(|d| d - self.injected_at)
+        self.detected_at.map(|d| d.saturating_sub(self.injected_at))
     }
 
-    /// Inject-to-recover latency in cycles, when recovered.
+    /// Inject-to-recover latency in cycles, when recovered (0 when the
+    /// log runs backwards).
     pub fn recover_latency(&self) -> Option<u64> {
-        self.recovered_at.map(|r| r - self.injected_at)
+        self.recovered_at
+            .map(|r| r.saturating_sub(self.injected_at))
     }
 }
 
@@ -69,12 +72,13 @@ impl LatencySummary {
             min: u64::MAX,
             ..LatencySummary::default()
         };
-        let mut sum = 0u64;
+        // `u128`: samples read from a file may be near `u64::MAX`.
+        let mut sum = 0u128;
         for v in samples {
             s.count += 1;
             s.min = s.min.min(v);
             s.max = s.max.max(v);
-            sum += v;
+            sum += u128::from(v);
         }
         if s.count == 0 {
             s.min = 0;
@@ -264,7 +268,11 @@ pub fn analyze(events: &[Stamped]) -> TimelineReport {
                 if degraded {
                     degraded_since.get_or_insert(ev.cycle);
                 } else if let Some(since) = degraded_since.take() {
-                    degraded_cycles += ev.cycle - since;
+                    // Saturating: a backwards span (a later run restarting
+                    // at cycle 0) counts as 0, and counts read from a file
+                    // may be near `u64::MAX`.
+                    degraded_cycles =
+                        degraded_cycles.saturating_add(ev.cycle.saturating_sub(since));
                 }
             }
             Event::ScrubPass { .. } => scrub_passes += 1,
@@ -409,13 +417,13 @@ impl TimelineReport {
         }
         const MAX_LISTED: usize = 100;
         for e in self.episodes.iter().take(MAX_LISTED) {
-            let detect = match e.detected_at {
-                Some(d) => format!("detected @{d} (+{})", d - e.injected_at),
-                None => "undetected".to_string(),
+            let detect = match (e.detected_at, e.detect_latency()) {
+                (Some(d), Some(l)) => format!("detected @{d} (+{l})"),
+                _ => "undetected".to_string(),
             };
-            let recover = match e.recovered_at {
-                Some(r) => format!("recovered @{r} (+{})", r - e.injected_at),
-                None => "unrecovered".to_string(),
+            let recover = match (e.recovered_at, e.recover_latency()) {
+                (Some(r), Some(l)) => format!("recovered @{r} (+{l})"),
+                _ => "unrecovered".to_string(),
             };
             let _ = writeln!(
                 s,
@@ -549,7 +557,7 @@ pub fn analyze_fleet(entries: &[FleetEntry]) -> FleetReport {
                 if let Some(id) = e.tenant {
                     let t = arc(&mut tenants, id);
                     t.quanta += 1;
-                    t.cycles += cycles;
+                    t.cycles = t.cycles.saturating_add(cycles);
                 }
             }
             FleetEvent::Completed { cycles, halted } => {
@@ -929,6 +937,57 @@ mod tests {
         assert!(text.contains("unfinished"), "{text}");
         let json = r.to_json();
         assert!(json.contains("\"queued_ticks\""));
+    }
+
+    #[test]
+    fn concatenated_logs_and_huge_counts_saturate() {
+        // Two runs' logs back to back (`cat run1.jsonl run2.jsonl`): the
+        // second restarts at cycle 0, so its detection, recovery and
+        // rerank-close all land *before* the first run's open arcs.
+        let u = UnitType::IntAlu;
+        let log = [
+            ev(900, Event::UpsetInjected { head: 3, unit: u }),
+            ev(
+                1000,
+                Event::CapacityRerank {
+                    degraded: true,
+                    lost: 2,
+                },
+            ),
+            ev(20, Event::UpsetDetected { head: 3, unit: u }),
+            ev(30, Event::LoadPlaced { head: 3, unit: u }),
+            ev(
+                50,
+                Event::CapacityRerank {
+                    degraded: false,
+                    lost: 0,
+                },
+            ),
+        ];
+        let r = analyze(&log);
+        assert_eq!(r.degraded_cycles, 0, "backwards spans count as 0");
+        let e = r.episodes[0];
+        assert_eq!(
+            (e.detect_latency(), e.recover_latency()),
+            (Some(0), Some(0))
+        );
+        assert_eq!((r.detect_latency.max, r.recover_latency.max), (0, 0));
+        assert!(r.render().contains("detected @20 (+0)"));
+
+        // Spans and counts near `u64::MAX`, as a corrupt dump may carry.
+        let rerank = |cycle, degraded| ev(cycle, Event::CapacityRerank { degraded, lost: 0 });
+        let spans = [
+            rerank(0, true),
+            rerank(u64::MAX, false),
+            rerank(1, true),
+            rerank(5, false),
+        ];
+        assert_eq!(analyze(&spans).degraded_cycles, u64::MAX);
+        let huge = FleetEvent::Quantum { cycles: u64::MAX };
+        let fleet = analyze_fleet(&[fe(1, Some(0), huge), fe(2, Some(0), huge)]);
+        assert_eq!(fleet.tenants[0].cycles, u64::MAX);
+        assert_eq!(fleet.quantum_cycles.count, 2);
+        assert_eq!(fleet.quantum_cycles.mean, u64::MAX as f64);
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //! [`policy`] packages the above as one [`policy::SteeringPolicy`] and
 //! adds the baselines and extensions the experiments compare against
 //! (static configurations, full-reload, demand-driven steering, and a
-//! zero-knowledge never-reconfigure floor). [`basis`] implements the
-//! paper's §5 future-work question: searching for a good *basis* of
-//! predefined steering configurations.
+//! zero-knowledge never-reconfigure floor). E11's demand smoothing is a
+//! field of the paper's policy ([`policy::PaperSteering::smoothing`]);
+//! [`smooth`] holds only the EWMA filter it installs. [`basis`]
+//! implements the paper's §5 future-work question: searching for a good
+//! *basis* of predefined steering configurations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,4 +52,4 @@ pub use encoder::{requirement_counts_spec, requirement_counts_spec_types, Requir
 pub use loader::{ConfigurationLoader, LoaderStats};
 pub use policy::{DemandDriven, PaperSteering, PolicyOutcome, StaticPolicy, SteeringPolicy};
 pub use select::{ConfigChoice, MinimalErrorSelector, SelectionResult, SelectionUnit, TieBreak};
-pub use smooth::{DemandFilter, SmoothedSteering};
+pub use smooth::DemandFilter;

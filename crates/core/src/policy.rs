@@ -6,7 +6,8 @@
 //! mutable access to the fabric; it may start partial reconfigurations.
 //!
 //! * [`PaperSteering`] — the paper's configuration selection unit driving
-//!   the configuration loader.
+//!   the configuration loader; its `smoothing` field optionally puts a
+//!   [`DemandFilter`] in front of the unit (E11).
 //! * [`StaticPolicy`] — never reconfigures (the fabric keeps whatever it
 //!   was initialised with): the per-configuration baselines of E1 and the
 //!   "never reconfigure" floor.
@@ -17,8 +18,9 @@
 
 use crate::loader::ConfigurationLoader;
 use crate::select::{ConfigChoice, SelectionUnit};
+use crate::smooth::DemandFilter;
 use rsp_fabric::config::{Configuration, SteeringSet};
-use rsp_fabric::fabric::{Fabric, LoadError};
+use rsp_fabric::fabric::Fabric;
 use rsp_isa::units::{SlotEncoding, TypeCounts, UnitType};
 use rsp_obs::{Event, Telemetry, MAX_CANDIDATES};
 
@@ -38,26 +40,26 @@ pub trait SteeringPolicy {
     fn name(&self) -> String;
 
     /// Observe this cycle's ready-instruction demand and (possibly)
-    /// start reconfigurations.
-    fn tick(&mut self, demand: &TypeCounts, fabric: &mut Fabric) -> PolicyOutcome;
-
-    /// [`SteeringPolicy::tick`] with a telemetry handle: policies that
-    /// make observable decisions emit them into `obs`. The default
-    /// ignores the handle — behaviour must be identical either way (the
+    /// start reconfigurations, emitting observable decisions into `obs`.
+    /// Behaviour must not depend on whether `obs` is enabled (the
     /// fault-free invariance suite pins this).
     fn tick_observed(
         &mut self,
         demand: &TypeCounts,
         fabric: &mut Fabric,
         obs: &mut Telemetry,
-    ) -> PolicyOutcome {
-        let _ = obs;
-        self.tick(demand, fabric)
+    ) -> PolicyOutcome;
+
+    /// [`SteeringPolicy::tick_observed`] with telemetry off.
+    fn tick(&mut self, demand: &TypeCounts, fabric: &mut Fabric) -> PolicyOutcome {
+        self.tick_observed(demand, fabric, &mut Telemetry::off())
     }
 }
 
 /// Consecutive degraded cycles before the fault-aware selection unit
-/// switches from the nominal to the effective capacity view. Transient
+/// switches from the nominal to the effective capacity view. The lane
+/// kernel (`rsp_sim::lanes`) uses the same constant, so the scalar
+/// machine and the bit-sliced replay cannot disagree on it. Transient
 /// zombies are force-reloaded by the loader's scrub-hint path within a
 /// span's load latency, so the window is sized to outlast a reload: the
 /// view only engages for *persistent* capacity loss (dead slots, or a
@@ -128,17 +130,17 @@ impl SelectionMemo {
     }
 }
 
-/// The paper's steering mechanism: selection unit + configuration loader.
+/// The paper's steering mechanism: selection unit + configuration loader,
+/// optionally behind an EWMA demand filter (E11).
 #[derive(Debug, Clone)]
 pub struct PaperSteering {
     /// The four-stage configuration selection unit.
     pub unit: SelectionUnit,
     /// The configuration loader (owns the steering set).
     pub loader: ConfigurationLoader,
-    /// Degraded cycles required before switching to the effective
-    /// capacity view (and re-ranking candidates against post-fault
-    /// capacity). Only consulted when `loader.fault_aware` is set.
-    pub hysteresis: u32,
+    /// When `Some`, every tick's demand passes through this filter
+    /// before it reaches the selection unit (E11). `None` is the paper.
+    pub smoothing: Option<DemandFilter>,
     /// Consecutive cycles the effective capacity has trailed nominal.
     degraded_streak: u32,
     /// True while candidates are scored against effective capacity.
@@ -174,7 +176,7 @@ impl PaperSteering {
             memo: SelectionMemo::new(unit, set.rfu_slots),
             unit,
             loader: ConfigurationLoader::new(set),
-            hysteresis: DEFAULT_CAPACITY_HYSTERESIS,
+            smoothing: None,
             degraded_streak: 0,
             effective_view: false,
             candidate_counts: [TypeCounts::ZERO; MAX_CANDIDATES],
@@ -182,21 +184,6 @@ impl PaperSteering {
             dead_degraded: false,
             max_dead_deficit: 0,
         }
-    }
-
-    /// Enable (or disable) the fault-aware selection/loader paths:
-    /// effective-capacity candidate scoring with hysteresis, dead-span
-    /// re-placement, and zombie force-reloads. Fault-free behaviour is
-    /// bit-identical either way.
-    pub fn with_fault_aware(mut self, on: bool) -> PaperSteering {
-        self.loader.fault_aware = on;
-        self
-    }
-
-    /// True iff the fault-aware paths are enabled.
-    #[inline]
-    pub fn fault_aware(&self) -> bool {
-        self.loader.fault_aware
     }
 
     /// True while the selection unit is scoring against the effective
@@ -245,11 +232,10 @@ impl SteeringPolicy for PaperSteering {
         if self.loader.fault_aware {
             n.push_str("+fault-aware");
         }
+        if let Some(f) = &self.smoothing {
+            n.push_str(&format!("+ewma{}", f.shift));
+        }
         n
-    }
-
-    fn tick(&mut self, demand: &TypeCounts, fabric: &mut Fabric) -> PolicyOutcome {
-        self.tick_observed(demand, fabric, &mut Telemetry::off())
     }
 
     fn tick_observed(
@@ -258,6 +244,10 @@ impl SteeringPolicy for PaperSteering {
         fabric: &mut Fabric,
         obs: &mut Telemetry,
     ) -> PolicyOutcome {
+        let demand = match &mut self.smoothing {
+            Some(f) => f.update(demand),
+            None => *demand,
+        };
         // Fault-aware capacity view: compare effective (zombie- and
         // dead-discounted) capacity against nominal, with hysteresis so
         // one transient upset never re-ranks the candidates. Without
@@ -289,7 +279,7 @@ impl SteeringPolicy for PaperSteering {
                 }
             } else {
                 self.degraded_streak = self.degraded_streak.saturating_add(1);
-                if !self.effective_view && self.degraded_streak >= self.hysteresis {
+                if !self.effective_view && self.degraded_streak >= DEFAULT_CAPACITY_HYSTERESIS {
                     self.effective_view = true;
                     if obs.enabled() {
                         let lost = nominal
@@ -381,7 +371,12 @@ impl SteeringPolicy for StaticPolicy {
         format!("static:{}", self.label)
     }
 
-    fn tick(&mut self, _demand: &TypeCounts, _fabric: &mut Fabric) -> PolicyOutcome {
+    fn tick_observed(
+        &mut self,
+        _demand: &TypeCounts,
+        _fabric: &mut Fabric,
+        _obs: &mut Telemetry,
+    ) -> PolicyOutcome {
         PolicyOutcome::default()
     }
 }
@@ -402,8 +397,6 @@ impl SteeringPolicy for StaticPolicy {
 pub struct DemandDriven {
     /// Loads started so far (stat).
     pub loads_started: u64,
-    /// Deferred-busy count (stat).
-    pub deferred_busy: u64,
 }
 
 impl DemandDriven {
@@ -445,10 +438,6 @@ impl SteeringPolicy for DemandDriven {
         "demand-driven".into()
     }
 
-    fn tick(&mut self, demand: &TypeCounts, fabric: &mut Fabric) -> PolicyOutcome {
-        self.tick_observed(demand, fabric, &mut Telemetry::off())
-    }
-
     fn tick_observed(
         &mut self,
         demand: &TypeCounts,
@@ -467,17 +456,13 @@ impl SteeringPolicy for DemandDriven {
             Configuration::place("demand", mix, slots).expect("desired mix fits by construction");
         let mut started = 0;
         for pu in target.placement.units() {
-            match fabric.begin_load(pu.head, pu.unit) {
-                Ok(()) => {
-                    self.loads_started += 1;
-                    started += 1;
-                    obs.emit(Event::LoadStarted {
-                        head: pu.head as u32,
-                        unit: pu.unit,
-                    });
-                }
-                Err(LoadError::SpanBusy) => self.deferred_busy += 1,
-                Err(_) => {}
+            if fabric.begin_load(pu.head, pu.unit).is_ok() {
+                self.loads_started += 1;
+                started += 1;
+                obs.emit(Event::LoadStarted {
+                    head: pu.head as u32,
+                    unit: pu.unit,
+                });
             }
         }
         PolicyOutcome {
@@ -491,6 +476,12 @@ impl SteeringPolicy for DemandDriven {
 mod tests {
     use super::*;
     use rsp_fabric::fabric::FabricParams;
+
+    fn fault_aware() -> PaperSteering {
+        let mut p = PaperSteering::paper_default();
+        p.loader.fault_aware = true;
+        p
+    }
 
     fn fabric(latency: u64, ports: usize) -> Fabric {
         Fabric::new(FabricParams {
@@ -573,10 +564,7 @@ mod tests {
     #[test]
     fn policy_names() {
         assert_eq!(PaperSteering::paper_default().name(), "paper-steering");
-        assert_eq!(
-            PaperSteering::paper_default().with_fault_aware(true).name(),
-            "paper-steering+fault-aware"
-        );
+        assert_eq!(fault_aware().name(), "paper-steering+fault-aware");
         let mut p = PaperSteering::paper_default();
         p.loader.partial = false;
         p.unit.tie = crate::select::TieBreak::PreferPredefined;
@@ -589,9 +577,32 @@ mod tests {
     }
 
     #[test]
+    fn smoothing_name_and_convergence() {
+        let mut p = PaperSteering::paper_default();
+        p.smoothing = Some(DemandFilter::new(3));
+        assert_eq!(p.name(), "paper-steering+ewma3");
+        let mut fab = Fabric::new(FabricParams::default());
+        // Constant FP demand steers like the unfiltered policy, just
+        // slower to start.
+        let demand = TypeCounts::new([0, 0, 2, 2, 2]);
+        // One reconfig port at 32 cycles/slot: loading the whole 8-slot
+        // config takes ~256 cycles, plus filter warm-up.
+        for _ in 0..450 {
+            p.tick(&demand, &mut fab);
+            fab.tick();
+        }
+        assert_eq!(
+            fab.rfu_counts(),
+            p.loader.set().predefined[2].counts,
+            "fabric: {}",
+            fab.slot_map()
+        );
+    }
+
+    #[test]
     fn fault_aware_is_bit_identical_without_faults() {
         let mut plain = PaperSteering::paper_default();
-        let mut aware = PaperSteering::paper_default().with_fault_aware(true);
+        let mut aware = fault_aware();
         let mut f_plain = fabric(2, 2);
         let mut f_aware = fabric(2, 2);
         let demands = [
@@ -614,7 +625,7 @@ mod tests {
     #[test]
     fn dead_slots_engage_effective_view_after_hysteresis() {
         use rsp_fabric::fault::FaultParams;
-        let mut p = PaperSteering::paper_default().with_fault_aware(true);
+        let mut p = fault_aware();
         let mut f = Fabric::new(FabricParams {
             per_slot_load_latency: 1,
             reconfig_ports: 8,

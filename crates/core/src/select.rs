@@ -76,6 +76,31 @@ pub enum TieBreak {
     PreferPredefined,
 }
 
+impl TieBreak {
+    /// Stage 4's comparator: does candidate `(err, cost)` displace the
+    /// best so far, `(best_err, best_cost)`? Minimal error wins; at equal
+    /// error the rule decides, with `best_is_current` telling it whether
+    /// the best so far is the current configuration.
+    #[inline]
+    pub fn beats(
+        self,
+        (err, cost): (u32, usize),
+        (best_err, best_cost): (u32, usize),
+        best_is_current: bool,
+    ) -> bool {
+        err < best_err
+            || (err == best_err
+                && match self {
+                    // Never displace the current configuration at equal
+                    // error, whatever the costs say.
+                    TieBreak::FavorCurrent => !best_is_current && cost < best_cost,
+                    // Always displace the current configuration at equal
+                    // error; break predefined ties by cost.
+                    TieBreak::PreferPredefined => best_is_current || cost < best_cost,
+                })
+    }
+}
+
 /// The minimal-error selection circuit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinimalErrorSelector;
@@ -96,21 +121,11 @@ impl MinimalErrorSelector {
         assert!(!errors.is_empty());
         let mut best = 0usize;
         for i in 1..errors.len() {
-            let better = errors[i] < errors[best]
-                || (errors[i] == errors[best]
-                    && match tie {
-                        // Never displace the current configuration (index
-                        // 0) at equal error, whatever the costs say.
-                        TieBreak::FavorCurrent => {
-                            best != 0 && reconfig_cost[i] < reconfig_cost[best]
-                        }
-                        // Always displace the current configuration at
-                        // equal error; break predefined ties by cost.
-                        TieBreak::PreferPredefined => {
-                            best == 0 || reconfig_cost[i] < reconfig_cost[best]
-                        }
-                    });
-            if better {
+            if tie.beats(
+                (errors[i], reconfig_cost[i]),
+                (errors[best], reconfig_cost[best]),
+                best == 0,
+            ) {
                 best = i;
             }
         }
@@ -254,42 +269,28 @@ impl SelectionUnit {
         set: &SteeringSet,
     ) -> (ConfigChoice, u32) {
         let mut scores = [0u32; rsp_obs::MAX_CANDIDATES];
-        let (choice, err, _) =
-            self.choose_with_scores(required, current_counts, current_alloc, set, &mut scores);
-        (choice, err)
-    }
-
-    /// [`SelectionUnit::choose`], additionally writing each candidate's
-    /// CEM error into `scores` (candidate 0 = current configuration) for
-    /// telemetry. Returns the choice, its error, and the number of
-    /// scored candidates (capped at `scores.len()`; selection itself
-    /// always considers every candidate).
-    pub fn choose_with_scores(
-        &self,
-        required: TypeCounts,
-        current_counts: TypeCounts,
-        current_alloc: &AllocationVector,
-        set: &SteeringSet,
-        scores: &mut [u32; rsp_obs::MAX_CANDIDATES],
-    ) -> (ConfigChoice, u32, usize) {
-        self.choose_with_scores_overriding(
+        let (choice, err, _) = self.choose_with_scores_overriding(
             required,
             current_counts,
             &[],
             current_alloc,
             set,
-            scores,
-        )
+            &mut scores,
+        );
+        (choice, err)
     }
 
-    /// [`SelectionUnit::choose_with_scores`] with per-candidate count
-    /// overrides: predefined candidate `i` is scored against
-    /// `candidate_counts[i]` instead of the nominal
-    /// [`SteeringSet::total_counts`] (missing entries fall back to the
-    /// nominal counts). The fault-aware steering path passes the
-    /// *effective* (zombie- and dead-slot-discounted) capacities here so
-    /// the CEMs never score phantom units; an empty slice makes this
-    /// bit-identical to the nominal path.
+    /// [`SelectionUnit::choose`], additionally writing each candidate's
+    /// CEM error into `scores` (candidate 0 = current configuration) for
+    /// telemetry, with per-candidate count overrides: predefined
+    /// candidate `i` is scored against `candidate_counts[i]` instead of
+    /// the nominal [`SteeringSet::total_counts`] (missing entries fall
+    /// back to the nominal counts). The fault-aware steering path passes
+    /// the *effective* (zombie- and dead-slot-discounted) capacities here
+    /// so the CEMs never score phantom units; an empty slice is the
+    /// nominal path. Returns the choice, its error, and the number of
+    /// scored candidates (capped at `scores.len()`; selection itself
+    /// always considers every candidate).
     pub fn choose_with_scores_overriding(
         &self,
         required: TypeCounts,
@@ -314,13 +315,10 @@ impl SelectionUnit {
             if i + 1 < scores.len() {
                 scores[i + 1] = err;
             }
-            let better = err < best_err
-                || (err == best_err
-                    && match self.tie {
-                        TieBreak::FavorCurrent => best != 0 && cost < best_cost,
-                        TieBreak::PreferPredefined => best == 0 || cost < best_cost,
-                    });
-            if better {
+            if self
+                .tie
+                .beats((err, cost), (best_err, best_cost), best == 0)
+            {
                 best = i + 1;
                 best_err = err;
                 best_cost = cost;
@@ -514,26 +512,19 @@ mod tests {
             prop_assert_eq!(choice, full.choice);
             let idx = full.choice.two_bit() as usize;
             prop_assert_eq!(err, full.errors[idx]);
-            // The telemetry variant records exactly the stage-3 errors.
-            let mut scores = [0u32; rsp_obs::MAX_CANDIDATES];
-            let (c2, e2, scored) =
-                unit.choose_with_scores(required, current_counts, current_alloc, &s, &mut scores);
-            prop_assert_eq!(c2, full.choice);
-            prop_assert_eq!(e2, err);
-            prop_assert_eq!(scored, full.errors.len().min(scores.len()));
-            prop_assert_eq!(&scores[..scored], &full.errors[..scored]);
-            // The count-overriding variant is bit-identical when handed
-            // the nominal counts (or no overrides at all).
+            // The telemetry variant records exactly the stage-3 errors,
+            // and is bit-identical when handed the nominal counts (or no
+            // overrides at all).
             let nominal: Vec<TypeCounts> =
                 (0..s.predefined.len()).map(|i| s.total_counts(i)).collect();
             for overrides in [&nominal[..], &nominal[..1], &[][..]] {
-                let mut scores_o = [0u32; rsp_obs::MAX_CANDIDATES];
-                let (c3, e3, scored3) = unit.choose_with_scores_overriding(
-                    required, current_counts, overrides, current_alloc, &s, &mut scores_o);
-                prop_assert_eq!(c3, full.choice);
-                prop_assert_eq!(e3, err);
-                prop_assert_eq!(scored3, scored);
-                prop_assert_eq!(&scores_o[..scored3], &scores[..scored]);
+                let mut scores = [0u32; rsp_obs::MAX_CANDIDATES];
+                let (c2, e2, scored) = unit.choose_with_scores_overriding(
+                    required, current_counts, overrides, current_alloc, &s, &mut scores);
+                prop_assert_eq!(c2, full.choice);
+                prop_assert_eq!(e2, err);
+                prop_assert_eq!(scored, full.errors.len().min(scores.len()));
+                prop_assert_eq!(&scores[..scored], &full.errors[..scored]);
             }
         }
 

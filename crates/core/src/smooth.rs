@@ -1,11 +1,14 @@
-//! Demand smoothing: an EWMA filter in front of the selection unit.
+//! Demand smoothing: the EWMA filter E11 puts in front of the selection
+//! unit.
 //!
 //! Experiments E1/E10 show the paper's purely reactive selector can
 //! *churn* on workloads whose ready-window composition oscillates from
 //! cycle to cycle (each flip starts partial reconfigurations that are
-//! stale before they finish). This module adds the obvious
+//! stale before they finish). This module holds the obvious
 //! hardware-cheap fix the paper leaves on the table: low-pass filter the
-//! per-type demand before it reaches the CEM generators.
+//! per-type demand before it reaches the CEM generators. It is only the
+//! filter; [`PaperSteering::smoothing`](crate::policy::PaperSteering::smoothing)
+//! installs it in the steering policy.
 //!
 //! The filter is shift-based, exactly as the paper's barrel-shifter
 //! aesthetic suggests: fixed-point accumulators with
@@ -13,8 +16,6 @@
 //! `α = 2^-k`, needing one subtractor and one adder per type and no
 //! multipliers. `k = 0` degenerates to the paper's unfiltered behaviour.
 
-use crate::policy::{PaperSteering, PolicyOutcome, SteeringPolicy};
-use rsp_fabric::fabric::Fabric;
 use rsp_isa::units::{TypeCounts, UnitType};
 use serde::{Deserialize, Serialize};
 
@@ -75,47 +76,6 @@ impl DemandFilter {
     /// Reset the accumulators.
     pub fn reset(&mut self) {
         self.acc = [0; 5];
-    }
-}
-
-/// The paper's steering mechanism with a [`DemandFilter`] in front of the
-/// selection unit (the rest of the pipeline is untouched).
-#[derive(Debug, Clone)]
-pub struct SmoothedSteering {
-    /// The underlying paper policy.
-    pub inner: PaperSteering,
-    /// The demand filter.
-    pub filter: DemandFilter,
-}
-
-impl SmoothedSteering {
-    /// Paper defaults with smoothing shift `k`.
-    pub fn paper_default(shift: u32) -> SmoothedSteering {
-        SmoothedSteering {
-            inner: PaperSteering::paper_default(),
-            filter: DemandFilter::new(shift),
-        }
-    }
-}
-
-impl SteeringPolicy for SmoothedSteering {
-    fn name(&self) -> String {
-        format!("{}+ewma{}", self.inner.name(), self.filter.shift)
-    }
-
-    fn tick(&mut self, demand: &TypeCounts, fabric: &mut Fabric) -> PolicyOutcome {
-        let filtered = self.filter.update(demand);
-        self.inner.tick(&filtered, fabric)
-    }
-
-    fn tick_observed(
-        &mut self,
-        demand: &TypeCounts,
-        fabric: &mut Fabric,
-        obs: &mut rsp_obs::Telemetry,
-    ) -> PolicyOutcome {
-        let filtered = self.filter.update(demand);
-        self.inner.tick_observed(&filtered, fabric, obs)
     }
 }
 
@@ -186,28 +146,5 @@ mod tests {
     #[test]
     fn shift_clamped() {
         assert_eq!(DemandFilter::new(99).shift, 7);
-    }
-
-    #[test]
-    fn policy_name_and_delegation() {
-        use rsp_fabric::fabric::FabricParams;
-        let mut p = SmoothedSteering::paper_default(3);
-        assert_eq!(p.name(), "paper-steering+ewma3");
-        let mut fab = Fabric::new(FabricParams::default());
-        // Constant FP demand steers like the unfiltered policy, just
-        // slower to start.
-        let demand = TypeCounts::new([0, 0, 2, 2, 2]);
-        // One reconfig port at 32 cycles/slot: loading the whole 8-slot
-        // config takes ~256 cycles, plus filter warm-up.
-        for _ in 0..450 {
-            p.tick(&demand, &mut fab);
-            fab.tick();
-        }
-        assert_eq!(
-            fab.rfu_counts(),
-            p.inner.loader.set().predefined[2].counts,
-            "fabric: {}",
-            fab.slot_map()
-        );
     }
 }

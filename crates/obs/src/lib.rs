@@ -10,9 +10,11 @@
 //! * [`MetricsRegistry`] — named counters plus fixed-bucket cycle
 //!   histograms (load latency, decision-to-grant, queue residency),
 //!   updated inline from the event stream.
-//! * [`EventSink`] — where stamped events go: [`NoopSink`] discards,
-//!   [`RingSink`] keeps the last N in a pre-allocated ring and exports
-//!   JSON Lines for the `rsp-timeline` analyzer.
+//! * The event sink — where stamped events go. A [`Telemetry`] handle
+//!   is in one of two sink states: none (events are discarded after
+//!   updating the metrics), or a [`RingSink`] that keeps the last N in a
+//!   pre-allocated ring and exports JSON Lines for the `rsp-timeline`
+//!   analyzer.
 //!
 //! A fourth, host-side layer — [`SweepProgress`] — tallies experiment
 //! sweep progress (points completed / failed) for the
@@ -54,20 +56,11 @@ pub use recorder::{
     parse_fleet_jsonl, FleetEntry, FleetEvent, FlightRecorder, ShedKind, TriggerKind,
     DEFAULT_FLIGHT_CAPACITY, DEFAULT_SHED_STORM_THRESHOLD, DEFAULT_SHED_STORM_WINDOW,
 };
-pub use sink::{EventSink, NoopSink, RingSink};
+pub use sink::RingSink;
 
 /// Heads beyond this index skip load-latency pairing (far above any
 /// fabric this workspace configures).
 const MAX_TRACKED_HEADS: usize = 64;
-
-/// Which sink a [`Telemetry`] handle forwards events to. A closed enum
-/// (rather than `Box<dyn EventSink>`) keeps `Telemetry` — and therefore
-/// `Machine` — `Clone + Send` for the rayon experiment fan-outs.
-#[derive(Debug, Clone)]
-enum SinkKind {
-    Noop,
-    Ring(RingSink),
-}
 
 /// The per-machine telemetry handle: an enabled flag, the current cycle
 /// stamp, a metrics registry and an event sink.
@@ -80,7 +73,10 @@ pub struct Telemetry {
     enabled: bool,
     cycle: u64,
     metrics: MetricsRegistry,
-    sink: SinkKind,
+    /// The event log, if any. A concrete type (rather than a boxed trait
+    /// object) keeps `Telemetry` — and therefore `Machine` — `Clone +
+    /// Send`: rsp-serve moves machines across its scoped step threads.
+    sink: Option<RingSink>,
     /// Cycle each head's in-flight load started, +1 (0 = none), for the
     /// load-latency histogram.
     load_start: [u64; MAX_TRACKED_HEADS],
@@ -93,7 +89,7 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    fn with_sink(enabled: bool, sink: SinkKind) -> Telemetry {
+    fn with_sink(enabled: bool, sink: Option<RingSink>) -> Telemetry {
         Telemetry {
             enabled,
             cycle: 0,
@@ -105,18 +101,18 @@ impl Telemetry {
 
     /// Disabled telemetry: every emit is a no-op (the default).
     pub fn off() -> Telemetry {
-        Telemetry::with_sink(false, SinkKind::Noop)
+        Telemetry::with_sink(false, None)
     }
 
     /// Metrics-only telemetry: counters and histograms are maintained
     /// but individual events are discarded (no event log).
     pub fn counting() -> Telemetry {
-        Telemetry::with_sink(true, SinkKind::Noop)
+        Telemetry::with_sink(true, None)
     }
 
     /// Full telemetry into a pre-allocated ring of `capacity` events.
     pub fn ring(capacity: usize) -> Telemetry {
-        Telemetry::with_sink(true, SinkKind::Ring(RingSink::new(capacity)))
+        Telemetry::with_sink(true, Some(RingSink::new(capacity)))
     }
 
     /// True iff emits do anything.
@@ -164,9 +160,8 @@ impl Telemetry {
             cycle: self.cycle,
             event,
         };
-        match &mut self.sink {
-            SinkKind::Noop => {}
-            SinkKind::Ring(r) => r.record(stamped),
+        if let Some(r) = &mut self.sink {
+            r.record(stamped);
         }
     }
 
@@ -195,10 +190,7 @@ impl Telemetry {
 
     /// The ring sink, if this handle logs events.
     pub fn ring_sink(&self) -> Option<&RingSink> {
-        match &self.sink {
-            SinkKind::Ring(r) => Some(r),
-            SinkKind::Noop => None,
-        }
+        self.sink.as_ref()
     }
 
     /// JSONL export of the event log, if this handle logs events.
@@ -212,7 +204,7 @@ impl Telemetry {
         self.cycle = 0;
         self.metrics.reset();
         self.load_start = [0; MAX_TRACKED_HEADS];
-        if let SinkKind::Ring(r) = &mut self.sink {
+        if let Some(r) = &mut self.sink {
             r.clear();
         }
     }

@@ -1,4 +1,4 @@
-//! Event sinks: where stamped events go.
+//! The event sink: where stamped events go.
 //!
 //! A sink is lock-free by construction — the simulator is single-
 //! threaded per `Machine` and each `Machine` owns its sink, so recording
@@ -7,30 +7,6 @@
 //! allocates (overwrites the oldest entry instead, counting drops).
 
 use crate::event::Stamped;
-
-/// A consumer of stamped telemetry events.
-pub trait EventSink {
-    /// Record one event.
-    fn record(&mut self, ev: Stamped);
-
-    /// False if this sink discards everything (lets emitters skip work).
-    fn active(&self) -> bool {
-        true
-    }
-}
-
-/// The do-nothing sink: every event is discarded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopSink;
-
-impl EventSink for NoopSink {
-    #[inline]
-    fn record(&mut self, _ev: Stamped) {}
-
-    fn active(&self) -> bool {
-        false
-    }
-}
 
 /// A fixed-capacity ring buffer of stamped events with a JSONL export.
 ///
@@ -118,11 +94,10 @@ impl RingSink {
         self.next = 0;
         self.dropped = 0;
     }
-}
 
-impl EventSink for RingSink {
+    /// Record one event, overwriting the oldest once the ring is full.
     #[inline]
-    fn record(&mut self, ev: Stamped) {
+    pub fn record(&mut self, ev: Stamped) {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
@@ -150,7 +125,6 @@ mod tests {
     #[test]
     fn ring_keeps_everything_under_capacity() {
         let mut r = RingSink::new(4);
-        assert!(!NoopSink.active() && r.active());
         for c in 0..3 {
             r.record(ev(c));
         }

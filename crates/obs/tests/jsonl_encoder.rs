@@ -11,7 +11,7 @@
 use proptest::array::uniform8;
 use proptest::prelude::*;
 use rsp_isa::units::UnitType;
-use rsp_obs::{Event, EventSink, RingSink, StallCause, Stamped};
+use rsp_obs::{Event, RingSink, StallCause, Stamped};
 
 /// A `u64` of uniformly drawn bit length (0..=64), so every decimal
 /// width from one digit to twenty shows up, plus the extremes.

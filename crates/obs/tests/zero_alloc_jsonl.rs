@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rsp_isa::units::UnitType;
-use rsp_obs::{Event, EventSink, RingSink, StallCause, Stamped, MAX_CANDIDATES};
+use rsp_obs::{Event, RingSink, StallCause, Stamped, MAX_CANDIDATES};
 
 /// Counts every allocation and reallocation routed through the global
 /// allocator, per thread: the test harness allocates on its own threads

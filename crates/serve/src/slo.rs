@@ -1,6 +1,6 @@
 //! Per-tenant SLO metrics and the `Metrics` wire frame (DESIGN.md §15).
 //!
-//! [`SloRegistry`] keeps one fixed-size [`TenantSlo`] slab per admitted
+//! [`SloRegistry`] keeps one fixed-size `TenantSlo` slab per admitted
 //! tenant plus an aggregate slab, following the `rsp-obs`
 //! `MetricsRegistry` discipline: recording a sample is a couple of
 //! array writes — never an allocation, never a hash lookup — so every

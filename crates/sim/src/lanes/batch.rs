@@ -24,9 +24,9 @@
 //! checks, overlap destruction, load countdowns) and the fault tick
 //! (keyed upset strikes, scrub passes) run in the same pass, so a
 //! lane's `ConfigChoice`/CEM/steering trace is bit-identical to the
-//! scalar [`crate::Machine`] driven by the same per-cycle demand and
-//! busy stimulus — `tests/lanes_differential.rs` proves this per
-//! cycle, per lane, against recorded scalar runs.
+//! scalar [`crate::processor::Machine`] driven by the same per-cycle
+//! demand and busy stimulus — `tests/lanes_differential.rs` proves this
+//! per cycle, per lane, against recorded scalar runs.
 //!
 //! What stays scalar: the per-lane fault *schedule* (one keyed hash
 //! draw per lane per cycle, only when `upset_ppm > 0`) and the rare
@@ -77,10 +77,10 @@ const STREAK_BITS: usize = 8;
 const ACC_BITS: usize = 12;
 /// Fraction bits of the EWMA demand filter (`DemandFilter::FRAC_BITS`).
 const FRAC_BITS: usize = 8;
-/// Capacity-hysteresis threshold of the fault-aware view
-/// (`rsp_core::policy::DEFAULT_CAPACITY_HYSTERESIS`): streaks are
-/// compared against 32, which in planes is "any of bits 5..=7 set".
-const HYSTERESIS: u32 = 32;
+/// Capacity-hysteresis threshold of the fault-aware view, shared with
+/// the scalar policy: streaks are compared against 32, which in planes
+/// is "any of bits 5..=7 set".
+const HYSTERESIS: u32 = rsp_core::policy::DEFAULT_CAPACITY_HYSTERESIS;
 // The streak comparator below hard-wires bits 5..=7; keep it honest.
 const _: () = assert!(HYSTERESIS == 32);
 
@@ -152,10 +152,10 @@ impl LaneParams {
     /// Lower a [`SimConfig`] into lane-kernel parameters, or explain
     /// why the configuration is outside the bit-sliced subset.
     ///
-    /// Rejected (with the scalar [`crate::Machine`] as the fallback):
-    /// `DemandDriven` (floating-point greedy search, not a circuit),
-    /// the `ExactDivider` CEM ablation (a real divider), fabrics with
-    /// more than one reconfiguration port, queue sizes beyond the
+    /// Rejected (with the scalar [`crate::processor::Machine`] as the
+    /// fallback): `DemandDriven` (floating-point greedy search, not a
+    /// circuit), the `ExactDivider` CEM ablation (a real divider), fabrics
+    /// with more than one reconfiguration port, queue sizes beyond the
     /// 3-bit encoder width, and fault models with load failures or
     /// dead slots (boot-static re-placement is a per-machine search).
     pub fn from_config(cfg: &SimConfig) -> Result<LaneParams, String> {
@@ -472,8 +472,9 @@ fn group_store<const N: usize>(
 impl LaneBatch {
     /// Build a batch of `lanes` machines (a positive multiple of 64)
     /// from a lane-steppable configuration. Every lane starts in the
-    /// reset state of the scalar [`crate::Machine`]: `initial_config`
-    /// loaded instantly, no load in flight, no faults accumulated.
+    /// reset state of the scalar [`crate::processor::Machine`]:
+    /// `initial_config` loaded instantly, no load in flight, no faults
+    /// accumulated.
     // `is_multiple_of` needs Rust 1.87; the workspace MSRV is 1.82.
     #[allow(unknown_lints, clippy::manual_is_multiple_of)]
     pub fn new(cfg: &SimConfig, lanes: usize) -> Result<LaneBatch, String> {

@@ -14,7 +14,7 @@
 //!
 //! Pipeline per step (one cycle for all lanes, per 64-lane word):
 //!
-//! 1. **decode** ([`plane`], [`stimulus`]) — queue-entry type codes
+//! 1. **decode** ([`plane`], [`LaneStimulus`]) — queue-entry type codes
 //!    become per-type demand bit-planes;
 //! 2. **count** — bit-sliced saturating requirement counters
 //!    (ripple-carry over `u64` columns), optionally EWMA-smoothed;

@@ -36,7 +36,7 @@ use rsp_core::cem::CemUnit;
 use rsp_core::loader::LoaderStats;
 use rsp_core::policy::{DemandDriven, PaperSteering, PolicyOutcome, StaticPolicy, SteeringPolicy};
 use rsp_core::select::{ConfigChoice, SelectionUnit};
-use rsp_core::smooth::SmoothedSteering;
+use rsp_core::smooth::DemandFilter;
 use rsp_fabric::alloc::PlacedUnit;
 use rsp_fabric::fabric::{Fabric, UnitId};
 use rsp_fabric::fault::FaultEvent;
@@ -71,15 +71,14 @@ impl std::error::Error for RunError {}
 
 /// The steering policy instance driving one run.
 #[derive(Debug, Clone)]
-pub enum PolicyInstance {
-    /// The paper's mechanism.
-    Paper(PaperSteering),
+enum PolicyInstance {
+    /// The paper's mechanism, with or without E11's demand filter (boxed:
+    /// it is far larger than the other variants).
+    Paper(Box<PaperSteering>),
     /// Never reconfigure.
     Static(StaticPolicy),
     /// Greedy demand-driven steering (§5 future work / oracle).
     Demand(DemandDriven),
-    /// The paper's mechanism behind an EWMA demand filter (E11).
-    Smoothed(SmoothedSteering),
 }
 
 impl PolicyInstance {
@@ -99,7 +98,7 @@ impl PolicyInstance {
                 let mut p = PaperSteering::new(unit, cfg.steering_set.clone());
                 p.loader.partial = partial;
                 p.loader.fault_aware = fault_aware;
-                PolicyInstance::Paper(p)
+                PolicyInstance::Paper(Box::new(p))
             }
             PolicyKind::Static => {
                 let label = cfg
@@ -110,9 +109,9 @@ impl PolicyInstance {
             }
             PolicyKind::DemandDriven => PolicyInstance::Demand(DemandDriven::default()),
             PolicyKind::PaperSmoothed { shift } => {
-                let mut s = SmoothedSteering::paper_default(shift);
-                s.inner.loader = rsp_core::ConfigurationLoader::new(cfg.steering_set.clone());
-                PolicyInstance::Smoothed(s)
+                let mut p = PaperSteering::new(SelectionUnit::PAPER, cfg.steering_set.clone());
+                p.smoothing = Some(DemandFilter::new(shift));
+                PolicyInstance::Paper(Box::new(p))
             }
         }
     }
@@ -127,7 +126,6 @@ impl PolicyInstance {
             PolicyInstance::Paper(p) => p.tick_observed(demand, fabric, obs),
             PolicyInstance::Static(p) => p.tick_observed(demand, fabric, obs),
             PolicyInstance::Demand(p) => p.tick_observed(demand, fabric, obs),
-            PolicyInstance::Smoothed(p) => p.tick_observed(demand, fabric, obs),
         }
     }
 
@@ -136,15 +134,13 @@ impl PolicyInstance {
             PolicyInstance::Paper(p) => p.name(),
             PolicyInstance::Static(p) => p.name(),
             PolicyInstance::Demand(p) => p.name(),
-            PolicyInstance::Smoothed(p) => p.name(),
         }
     }
 
     /// Loader counters, for paper-policy runs.
-    pub fn loader_stats(&self) -> Option<&LoaderStats> {
+    fn loader_stats(&self) -> Option<&LoaderStats> {
         match self {
             PolicyInstance::Paper(p) => Some(p.loader.stats()),
-            PolicyInstance::Smoothed(p) => Some(p.inner.loader.stats()),
             _ => None,
         }
     }
@@ -420,11 +416,6 @@ impl Machine {
     /// first step).
     pub fn mem_mut(&mut self) -> &mut DataMemory {
         &mut self.mem
-    }
-
-    /// The steering policy instance.
-    pub fn policy(&self) -> &PolicyInstance {
-        &self.policy
     }
 
     /// Install a telemetry bus ([`Telemetry::counting`] or
@@ -926,10 +917,7 @@ impl Machine {
     }
 
     fn stage_steer(&mut self) {
-        let demand = match self.cfg.demand_mode {
-            DemandMode::Ready => self.wakeup.demand_ready(),
-            DemandMode::Unscheduled => self.wakeup.demand_unscheduled(),
-        };
+        let demand = self.current_demand();
         // Snapshot the busy mask *before* the policy runs: busy bits only
         // change in complete/issue (both precede steer) and in the fabric
         // tick (the last stage), so this one snapshot is what both the

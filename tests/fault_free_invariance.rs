@@ -126,3 +126,26 @@ fn fault_aware_knob_is_inert_without_faults() {
         );
     }
 }
+
+#[test]
+fn ewma_shift_zero_is_the_paper_policy() {
+    let smoothed_cfg = SimConfig {
+        policy: PolicyKind::PaperSmoothed { shift: 0 },
+        ..SimConfig::default()
+    };
+    for (_, p) in corpus() {
+        let plain = run(SimConfig::default(), FaultParams::default(), &p);
+        let smoothed = run(smoothed_cfg.clone(), FaultParams::default(), &p);
+        assert_eq!(plain.cycles, smoothed.cycles, "[{}] cycles", p.name);
+        assert_eq!(plain.retired, smoothed.retired, "[{}] retired", p.name);
+        assert_eq!(plain.fabric, smoothed.fabric, "[{}] fabric stats", p.name);
+        assert_eq!(plain.loader, smoothed.loader, "[{}] loader stats", p.name);
+        assert_eq!(plain.faults, smoothed.faults, "[{}] fault stats", p.name);
+        assert_eq!(
+            smoothed.policy,
+            format!("{}+ewma0", plain.policy),
+            "[{}] names differ only by the filter",
+            p.name
+        );
+    }
+}
