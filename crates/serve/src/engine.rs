@@ -28,7 +28,9 @@
 //! `serve-saturation` harness assert byte identity. Nor does it depend
 //! on threads: a tick steps its scalar tenants' machines on scoped
 //! worker threads, then makes every shared write serially in visit
-//! order (DESIGN.md §14), so the worker count never changes output.
+//! order (DESIGN.md §14), so the worker count never changes output. A
+//! sharded fleet runs the same three tick phases — serial prepare, step
+//! phase, serial finish — with one step phase for all its shards.
 
 use crate::route::TenantRouter;
 use crate::scheduler::{LoadSnapshot, ShedReason, SpecNote, WatermarkScheduler};
@@ -58,7 +60,9 @@ pub const LANES_PER_GROUP: usize = 64;
 /// 4096 cycles), about 1 ms of stepping at the scalar machine's
 /// ~4.1 M cycles/s. That pays for a scoped spawn and join many times
 /// over, while an open-loop tick with 1–3 tenants stays inline and its
-/// latency never waits on a spawn.
+/// latency never waits on a spawn. In a [`ShardedEngine`](crate::ShardedEngine)
+/// the threshold applies to the total grants of the whole fleet, whose
+/// shards share one step phase, not to each shard's.
 const FAN_OUT_MIN_CYCLES: u64 = 16 * 256;
 
 /// Engine construction parameters.
@@ -314,51 +318,96 @@ fn drr_grant(deficit: &mut u64, credit: u64, burst: u64) -> u64 {
     grant
 }
 
-/// The step phase for one run of scalar tenants: step each tenant up to
-/// its entry in `quanta`, then overwrite the entry with the cycles it
-/// actually stepped. It touches nothing but the tenants' own machines —
-/// the zero-alloc hot loop — so any thread may run it.
-fn step_quanta(tenants: &mut [ScalarTenant], quanta: &mut [u64]) {
-    for (s, q) in tenants.iter_mut().zip(quanta.iter_mut()) {
-        let mut stepped = 0;
-        while stepped < *q && !s.machine.finished() && s.machine.cycle() < s.budget {
-            s.machine.step();
-            stepped += 1;
+/// A run of scalar tenants lent to the step phase, with their grants:
+/// one engine's whole `scalars` list, or a piece of one cut at a chunk
+/// boundary. `quanta[i]` is `tenants[i]`'s grant in cycles.
+#[derive(Default)]
+pub(crate) struct StepRun<'a> {
+    tenants: &'a mut [ScalarTenant],
+    quanta: &'a mut [u64],
+}
+
+impl<'a> StepRun<'a> {
+    /// Step each tenant up to its grant, then overwrite the grant with
+    /// the cycles it actually stepped. It touches nothing but the
+    /// tenants' own machines — the zero-alloc hot loop — so any thread
+    /// may run it.
+    fn step(&mut self) {
+        for (s, q) in self.tenants.iter_mut().zip(self.quanta.iter_mut()) {
+            let mut stepped = 0;
+            while stepped < *q && !s.machine.finished() && s.machine.cycle() < s.budget {
+                s.machine.step();
+                stepped += 1;
+            }
+            *q = stepped;
         }
-        *q = stepped;
+    }
+
+    /// Cut off the first `n` tenants, leaving the rest in `self`.
+    fn split_off_head(&mut self, n: usize) -> StepRun<'a> {
+        let (tenants, tail_t) = std::mem::take(&mut self.tenants).split_at_mut(n);
+        let (quanta, tail_q) = std::mem::take(&mut self.quanta).split_at_mut(n);
+        (self.tenants, self.quanta) = (tail_t, tail_q);
+        StepRun { tenants, quanta }
     }
 }
 
-/// [`step_quanta`] over all of `tenants` on up to `workers` threads, the
-/// caller's included, in contiguous chunks balanced by granted cycles.
-/// Steps inline when one worker is available or the tick's grants total
-/// less than [`FAN_OUT_MIN_CYCLES`].
-fn step_fan_out(mut tenants: &mut [ScalarTenant], mut quanta: &mut [u64], workers: usize) {
+/// The step phase: [`StepRun::step`] over every run on up to `workers`
+/// threads, the caller's included, in contiguous chunks balanced by
+/// granted cycles. A chunk may span runs, so a fleet's shards share one
+/// fan-out. Steps inline when one worker is available or the runs'
+/// grants total less than [`FAN_OUT_MIN_CYCLES`].
+pub(crate) fn step_fan_out(runs: &mut [StepRun<'_>], workers: usize) {
     // `u128`: grants are budget-clamped, and budgets may be near `u64::MAX`.
-    let total: u128 = quanta.iter().map(|&q| u128::from(q)).sum();
-    let workers = workers.min(tenants.len());
+    let total: u128 = runs
+        .iter()
+        .flat_map(|r| r.quanta.iter())
+        .map(|&q| u128::from(q))
+        .sum();
+    let workers = workers.min(runs.iter().map(|r| r.tenants.len()).sum());
     if workers <= 1 || total < u128::from(FAN_OUT_MIN_CYCLES) {
-        return step_quanta(tenants, quanta);
+        return runs.iter_mut().for_each(StepRun::step);
     }
-    std::thread::scope(|scope| {
-        // Chunk `w` ends once the cycles handed out reach `w / workers`
-        // of the total; the caller steps whatever is left.
-        let mut handed = 0;
-        for w in 1..workers {
-            let target = total * w as u128 / workers as u128;
+    // Cut the runs into pieces: chunk `w` ends once the cycles handed
+    // out reach `w / workers` of the total, and `ends[w - 1]` counts the
+    // pieces of chunks 0..w. The last chunk takes whatever is left.
+    let mut pieces = Vec::with_capacity(runs.len() + workers);
+    let mut ends = Vec::with_capacity(workers);
+    let mut handed = 0;
+    for run in runs.iter_mut() {
+        let mut rest = std::mem::take(run);
+        while ends.len() + 1 < workers {
+            let target = total * (ends.len() + 1) as u128 / workers as u128;
             let mut n = 0;
-            while n < quanta.len() && handed < target {
-                handed += u128::from(quanta[n]);
+            while n < rest.quanta.len() && handed < target {
+                handed += u128::from(rest.quanta[n]);
                 n += 1;
             }
-            let (head_t, tail_t) = std::mem::take(&mut tenants).split_at_mut(n);
-            let (head_q, tail_q) = std::mem::take(&mut quanta).split_at_mut(n);
-            (tenants, quanta) = (tail_t, tail_q);
+            if n == rest.tenants.len() {
+                break;
+            }
             if n > 0 {
-                scope.spawn(move || step_quanta(head_t, head_q));
+                pieces.push(rest.split_off_head(n));
+            }
+            ends.push(pieces.len());
+        }
+        if !rest.tenants.is_empty() {
+            pieces.push(rest);
+        }
+    }
+    std::thread::scope(|scope| {
+        // Workers only borrow their pieces: the step loop is all they
+        // run, so they allocate nothing (`zero_alloc_step_workers`).
+        let mut rest = &mut pieces[..];
+        let mut start = 0;
+        for end in ends {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            (rest, start) = (tail, end);
+            if !chunk.is_empty() {
+                scope.spawn(move || chunk.iter_mut().for_each(StepRun::step));
             }
         }
-        step_quanta(tenants, quanta);
+        rest.iter_mut().for_each(StepRun::step);
     });
 }
 
@@ -426,7 +475,8 @@ impl ServeEngine {
     /// Override the step phase's worker-thread count (default: the
     /// host's available parallelism, read once at construction). No
     /// output of the engine depends on it — `tick_parallel_determinism`
-    /// pins that across counts.
+    /// pins that across counts. A fleet's shards step under the fleet's
+    /// count instead ([`ShardedEngine::set_step_workers`](crate::ShardedEngine::set_step_workers)).
     pub fn set_step_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -577,10 +627,25 @@ impl ServeEngine {
         }
     }
 
-    /// One engine tick: activate queued tenants up to the scheduler's
-    /// ceiling, form due lane groups, then step every active tenant
-    /// its deficit-round-robin grant.
+    /// One engine tick: the three phases a fleet tick runs over every
+    /// shard ([`ShardedEngine::tick`](crate::ShardedEngine::tick)) — a
+    /// serial prepare (activation, lane-group formation, grants), the
+    /// step phase over this engine's scalar tenants, and a serial finish
+    /// (bookkeeping, lane groups, the SLO tick's close).
     pub fn tick(&mut self) {
+        self.prepare_tick();
+        let workers = self.workers;
+        step_fan_out(&mut [self.step_run()], workers);
+        self.finish_tick();
+    }
+
+    /// The serial first phase of a tick: activate queued tenants up to
+    /// the scheduler's ceiling, form due lane groups, and take every
+    /// scalar tenant's deficit-round-robin grant into `quanta`. Grants
+    /// are per-tenant state, so the order they are taken in does not
+    /// matter; clamping to the budget left only sharpens the step
+    /// phase's chunk balance (stepping stops there anyway).
+    pub(crate) fn prepare_tick(&mut self) {
         self.tick += 1;
         self.stats.ticks += 1;
         let n = self.scheduler.activations(&self.load());
@@ -591,7 +656,36 @@ impl ServeEngine {
             self.activate(q);
         }
         self.form_groups();
-        self.step_scalars();
+        let ServeEngine {
+            scheduler,
+            scalars,
+            quanta,
+            ..
+        } = self;
+        let burst = scheduler.burst();
+        quanta.clear();
+        quanta.extend(scalars.iter_mut().map(|s| {
+            let grant = drr_grant(&mut s.deficit, scheduler.credit(s.weight), burst);
+            grant.min(s.budget.saturating_sub(s.machine.cycle()))
+        }));
+    }
+
+    /// The scalar tenants and their grants, lent to the step phase
+    /// ([`step_fan_out`]) between [`prepare_tick`](Self::prepare_tick)
+    /// and [`finish_tick`](Self::finish_tick).
+    pub(crate) fn step_run(&mut self) -> StepRun<'_> {
+        StepRun {
+            tenants: &mut self.scalars,
+            quanta: &mut self.quanta,
+        }
+    }
+
+    /// The serial last phase of a tick: the scalar bookkeeping in visit
+    /// order, then the lane groups' stepping (their per-cycle telemetry
+    /// lines allocate, so it stays off the step phase), then the SLO
+    /// tick's close.
+    pub(crate) fn finish_tick(&mut self) {
+        self.record_scalar_steps();
         self.step_groups();
         self.slo.end_tick();
     }
@@ -650,17 +744,16 @@ impl ServeEngine {
         }
     }
 
-    /// Step every scalar tenant its grant: a step phase that may fan out
-    /// to worker threads (each tenant's machine is independent), then
-    /// serial bookkeeping in visit order (DESIGN.md §14).
-    fn step_scalars(&mut self) {
+    /// Record what the step phase did, serially in visit order
+    /// (DESIGN.md §14): stats, SLO quanta, flight entries and statuses
+    /// for every scalar tenant, then completion for the finished ones —
+    /// telemetry, machine release and replay audit.
+    fn record_scalar_steps(&mut self) {
         let tick = self.tick;
         let mut audits: Vec<(u64, TenantRequest)> = Vec::new();
         let ServeEngine {
-            scheduler,
             scalars,
             quanta,
-            workers,
             stats,
             statuses,
             router,
@@ -669,16 +762,6 @@ impl ServeEngine {
             flight,
             ..
         } = self;
-        // Grants are per-tenant state, so the order they are taken in
-        // does not matter; clamping to the budget left only sharpens
-        // the chunk balance (stepping stops there anyway).
-        let burst = scheduler.burst();
-        quanta.clear();
-        quanta.extend(scalars.iter_mut().map(|s| {
-            let grant = drr_grant(&mut s.deficit, scheduler.credit(s.weight), burst);
-            grant.min(s.budget.saturating_sub(s.machine.cycle()))
-        }));
-        step_fan_out(scalars, quanta, *workers);
         let mut i = 0;
         while i < scalars.len() {
             let s = &scalars[i];

@@ -23,11 +23,15 @@
 //! the merged aggregate equals the sum of all tenant slabs — the SLO
 //! invariant survives sharding with no reconciliation step.
 //!
-//! Threads: [`ShardedEngine::tick`] ticks the shards one after another,
-//! but each shard is a [`ServeEngine`], so each fans its own scalar
-//! step phase out over worker threads (DESIGN.md §14). A thread per
-//! shard was measured and left out: it grew peak RSS through glibc's
-//! per-thread malloc arenas.
+//! Threads: [`ShardedEngine::tick`] runs a [`ServeEngine`] tick's three
+//! phases across the fleet (DESIGN.md §14, §16): every shard's serial
+//! prepare in shard order, then **one** step phase that fans all
+//! shards' scalar tenants out over worker threads, then every shard's
+//! serial finish in shard order. Shards share no state, so each sees
+//! the same sequence of operations as when ticked alone, and the fan-out
+//! balances and gates on the fleet's total grants rather than each
+//! shard's. A thread per shard was measured and left out: it grew peak
+//! RSS through glibc's per-thread malloc arenas.
 //!
 //! The server runs a `ShardedEngine` at every shard count. One shard
 //! is a plain [`ServeEngine`] behind the id table: sheds burn no id,
@@ -38,11 +42,12 @@
 //! from 0, so with more than one shard, shard *i* writes into
 //! `<flight_dir>/shard-<i>` and no dump overwrites another's.
 
-use crate::engine::{EngineConfig, EngineStats, ServeEngine};
+use crate::engine::{step_fan_out, EngineConfig, EngineStats, ServeEngine};
 use crate::scheduler::{ShedReason, WatermarkScheduler};
 use crate::slo::MetricsFrame;
 use crate::tenant::{tenant_key, TenantRequest, TenantStatus};
 use rsp_obs::{stable_key_hash, HistogramSnapshot, MetricsSnapshot, TriggerKind};
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 /// The shard that owns tenant `global_id` in a fleet of `shards`.
@@ -168,11 +173,14 @@ pub fn merge_frames(
 
 /// A sharded fleet: `N` engines ticked in lockstep, with tenant
 /// affinity by [`shard_of`] and merged read-side views (see module
-/// docs). It ticks its shards serially on the calling thread, each
-/// fanning out inside its own tick; the server and the determinism
+/// docs). Its tick runs the shards' serial phases on the calling thread
+/// around one fleet-wide step phase; the server and the determinism
 /// tests both drive it.
 pub struct ShardedEngine {
     shards: Vec<ServeEngine>,
+    /// Step-phase worker threads, the caller's included (see
+    /// [`ServeEngine::set_step_workers`]).
+    workers: usize,
     /// Global id → (shard, local id), dense in admission order.
     routes: Vec<(usize, u64)>,
     /// `globals[shard][local]` → global id (the reverse of `routes`).
@@ -197,9 +205,18 @@ impl ShardedEngine {
                     ServeEngine::new(cfg, scheduler)
                 })
                 .collect(),
+            workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             routes: Vec::new(),
             globals: vec![Vec::new(); n],
         }
+    }
+
+    /// Override the fleet step phase's worker-thread count (default:
+    /// the host's available parallelism, read once at construction). No
+    /// output of the fleet depends on it — `tick_parallel_determinism`
+    /// pins that across counts.
+    pub fn set_step_workers(&mut self, workers: usize) {
+        self.workers = workers.max(1);
     }
 
     /// Submit a tenant to its affinity shard; the returned id is
@@ -214,11 +231,19 @@ impl ShardedEngine {
         Ok(global)
     }
 
-    /// One lockstep tick of every shard, in shard order. Each shard's
-    /// tick fans its own step phase out ([`ServeEngine::tick`]).
+    /// One lockstep tick of every shard: each shard's serial prepare in
+    /// shard order, one step phase over every shard's scalar tenants,
+    /// then each shard's serial finish in shard order — the phases of
+    /// [`ServeEngine::tick`], with the fan-out threshold and chunk
+    /// balance taken over the whole fleet's grants.
     pub fn tick(&mut self) {
         for s in &mut self.shards {
-            s.tick();
+            s.prepare_tick();
+        }
+        let mut runs: Vec<_> = self.shards.iter_mut().map(ServeEngine::step_run).collect();
+        step_fan_out(&mut runs, self.workers);
+        for s in &mut self.shards {
+            s.finish_tick();
         }
     }
 

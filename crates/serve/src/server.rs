@@ -42,9 +42,12 @@ pub struct ServerConfig {
     /// Admission watermarks and weighted-fair pacing (`max_weight` 1 =
     /// flat round-robin), applied per shard.
     pub scheduler: WatermarkScheduler,
-    /// Engine shards, ticked in lockstep on the engine thread; each
-    /// owns a full machine pool and scheduler, and tenants are pinned
-    /// by affinity hash. 0 is treated as 1.
+    /// Engine shards, ticked in lockstep on the engine thread: each
+    /// shard's serial tick phases run in shard order around one step
+    /// phase that fans every shard's scalar tenants out over worker
+    /// threads together. Each shard owns a full machine pool and
+    /// scheduler, and tenants are pinned by affinity hash. 0 is treated
+    /// as 1.
     pub shards: usize,
     /// Engine idle-poll interval (how long the engine thread waits for
     /// commands when nothing is running).
@@ -314,7 +317,9 @@ fn read_frame_interruptible(
 
 /// Fill `buf`, retrying on timeout until shutdown. Returns false on a
 /// clean stop (EOF before any byte when `eof_ok`, or shutdown at a
-/// frame boundary with nothing read).
+/// frame boundary with nothing read). Shutdown inside a frame is an
+/// error: a peer that sent part of a frame and stalled must not hold
+/// the server's shutdown, which joins every connection thread.
 fn read_n(
     stream: &mut ConnStream,
     buf: &mut [u8],
@@ -335,8 +340,14 @@ fn read_n(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if got == 0 && shutdown.load(Ordering::SeqCst) {
-                    return Ok(false);
+                if shutdown.load(Ordering::SeqCst) {
+                    if got == 0 && eof_ok {
+                        return Ok(false);
+                    }
+                    return Err(io::Error::new(
+                        io::ErrorKind::ConnectionAborted,
+                        "shutdown inside frame",
+                    ));
                 }
             }
             Err(e) => return Err(e),

@@ -2,7 +2,8 @@
 //! tenants through the wire on one and two shards, clean shutdown,
 //! replay bit-identity across the transport boundary, telemetry export
 //! under fleet-global ids, the SLO metrics frame and its Prometheus
-//! exposition, and flight-recorder dumps on a shed storm.
+//! exposition, flight-recorder dumps on a shed storm, and clients that
+//! stall inside a frame.
 
 use rsp_obs::{parse_fleet_jsonl, FleetEvent, PromDump, TriggerKind};
 use rsp_serve::{
@@ -11,6 +12,7 @@ use rsp_serve::{
 };
 use rsp_sim::SimConfig;
 use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 fn scalar_req(i: u64) -> TenantRequest {
@@ -322,4 +324,60 @@ fn saturated_server_sheds_with_reasons_over_the_wire() {
     assert_eq!(stats.admitted, ok);
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
+}
+
+/// Clients that write part of a frame and then stall, socket open, must
+/// hold up nothing: one engine thread serves every shard, so another
+/// client's tenants still finish on time, and shutdown still completes
+/// while the torn frames are pending.
+#[test]
+fn stalled_half_frames_block_neither_service_nor_shutdown() {
+    let cfg = ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    // One client stalls inside a frame body (a header promising 64
+    // bytes, then 32), another inside the 4-byte header.
+    let mut mid_body = std::net::TcpStream::connect(&addr).unwrap();
+    mid_body.write_all(&64u32.to_be_bytes()).unwrap();
+    mid_body.write_all(&[b' '; 32]).unwrap();
+    let mut mid_header = std::net::TcpStream::connect(&addr).unwrap();
+    mid_header.write_all(&[0, 0]).unwrap();
+
+    let mut client = ServeClient::connect(&addr).unwrap();
+    let ids: Vec<u64> = (0..4u64)
+        .map(|i| client.submit(scalar_req(i)).unwrap().expect("admitted"))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for &id in &ids {
+        loop {
+            let s = client.status(id).unwrap().expect("known tenant");
+            if s.phase == TenantPhase::Done {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "tenant {id} did not finish in time"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    client.shutdown().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "shutdown hung on a client stalled inside a frame"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let stats = handle.join().unwrap().unwrap();
+    assert_eq!(stats.completed, 4);
+    assert_eq!(stats.shed_total(), 0);
+    drop((mid_body, mid_header));
 }
