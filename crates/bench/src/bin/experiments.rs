@@ -12,14 +12,15 @@
 //! experiments study list
 //! ```
 //!
-//! With `--cache-dir DIR`, every point result of a sweep-engine
-//! experiment (every id `sweep_runner` resolves; a misused sharding
-//! flag lists them) is a content-addressed object in a shared store
-//! (DESIGN.md §17): reruns, other shards, and other hosts sharing the
-//! store dedupe work, a killed run resumes by running again, and the run
-//! prints a `cache: …` summary line. `--code-version` overrides the
-//! version baked into every cache key (defaults to the crate version) —
-//! flip it to invalidate the store wholesale.
+//! Every id, listed or hidden, is a sweep on the engine (`sweep_runner`
+//! resolves them all; report-only experiments are one-point sweeps). With
+//! `--cache-dir DIR`, every point result is a content-addressed object in
+//! a shared store (DESIGN.md §17): reruns, other shards, and other hosts
+//! sharing the store dedupe work, a killed run resumes by running again,
+//! and the run prints a `cache: …` summary line. `--code-version`
+//! overrides the version baked into every cache key (defaults to the
+//! crate version plus a hash of the workspace sources) — flip it to
+//! invalidate the store wholesale.
 //!
 //! The store is where sweep rows are kept, so the sharding flags need
 //! `--cache-dir`: `--shard K/N` runs one shard of the grid into the
@@ -34,7 +35,7 @@
 use std::path::PathBuf;
 use std::process::exit;
 
-use rsp_bench::experiments::{run, studies, sweep_runner, ALL_IDS, HIDDEN_IDS};
+use rsp_bench::experiments::{studies, sweep_runner, ALL_IDS, HIDDEN_IDS};
 use rsp_bench::{CasStore, Executor, Shard, SweepConfig, SweepError, SweepRunner};
 
 struct Cli {
@@ -142,15 +143,6 @@ fn fail(e: SweepError) -> ! {
     exit(1);
 }
 
-/// Every id [`sweep_runner`] resolves: the sweep-engine experiments.
-fn sweep_ids() -> Vec<&'static str> {
-    ALL_IDS
-        .into_iter()
-        .chain(HIDDEN_IDS)
-        .filter(|id| sweep_runner(id).is_some())
-        .collect()
-}
-
 /// Drive one sweep per the CLI. Shard runs publish into the store and
 /// stop; `--merge` only merges from it; everything else runs and merges,
 /// printing the report.
@@ -191,12 +183,13 @@ fn open_store(cli: &Cli) -> CasStore {
     CasStore::open(dir).unwrap_or_else(|e| fail(e))
 }
 
-/// Every cache key any registered sweep or study can reach under the
-/// current code version — the `study gc` live set.
+/// Every cache key an experiment id (listed or hidden) or a study can
+/// reach under the current code version — the `study gc` live set.
 fn reachable_keys(cli: &Cli) -> std::collections::BTreeSet<String> {
     let store = open_store(cli);
     let mut live = std::collections::BTreeSet::new();
-    for sweep in sweep_ids().into_iter().filter_map(sweep_runner) {
+    let ids = ALL_IDS.into_iter().chain(HIDDEN_IDS);
+    for sweep in ids.filter_map(sweep_runner) {
         live.extend(sweep.point_hashes(&cli.cfg).unwrap_or_else(|e| fail(e)));
     }
     for id in studies::STUDY_IDS {
@@ -212,7 +205,7 @@ fn drive_study(cli: &Cli) {
     let action = cli.positionals.get(1).map(String::as_str);
     let target = cli.positionals.get(2).map(String::as_str);
     if cli.sweep_flags_used {
-        eprintln!("--shard/--spawn/--merge apply to sweep ids, not 'study'");
+        eprintln!("--shard/--spawn/--merge apply to experiment ids, not 'study'");
         exit(2);
     }
     match (action, target) {
@@ -302,37 +295,20 @@ fn main() {
         Some("study") => drive_study(&cli),
         Some("all") => {
             if cli.sweep_flags_used {
-                eprintln!("--shard/--spawn/--merge apply to a single sweep id, not 'all'");
+                eprintln!("--shard/--spawn/--merge apply to a single experiment id, not 'all'");
                 exit(2);
             }
             for id in ALL_IDS.iter().filter(|&&i| i != "all") {
-                if let Some(sweep) = sweep_runner(id) {
-                    drive_sweep(sweep.as_ref(), &cli);
-                } else {
-                    let text = run(id).expect("known id");
-                    println!("{text}");
-                }
+                drive_sweep(sweep_runner(id).expect("listed id").as_ref(), &cli);
                 println!("{}", "=".repeat(78));
             }
         }
-        Some(id) => {
-            if let Some(sweep) = sweep_runner(id) {
-                drive_sweep(sweep.as_ref(), &cli);
-            } else if cli.sweep_flags_used {
-                eprintln!(
-                    "'{id}' is not a sweep experiment; --shard/--spawn/--merge need one of: {}",
-                    sweep_ids().join(", ")
-                );
+        Some(id) => match sweep_runner(id) {
+            Some(sweep) => drive_sweep(sweep.as_ref(), &cli),
+            None => {
+                eprintln!("unknown experiment '{id}'; try: experiments list");
                 exit(2);
-            } else {
-                match run(id) {
-                    Some(text) => println!("{text}"),
-                    None => {
-                        eprintln!("unknown experiment '{id}'; try: experiments list");
-                        exit(2);
-                    }
-                }
             }
-        }
+        },
     }
 }

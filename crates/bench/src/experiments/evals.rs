@@ -13,7 +13,7 @@ use rsp_workloads::{kernels, mixes, PhasedSpec, SynthSpec, UnitMix};
 
 use crate::harness::{paper_policy, pivot_rows, policies, run_one, PolicySpec, Row};
 use crate::scaled::scaled_paper_set;
-use crate::sweep::{run_grid, Sweep};
+use crate::sweep::Sweep;
 
 /// The standard workload battery: four synthetic mixes, one phased
 /// stream, and the kernel suite.
@@ -214,27 +214,30 @@ pub fn e2_partial() -> String {
         "p:loads",
         "f:loads"
     );
-    let points: Vec<(usize, Program)> = programs.into_iter().enumerate().collect();
-    let rows: Vec<String> = run_grid("e2_partial", &points, |(i, p)| {
-        let partial = run_one(
-            paper_policy(TieBreak::FavorCurrent, CemKind::BarrelShifter, true),
-            p,
-        );
-        let full = run_one(
-            paper_policy(TieBreak::FavorCurrent, CemKind::BarrelShifter, false),
-            p,
-        );
-        format!(
-            "{:<24} {:>14} {:>14} {:>12.3} {:>12.3} {:>10} {:>10}",
-            format!("phased(seed={i})"),
-            partial.fabric.slots_reloaded,
-            full.fabric.slots_reloaded,
-            partial.ipc(),
-            full.ipc(),
-            partial.fabric.loads_started,
-            full.fabric.loads_started
-        )
-    });
+    let rows: Vec<String> = programs
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let partial = run_one(
+                paper_policy(TieBreak::FavorCurrent, CemKind::BarrelShifter, true),
+                p,
+            );
+            let full = run_one(
+                paper_policy(TieBreak::FavorCurrent, CemKind::BarrelShifter, false),
+                p,
+            );
+            format!(
+                "{:<24} {:>14} {:>14} {:>12.3} {:>12.3} {:>10} {:>10}",
+                format!("phased(seed={i})"),
+                partial.fabric.slots_reloaded,
+                full.fabric.slots_reloaded,
+                partial.ipc(),
+                full.ipc(),
+                partial.fabric.loads_started,
+                full.fabric.loads_started
+            )
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }
@@ -309,31 +312,34 @@ pub fn e4_latency() -> String {
         "latency", "paper-steering", "demand-driven", "static:Config 1 (flat)"
     );
     let static_ref = run_one(SimConfig::static_on(0), &p).ipc();
-    let rows: Vec<String> = run_grid("e4_latency", &latencies, |&lat| {
-        let mk = |policy: PolicyKind| SimConfig {
-            policy,
-            fabric: FabricParams {
-                per_slot_load_latency: lat,
-                ..FabricParams::default()
-            },
-            ..SimConfig::default()
-        };
-        let paper = run_one(mk(PolicyKind::PAPER), &p);
-        let demand = run_one(
-            SimConfig {
-                initial_config: None,
-                ..mk(PolicyKind::DemandDriven)
-            },
-            &p,
-        );
-        format!(
-            "{:>8} {:>16.3} {:>16.3} {:>20.3}",
-            lat,
-            paper.ipc(),
-            demand.ipc(),
-            static_ref
-        )
-    });
+    let rows: Vec<String> = latencies
+        .iter()
+        .map(|&lat| {
+            let mk = |policy: PolicyKind| SimConfig {
+                policy,
+                fabric: FabricParams {
+                    per_slot_load_latency: lat,
+                    ..FabricParams::default()
+                },
+                ..SimConfig::default()
+            };
+            let paper = run_one(mk(PolicyKind::PAPER), &p);
+            let demand = run_one(
+                SimConfig {
+                    initial_config: None,
+                    ..mk(PolicyKind::DemandDriven)
+                },
+                &p,
+            );
+            format!(
+                "{:>8} {:>16.3} {:>16.3} {:>20.3}",
+                lat,
+                paper.ipc(),
+                demand.ipc(),
+                static_ref
+            )
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }
@@ -355,17 +361,20 @@ pub fn e5_divider() -> String {
         "{:<24} {:>14} {:>14}",
         "workload", "shifter:IPC", "exact:IPC"
     );
-    let rows: Vec<(String, f64, f64)> = run_grid("e5_divider", &programs, |p| {
-        let a = run_one(
-            paper_policy(TieBreak::FavorCurrent, CemKind::BarrelShifter, true),
-            p,
-        );
-        let b = run_one(
-            paper_policy(TieBreak::FavorCurrent, CemKind::ExactDivider, true),
-            p,
-        );
-        (p.name.clone(), a.ipc(), b.ipc())
-    });
+    let rows: Vec<(String, f64, f64)> = programs
+        .iter()
+        .map(|p| {
+            let a = run_one(
+                paper_policy(TieBreak::FavorCurrent, CemKind::BarrelShifter, true),
+                p,
+            );
+            let b = run_one(
+                paper_policy(TieBreak::FavorCurrent, CemKind::ExactDivider, true),
+                p,
+            );
+            (p.name.clone(), a.ipc(), b.ipc())
+        })
+        .collect();
     let mut max_gap = 0.0f64;
     for (name, a, b) in &rows {
         let _ = writeln!(s, "{:<24} {:>14.3} {:>14.3}", name, a, b);
@@ -431,24 +440,27 @@ pub fn e7_demand() -> String {
         "{:<24} {:>12} {:>12} {:>12} {:>12}",
         "workload", "paper:IPC", "demand:IPC", "paper:loads", "demand:loads"
     );
-    let rows: Vec<String> = run_grid("e7_demand", &programs, |p| {
-        let paper = run_one(SimConfig::default(), p);
-        let demand = run_one(
-            SimConfig {
-                policy: PolicyKind::DemandDriven,
-                ..SimConfig::default()
-            },
-            p,
-        );
-        format!(
-            "{:<24} {:>12.3} {:>12.3} {:>12} {:>12}",
-            p.name,
-            paper.ipc(),
-            demand.ipc(),
-            paper.fabric.loads_started,
-            demand.fabric.loads_started
-        )
-    });
+    let rows: Vec<String> = programs
+        .iter()
+        .map(|p| {
+            let paper = run_one(SimConfig::default(), p);
+            let demand = run_one(
+                SimConfig {
+                    policy: PolicyKind::DemandDriven,
+                    ..SimConfig::default()
+                },
+                p,
+            );
+            format!(
+                "{:<24} {:>12.3} {:>12.3} {:>12} {:>12}",
+                p.name,
+                paper.ipc(),
+                demand.ipc(),
+                paper.fabric.loads_started,
+                demand.fabric.loads_started
+            )
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }
@@ -471,19 +483,22 @@ pub fn e8_ffu() -> String {
     };
     cfg.fabric.per_slot_load_latency = 1_000_000_000; // never completes within budget
     let programs = workloads();
-    let rows: Vec<String> = run_grid("e8_ffu", &programs, |p| {
-        let floor = run_one(cfg.clone(), p);
-        assert!(floor.halted, "{} must halt on FFUs alone", p.name);
-        assert_eq!(floor.issued_rfu, 0);
-        let steer = run_one(SimConfig::default(), p);
-        format!(
-            "{:<24} {:>14.3} {:>14.3} {:>11.2}x",
-            p.name,
-            floor.ipc(),
-            steer.ipc(),
-            steer.ipc() / floor.ipc().max(1e-9)
-        )
-    });
+    let rows: Vec<String> = programs
+        .iter()
+        .map(|p| {
+            let floor = run_one(cfg.clone(), p);
+            assert!(floor.halted, "{} must halt on FFUs alone", p.name);
+            assert_eq!(floor.issued_rfu, 0);
+            let steer = run_one(SimConfig::default(), p);
+            format!(
+                "{:<24} {:>14.3} {:>14.3} {:>11.2}x",
+                p.name,
+                floor.ipc(),
+                steer.ipc(),
+                steer.ipc() / floor.ipc().max(1e-9)
+            )
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }
@@ -502,14 +517,17 @@ pub fn e9_scaling() -> String {
     let queue_sizes = [3usize, 5, 7, 11, 15, 23, 31];
     let _ = writeln!(s, "queue-depth sweep (8-slot fabric, paper steering):");
     let _ = writeln!(s, "{:>8} {:>10}", "queue", "IPC");
-    let rows: Vec<String> = run_grid("e9_queue", &queue_sizes, |&q| {
-        let cfg = SimConfig {
-            queue_size: q,
-            rob_size: q.max(32),
-            ..SimConfig::default()
-        };
-        format!("{:>8} {:>10.3}", q, run_one(cfg, &p).ipc())
-    });
+    let rows: Vec<String> = queue_sizes
+        .iter()
+        .map(|&q| {
+            let cfg = SimConfig {
+                queue_size: q,
+                rob_size: q.max(32),
+                ..SimConfig::default()
+            };
+            format!("{:>8} {:>10.3}", q, run_one(cfg, &p).ipc())
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }
@@ -524,24 +542,27 @@ pub fn e9_scaling() -> String {
         "{:>8} {:>10} {:>36}",
         "slots", "IPC", "scaled Config 3 counts"
     );
-    let rows: Vec<String> = run_grid("e9_slots", &slot_counts, |&n| {
-        let set = scaled_paper_set(n);
-        let c3 = set.predefined[2].counts;
-        let cfg = SimConfig {
-            steering_set: set,
-            fabric: FabricParams {
-                rfu_slots: n,
-                ..FabricParams::default()
-            },
-            ..SimConfig::default()
-        };
-        format!(
-            "{:>8} {:>10.3} {:>36}",
-            n,
-            run_one(cfg, &p).ipc(),
-            c3.to_string()
-        )
-    });
+    let rows: Vec<String> = slot_counts
+        .iter()
+        .map(|&n| {
+            let set = scaled_paper_set(n);
+            let c3 = set.predefined[2].counts;
+            let cfg = SimConfig {
+                steering_set: set,
+                fabric: FabricParams {
+                    rfu_slots: n,
+                    ..FabricParams::default()
+                },
+                ..SimConfig::default()
+            };
+            format!(
+                "{:>8} {:>10.3} {:>36}",
+                n,
+                run_one(cfg, &p).ipc(),
+                c3.to_string()
+            )
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }
@@ -566,22 +587,25 @@ pub fn e10_demand_mode() -> String {
         "{:<24} {:>12} {:>12} {:>14} {:>14}",
         "workload", "ready:IPC", "unsched:IPC", "ready:loads", "unsched:loads"
     );
-    let rows: Vec<String> = run_grid("e10_demand_mode", &programs, |p| {
-        let mk = |mode: DemandMode| SimConfig {
-            demand_mode: mode,
-            ..SimConfig::default()
-        };
-        let ready = run_one(mk(DemandMode::Ready), p);
-        let unsched = run_one(mk(DemandMode::Unscheduled), p);
-        format!(
-            "{:<24} {:>12.3} {:>12.3} {:>14} {:>14}",
-            p.name,
-            ready.ipc(),
-            unsched.ipc(),
-            ready.fabric.loads_started,
-            unsched.fabric.loads_started
-        )
-    });
+    let rows: Vec<String> = programs
+        .iter()
+        .map(|p| {
+            let mk = |mode: DemandMode| SimConfig {
+                demand_mode: mode,
+                ..SimConfig::default()
+            };
+            let ready = run_one(mk(DemandMode::Ready), p);
+            let unsched = run_one(mk(DemandMode::Unscheduled), p);
+            format!(
+                "{:<24} {:>12.3} {:>12.3} {:>14} {:>14}",
+                p.name,
+                ready.ipc(),
+                unsched.ipc(),
+                ready.fabric.loads_started,
+                unsched.fabric.loads_started
+            )
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }
@@ -609,26 +633,29 @@ pub fn e11_smoothing() -> String {
         let _ = write!(s, "{:>9}", format!("k={k}"));
     }
     let _ = writeln!(s, "{:>18}", "reloads k=0 / k=3");
-    let rows: Vec<String> = run_grid("e11_smoothing", &programs, |p| {
-        let mut line = format!("{:<24}", p.name);
-        let mut reloads = (0u64, 0u64);
-        for k in shifts {
-            let cfg = SimConfig {
-                policy: PolicyKind::PaperSmoothed { shift: k },
-                ..SimConfig::default()
-            };
-            let r = run_one(cfg, p);
-            if k == 0 {
-                reloads.0 = r.fabric.slots_reloaded;
+    let rows: Vec<String> = programs
+        .iter()
+        .map(|p| {
+            let mut line = format!("{:<24}", p.name);
+            let mut reloads = (0u64, 0u64);
+            for k in shifts {
+                let cfg = SimConfig {
+                    policy: PolicyKind::PaperSmoothed { shift: k },
+                    ..SimConfig::default()
+                };
+                let r = run_one(cfg, p);
+                if k == 0 {
+                    reloads.0 = r.fabric.slots_reloaded;
+                }
+                if k == 3 {
+                    reloads.1 = r.fabric.slots_reloaded;
+                }
+                line.push_str(&format!("{:>9.3}", r.ipc()));
             }
-            if k == 3 {
-                reloads.1 = r.fabric.slots_reloaded;
-            }
-            line.push_str(&format!("{:>9.3}", r.ipc()));
-        }
-        line.push_str(&format!("{:>12} / {}", reloads.0, reloads.1));
-        line
-    });
+            line.push_str(&format!("{:>12} / {}", reloads.0, reloads.1));
+            line
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }
@@ -653,24 +680,27 @@ pub fn e12_selectfree() -> String {
         let _ = write!(s, "{:>14}", format!("sf(p={p}):IPC"));
     }
     let _ = writeln!(s, "{:>16}", "collisions(p=2)");
-    let rows: Vec<String> = run_grid("e12_selectfree", &programs, |p| {
-        let base = run_one(SimConfig::default(), p);
-        let mut line = format!("{:<24} {:>12.3}", p.name, base.ipc());
-        let mut coll = 0;
-        for pen in penalties {
-            let cfg = SimConfig {
-                select_mode: SelectMode::SelectFree { penalty: pen },
-                ..SimConfig::default()
-            };
-            let r = run_one(cfg, p);
-            if pen == 2 {
-                coll = r.collisions;
+    let rows: Vec<String> = programs
+        .iter()
+        .map(|p| {
+            let base = run_one(SimConfig::default(), p);
+            let mut line = format!("{:<24} {:>12.3}", p.name, base.ipc());
+            let mut coll = 0;
+            for pen in penalties {
+                let cfg = SimConfig {
+                    select_mode: SelectMode::SelectFree { penalty: pen },
+                    ..SimConfig::default()
+                };
+                let r = run_one(cfg, p);
+                if pen == 2 {
+                    coll = r.collisions;
+                }
+                line.push_str(&format!("{:>14.3}", r.ipc()));
             }
-            line.push_str(&format!("{:>14.3}", r.ipc()));
-        }
-        line.push_str(&format!("{coll:>16}"));
-        line
-    });
+            line.push_str(&format!("{coll:>16}"));
+            line
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }
@@ -717,36 +747,39 @@ pub fn e14_predictor() -> String {
         "{:<24} {:>12} {:>12} {:>12} {:>12} {:>14}",
         "workload", "nt:IPC", "bimodal:IPC", "nt:flush", "bi:flush", "steer-gain(bi)"
     );
-    let rows: Vec<String> = run_grid("e14_predictor", &programs, |p| {
-        let nt = run_one(SimConfig::default(), p);
-        let bi_cfg = SimConfig {
-            branch_prediction: BranchPrediction::Bimodal { entries: 512 },
-            ..SimConfig::default()
-        };
-        let bi = run_one(bi_cfg.clone(), p);
-        // Steering's edge over the worst static, under bimodal.
-        let worst_static = (0..3)
-            .map(|i| {
-                run_one(
-                    SimConfig {
-                        branch_prediction: BranchPrediction::Bimodal { entries: 512 },
-                        ..SimConfig::static_on(i)
-                    },
-                    p,
-                )
-                .ipc()
-            })
-            .fold(f64::INFINITY, f64::min);
-        format!(
-            "{:<24} {:>12.3} {:>12.3} {:>12} {:>12} {:>13.2}x",
-            p.name,
-            nt.ipc(),
-            bi.ipc(),
-            nt.flushes,
-            bi.flushes,
-            bi.ipc() / worst_static.max(1e-9)
-        )
-    });
+    let rows: Vec<String> = programs
+        .iter()
+        .map(|p| {
+            let nt = run_one(SimConfig::default(), p);
+            let bi_cfg = SimConfig {
+                branch_prediction: BranchPrediction::Bimodal { entries: 512 },
+                ..SimConfig::default()
+            };
+            let bi = run_one(bi_cfg.clone(), p);
+            // Steering's edge over the worst static, under bimodal.
+            let worst_static = (0..3)
+                .map(|i| {
+                    run_one(
+                        SimConfig {
+                            branch_prediction: BranchPrediction::Bimodal { entries: 512 },
+                            ..SimConfig::static_on(i)
+                        },
+                        p,
+                    )
+                    .ipc()
+                })
+                .fold(f64::INFINITY, f64::min);
+            format!(
+                "{:<24} {:>12.3} {:>12.3} {:>12} {:>12} {:>13.2}x",
+                p.name,
+                nt.ipc(),
+                bi.ipc(),
+                nt.flushes,
+                bi.flushes,
+                bi.ipc() / worst_static.max(1e-9)
+            )
+        })
+        .collect();
     for r in rows {
         let _ = writeln!(s, "{r}");
     }

@@ -274,16 +274,17 @@ pub struct SweepConfig {
     /// disables caching: every point runs, and only a whole in-process
     /// run can merge.
     pub cache_dir: Option<PathBuf>,
-    /// Code version baked into every cache key. Defaults to the crate
-    /// version, so a release bump invalidates the whole store;
-    /// `--code-version` overrides it (CI uses this to pin invalidation
-    /// behavior).
+    /// Code version baked into every cache key. Defaults to
+    /// [`default_code_version`], so any source change invalidates the
+    /// whole store; `--code-version` overrides it (CI uses this to pin
+    /// invalidation behavior).
     pub code_version: String,
 }
 
-/// The default cache-key code version: this crate's version.
+/// The default cache-key code version: the crate version plus a hash of
+/// every workspace source file, taken at build time (`build.rs`).
 pub fn default_code_version() -> String {
-    env!("CARGO_PKG_VERSION").to_string()
+    env!("RSP_CODE_VERSION").to_string()
 }
 
 impl Default for SweepConfig {
@@ -639,27 +640,6 @@ pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) -> Result<Path
     Ok(path)
 }
 
-/// The light in-process path for experiments that want the fan-out and
-/// progress accounting but no store/artifact plumbing: run every point
-/// (rayon), preserving point order in the returned rows.
-pub fn run_grid<P, R>(name: &str, points: &[P], run: impl Fn(&P) -> R + Sync) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-{
-    let progress = SweepProgress::with_total(points.len() as u64);
-    let rows: Vec<R> = points
-        .par_iter()
-        .map(|p| {
-            let row = run(p);
-            progress.point_completed();
-            row
-        })
-        .collect();
-    debug_assert!(progress.snapshot().is_complete(), "{name}: grid incomplete");
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,11 +915,23 @@ mod tests {
         assert_eq!(stored, [true, true, true, false, false, false]);
     }
 
+    /// The default key follows the code, not the crate version: a store
+    /// filled under the old crate-version key (`0.10.0`, held there
+    /// while the code changed) answers no lookup from this build.
     #[test]
-    fn run_grid_preserves_point_order() {
-        let points: Vec<u32> = (0..20).collect();
-        let rows = run_grid("order", &points, |p| p * 2);
-        assert_eq!(rows, points.iter().map(|p| p * 2).collect::<Vec<_>>());
+    fn default_code_version_misses_a_store_keyed_by_the_crate_version() {
+        assert_ne!(default_code_version(), env!("CARGO_PKG_VERSION"));
+        let sweep = TestSweep { n: 6 };
+        let dir = fresh_dir("code-version");
+        let old = SweepConfig {
+            code_version: "0.10.0".into(),
+            ..stored_in(&dir)
+        };
+        let (filled, _) = sweep.run_and_merge(&old).unwrap();
+        assert_eq!(filled.cache.unwrap().misses, 6);
+        let (now, _) = sweep.run_and_merge(&stored_in(&dir)).unwrap();
+        let cache = now.cache.unwrap();
+        assert_eq!((cache.hits, cache.misses), (0, 6));
     }
 
     #[test]

@@ -94,13 +94,6 @@ fn experiments_usage_errors_exit_2() {
     let out = experiments(&["fault-sweep", "--shard", "nonsense"]);
     assert_eq!(out.status.code(), Some(2));
 
-    // Sharding flags demand a sweep experiment, and name every one.
-    let out = experiments(&["table1", "--shard", "0/2"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("not a sweep experiment"), "{stderr}");
-    assert!(stderr.contains("serve-sched"), "{stderr}");
-
     // No id → the id list, as a usage error.
     let out = experiments(&[]);
     assert_eq!(out.status.code(), Some(2));
@@ -110,12 +103,38 @@ fn experiments_usage_errors_exit_2() {
 
 #[test]
 fn experiments_sharding_flags_without_a_store_exit_2() {
-    for flags in [&["--merge"][..], &["--shard", "0/2"], &["--spawn", "2"]] {
-        let out = experiments(&[&["fault-sweep"], flags].concat());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
-        assert!(stderr.contains("--cache-dir"), "{flags:?}: {stderr}");
+    for id in ["fault-sweep", "table1"] {
+        for flags in [&["--merge"][..], &["--shard", "0/2"], &["--spawn", "2"]] {
+            let out = experiments(&[&[id], flags].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{id} {flags:?}: {stderr}");
+            assert!(stderr.contains("--cache-dir"), "{id} {flags:?}: {stderr}");
+        }
     }
+}
+
+/// Every id is a sweep: a report-only experiment shards over a store
+/// and merges to exactly the output of a plain run.
+#[test]
+fn report_id_shards_and_merges_to_the_plain_output() {
+    let dir = scratch("report-shards");
+    let cas = dir.join("cas");
+    let with_store = |flags: &[&str]| {
+        let out = experiments(&[&["table1", "--cache-dir", cas.to_str().unwrap()], flags].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{flags:?}: {stderr}");
+        out.stdout
+    };
+    with_store(&["--shard", "0/2"]);
+    with_store(&["--shard", "1/2"]);
+    let merged = with_store(&["--merge"]);
+    let plain = experiments(&["table1"]);
+    assert_eq!(plain.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&merged),
+        String::from_utf8_lossy(&plain.stdout)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

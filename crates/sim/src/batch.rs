@@ -30,7 +30,6 @@ use crate::config::SimConfig;
 use crate::processor::{Machine, RunError};
 use crate::stats::SimReport;
 use rsp_isa::Program;
-use serde::{Deserialize, Serialize};
 
 /// Drives many programs through one reused [`Machine`].
 #[derive(Debug, Clone)]
@@ -72,60 +71,6 @@ impl BatchRunner {
     }
 }
 
-/// Aggregate counters from a [`run_batch`] sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchSummary {
-    /// Programs run.
-    pub runs: u64,
-    /// Total simulated cycles across all runs.
-    pub sim_cycles: u64,
-    /// Total instructions retired across all runs.
-    pub retired: u64,
-    /// True iff every program halted within its cycle budget
-    /// (vacuously true for an empty summary).
-    pub all_halted: bool,
-}
-
-impl Default for BatchSummary {
-    /// The empty summary: zero runs, and `all_halted` vacuously *true*
-    /// so that `absorb` computes "every absorbed run halted" regardless
-    /// of how the summary was built.
-    fn default() -> BatchSummary {
-        BatchSummary {
-            runs: 0,
-            sim_cycles: 0,
-            retired: 0,
-            all_halted: true,
-        }
-    }
-}
-
-impl BatchSummary {
-    /// Fold one run's report into the aggregate.
-    pub fn absorb(&mut self, report: &SimReport) {
-        self.runs += 1;
-        self.sim_cycles += report.cycles;
-        self.retired += report.retired;
-        self.all_halted &= report.halted;
-    }
-}
-
-/// Run every program on one reused machine with a per-program cycle
-/// budget, returning aggregate counters.
-pub fn run_batch(
-    cfg: &SimConfig,
-    programs: &[Program],
-    max_cycles: u64,
-) -> Result<BatchSummary, RunError> {
-    let mut runner = BatchRunner::new(cfg.clone())?;
-    let mut sum = BatchSummary::default();
-    for p in programs {
-        let report = runner.run(p, max_cycles)?;
-        sum.absorb(&report);
-    }
-    Ok(sum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,46 +100,6 @@ mod tests {
         // Run the first program again after the machine saw the others.
         let again = runner.run(&a, 1_000_000).unwrap();
         assert_eq!(&again, &fresh[0]);
-    }
-
-    #[test]
-    fn run_batch_aggregates() {
-        let cfg = SimConfig::default();
-        let programs = vec![kernels::dot_product(8), kernels::checksum(8)];
-        let sum = run_batch(&cfg, &programs, 100_000).unwrap();
-        assert_eq!(sum.runs, 2);
-        assert!(sum.all_halted);
-        let individual: u64 = programs
-            .iter()
-            .map(|p| Processor::new(cfg.clone()).run(p, 100_000).unwrap().cycles)
-            .sum();
-        assert_eq!(sum.sim_cycles, individual);
-    }
-
-    /// Regression: `BatchSummary::default()` used to report
-    /// `all_halted == false`, so summaries built via `Default` (rather
-    /// than through `run_batch`) claimed a halt failure even when every
-    /// absorbed run halted.
-    #[test]
-    fn default_summary_is_vacuously_all_halted() {
-        let sum = BatchSummary::default();
-        assert!(sum.all_halted, "empty summary is vacuously all-halted");
-        assert_eq!(sum.runs, 0);
-
-        let mut sum = BatchSummary::default();
-        let halted = Processor::new(SimConfig::default())
-            .run(&kernels::dot_product(4), 100_000)
-            .unwrap();
-        sum.absorb(&halted);
-        assert!(sum.all_halted, "halted runs keep all_halted true");
-
-        // A budget-exhausted run still flips it off.
-        let truncated = Processor::new(SimConfig::default())
-            .run(&kernels::dot_product(64), 10)
-            .unwrap();
-        assert!(!truncated.halted);
-        sum.absorb(&truncated);
-        assert!(!sum.all_halted);
     }
 
     #[test]

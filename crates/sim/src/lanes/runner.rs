@@ -3,15 +3,14 @@
 //! [`LaneRunner`] owns a [`LaneBatch`] plus the [`LaneStimulus`] it
 //! replays (wrapping around when the run is longer than the recorded
 //! trace — synthetic-mix traces are built to be replay-safe), and
-//! exposes the same run-to-summary shape as the scalar driver, so a
-//! benchmark can report aggregate lane cycles/sec next to the scalar
-//! per-machine floor.
+//! summarizes a run as a [`LaneSummary`] of aggregate lane-cycles, so a
+//! benchmark can report lane cycles/sec next to the per-machine floor
+//! the scalar driver measures.
 //!
 //! [`BatchRunner`]: crate::batch::BatchRunner
 
 use super::batch::{LaneBatch, LaneStats};
 use super::stimulus::LaneStimulus;
-use crate::batch::BatchSummary;
 use crate::config::SimConfig;
 
 /// Aggregate result of a lane-kernel run.
@@ -30,21 +29,6 @@ pub struct LaneSummary {
     pub selection_changes: u64,
     /// Selections by two-bit choice code, summed over lanes.
     pub selections: [u64; 4],
-}
-
-impl LaneSummary {
-    /// View as a [`BatchSummary`] for harness code that aggregates
-    /// scalar batches: each lane-cycle counts as a simulated cycle;
-    /// lanes retire nothing (they run the steering loop, not the
-    /// pipeline), and a lockstep batch always completes its budget.
-    pub fn as_batch(&self) -> BatchSummary {
-        BatchSummary {
-            runs: self.lanes as u64,
-            sim_cycles: self.lane_cycles,
-            retired: 0,
-            all_halted: true,
-        }
-    }
 }
 
 /// Steps a [`LaneBatch`] through a replayed [`LaneStimulus`].
@@ -139,10 +123,6 @@ mod tests {
         assert_eq!(sum.cycles, 9);
         assert_eq!(sum.lane_cycles, 9 * 128);
         assert_eq!(sum.selections.iter().sum::<u64>(), 9 * 128);
-        let b = sum.as_batch();
-        assert_eq!(b.runs, 128);
-        assert_eq!(b.sim_cycles, 9 * 128);
-        assert!(b.all_halted);
     }
 
     #[test]

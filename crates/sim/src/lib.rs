@@ -51,7 +51,7 @@ pub mod rob;
 pub mod stats;
 pub mod trace;
 
-pub use batch::{run_batch, BatchRunner, BatchSummary};
+pub use batch::BatchRunner;
 pub use config::{BranchPrediction, DemandMode, Latencies, PolicyKind, SelectMode, SimConfig};
 pub use lanes::{LaneBatch, LaneRunner, LaneStimulus, LaneSummary};
 pub use pool::{MachinePool, PoolStats};
