@@ -6,10 +6,8 @@
 //! experiments <id>|all|list [--out-dir DIR] [--verbose]
 //!             [--cache-dir DIR] [--code-version V]
 //!             [--shard K/N | --spawn N | --merge]
-//! experiments study run|status <study-id> [--cache-dir DIR] ...
-//! experiments study explain <key-prefix> --cache-dir DIR
-//! experiments study gc --cache-dir DIR
-//! experiments study list
+//! experiments gc --cache-dir DIR [--code-version V]
+//! experiments explain <key-prefix> --cache-dir DIR
 //! ```
 //!
 //! Every id, listed or hidden, is a sweep on the engine (`sweep_runner`
@@ -29,13 +27,17 @@
 //! merges when all succeed; `--merge` only loads every planned point
 //! from the store, verifies the sweep's cross-point assertions, and
 //! writes the `BENCH_*.json` artifact. The artifact is byte-identical
-//! however the grid was split. The `study` subcommand runs multi-stage
-//! DAGs (sweep → pivot → report) over the same store.
+//! however the grid was split.
+//!
+//! Two commands look after the store itself: `gc` removes every object
+//! no id can reach under the current code version (plus leftover claims
+//! and quarantined files), and `explain` prints the metadata of every
+//! object whose hash starts with a prefix.
 
 use std::path::PathBuf;
 use std::process::exit;
 
-use rsp_bench::experiments::{studies, sweep_runner, ALL_IDS, HIDDEN_IDS};
+use rsp_bench::experiments::{sweep_runner, ALL_IDS, HIDDEN_IDS};
 use rsp_bench::{CasStore, Executor, Shard, SweepConfig, SweepError, SweepRunner};
 
 struct Cli {
@@ -50,17 +52,11 @@ fn usage() -> ! {
         "usage: experiments <id> [--out-dir DIR] [--verbose]\n\
          \x20                    [--cache-dir DIR] [--code-version V]\n\
          \x20                    [--shard K/N | --spawn N | --merge]\n\
-         \x20      experiments study run|status <study-id> [flags]\n\
-         \x20      experiments study explain <key-prefix> --cache-dir DIR\n\
-         \x20      experiments study gc --cache-dir DIR\n\
-         \x20      experiments study list"
+         \x20      experiments gc --cache-dir DIR [--code-version V]\n\
+         \x20      experiments explain <key-prefix> --cache-dir DIR"
     );
     eprintln!("ids:");
     for id in ALL_IDS {
-        eprintln!("  {id}");
-    }
-    eprintln!("studies:");
-    for id in studies::STUDY_IDS {
         eprintln!("  {id}");
     }
     exit(2);
@@ -118,10 +114,6 @@ fn parse_cli() -> Cli {
             other => positionals.push(other.to_string()),
         }
     }
-    if positionals.first().map(String::as_str) != Some("study") && positionals.len() > 1 {
-        eprintln!("more than one experiment id given");
-        usage();
-    }
     if let Some(count) = spawn {
         let exe = std::env::current_exe().expect("own executable path");
         cfg.executor = Executor::Workers {
@@ -163,7 +155,7 @@ fn drive_sweep(sweep: &dyn SweepRunner, cli: &Cli) {
         }
         return;
     } else {
-        sweep.run_and_merge(&cli.cfg).map(|(merged, _)| merged)
+        sweep.run_and_merge(&cli.cfg)
     };
     let merged = merged.unwrap_or_else(|e| fail(e));
     if let Some(cache) = &merged.cache {
@@ -177,123 +169,73 @@ fn drive_sweep(sweep: &dyn SweepRunner, cli: &Cli) {
 
 fn open_store(cli: &Cli) -> CasStore {
     let Some(dir) = &cli.cfg.cache_dir else {
-        eprintln!("this study action needs --cache-dir");
-        exit(2);
+        eprintln!("gc and explain act on the artifact store: pass --cache-dir DIR");
+        usage();
     };
     CasStore::open(dir).unwrap_or_else(|e| fail(e))
 }
 
-/// Every cache key an experiment id (listed or hidden) or a study can
-/// reach under the current code version — the `study gc` live set.
-fn reachable_keys(cli: &Cli) -> std::collections::BTreeSet<String> {
+/// `experiments gc`: remove every object that no id (listed or hidden)
+/// reaches under the current code version.
+fn gc(cli: &Cli) {
     let store = open_store(cli);
     let mut live = std::collections::BTreeSet::new();
-    let ids = ALL_IDS.into_iter().chain(HIDDEN_IDS);
-    for sweep in ids.filter_map(sweep_runner) {
+    for sweep in ALL_IDS
+        .into_iter()
+        .chain(HIDDEN_IDS)
+        .filter_map(sweep_runner)
+    {
         live.extend(sweep.point_hashes(&cli.cfg).unwrap_or_else(|e| fail(e)));
     }
-    for id in studies::STUDY_IDS {
-        let study = studies::study(id).expect("listed study resolves");
-        let plans = study.plan(&cli.cfg, &store).unwrap_or_else(|e| fail(e));
-        live.extend(plans.into_iter().map(|p| p.key));
-    }
-    live
+    let summary = store.gc(&live).unwrap_or_else(|e| fail(e));
+    println!(
+        "gc: kept {} object(s), removed {} object(s), {} claim(s), {} quarantined",
+        summary.kept, summary.removed, summary.claims_removed, summary.quarantine_removed
+    );
 }
 
-/// Dispatch `experiments study <action> [target]`.
-fn drive_study(cli: &Cli) {
-    let action = cli.positionals.get(1).map(String::as_str);
-    let target = cli.positionals.get(2).map(String::as_str);
-    if cli.sweep_flags_used {
-        eprintln!("--shard/--spawn/--merge apply to experiment ids, not 'study'");
-        exit(2);
+/// `experiments explain <prefix>`: every stored object whose hash starts
+/// with `prefix`, with its metadata.
+fn explain(cli: &Cli, prefix: &str) {
+    let store = open_store(cli);
+    let found = store.find(prefix).unwrap_or_else(|e| fail(e));
+    if found.is_empty() {
+        eprintln!("no object matches prefix {prefix:?}");
+        exit(1);
     }
-    match (action, target) {
-        (Some("list"), None) => {
-            for id in studies::STUDY_IDS {
-                println!("{id}");
-            }
-        }
-        (Some("run"), Some(id)) => {
-            let Some(study) = studies::study(id) else {
-                eprintln!("unknown study '{id}'; try: experiments study list");
-                exit(2);
-            };
-            let report = study.run(&cli.cfg).unwrap_or_else(|e| fail(e));
-            for node in &report.nodes {
-                println!(
-                    "  [{}] {:<6} {:<12} {}{}",
-                    if node.cached { "cached " } else { "ran    " },
-                    node.kind,
-                    node.id,
-                    &node.key[..16.min(node.key.len())],
-                    match node.points {
-                        Some(p) => format!(" ({p} points)"),
-                        None => String::new(),
-                    }
-                );
-            }
-            println!(
-                "study {}: {}/{} node(s) cached; {}",
-                report.name,
-                report.nodes_cached,
-                report.nodes.len(),
-                report.cache.summary_line()
-            );
-            println!("{}", report.report);
-            println!(
-                "wrote {}",
-                cli.cfg.out_dir.join(format!("STUDY_{id}.txt")).display()
-            );
-        }
-        (Some("status"), Some(id)) => {
-            let Some(study) = studies::study(id) else {
-                eprintln!("unknown study '{id}'; try: experiments study list");
-                exit(2);
-            };
-            print!("{}", study.status(&cli.cfg).unwrap_or_else(|e| fail(e)));
-        }
-        (Some("explain"), Some(prefix)) => {
-            let store = open_store(cli);
-            let found = store.find(prefix).unwrap_or_else(|e| fail(e));
-            if found.is_empty() {
-                eprintln!("no object matches prefix {prefix:?}");
-                exit(1);
-            }
-            for obj in found {
-                println!("{} ({})", obj.key, obj.kind);
-                println!("  name:         {}", obj.name);
-                println!("  code_version: {}", obj.code_version);
-                println!("  inputs:       {}", obj.inputs.len());
-                for input in &obj.inputs {
-                    println!("    {input}");
-                }
-            }
-        }
-        (Some("gc"), None) => {
-            let live = reachable_keys(cli);
-            let store = open_store(cli);
-            let summary = store.gc(&live).unwrap_or_else(|e| fail(e));
-            println!(
-                "gc: kept {} object(s), removed {} object(s), {} claim(s), {} quarantined",
-                summary.kept, summary.removed, summary.claims_removed, summary.quarantine_removed
-            );
-        }
-        _ => {
-            eprintln!(
-                "usage: experiments study run|status <study-id> | explain <key-prefix> | gc | list"
-            );
-            exit(2);
+    for obj in found {
+        println!("{} ({})", obj.key, obj.kind);
+        println!("  name:         {}", obj.name);
+        println!("  code_version: {}", obj.code_version);
+        println!("  inputs:       {}", obj.inputs.len());
+        for input in &obj.inputs {
+            println!("    {input}");
         }
     }
 }
 
 fn main() {
     let cli = parse_cli();
-    match cli.positionals.first().map(String::as_str) {
-        None | Some("list") => usage(),
-        Some("study") => drive_study(&cli),
-        Some("all") => {
+    let args: Vec<&str> = cli.positionals.iter().map(String::as_str).collect();
+    let known =
+        |id: &str| matches!(id, "all" | "list" | "gc" | "explain") || sweep_runner(id).is_some();
+    if let Some(id) = args.first().filter(|id| !known(id)) {
+        eprintln!("unknown experiment '{id}'; try: experiments list");
+        exit(2);
+    }
+    match args[..] {
+        [] | ["list"] => usage(),
+        ["gc" | "explain", ..] if cli.sweep_flags_used => {
+            eprintln!("--shard/--spawn/--merge apply to experiment ids, not gc or explain");
+            usage();
+        }
+        ["gc"] => gc(&cli),
+        ["explain"] => {
+            eprintln!("explain needs a key prefix");
+            usage();
+        }
+        ["explain", prefix] => explain(&cli, prefix),
+        ["all"] => {
             if cli.sweep_flags_used {
                 eprintln!("--shard/--spawn/--merge apply to a single experiment id, not 'all'");
                 exit(2);
@@ -303,12 +245,10 @@ fn main() {
                 println!("{}", "=".repeat(78));
             }
         }
-        Some(id) => match sweep_runner(id) {
-            Some(sweep) => drive_sweep(sweep.as_ref(), &cli),
-            None => {
-                eprintln!("unknown experiment '{id}'; try: experiments list");
-                exit(2);
-            }
-        },
+        [id] => drive_sweep(sweep_runner(id).expect("known id").as_ref(), &cli),
+        _ => {
+            eprintln!("unexpected arguments {:?}", &args[1..]);
+            usage();
+        }
     }
 }

@@ -405,6 +405,44 @@ impl Sweep for FaultSweep {
                 p.name, worst.ipc, fast_scrub, worst.ipc_fault_aware, worst.zombie_reloads,
             );
         }
+
+        // Per upset level (in grid order), over every workload and scrub
+        // interval: mean IPC under each policy and their ratio.
+        let mut levels: Vec<(u32, Vec<&FaultRow>)> = Vec::new();
+        for r in rows {
+            match levels.iter_mut().find(|(u, _)| *u == r.upset_ppm) {
+                Some((_, group)) => group.push(r),
+                None => levels.push((r.upset_ppm, vec![r])),
+            }
+        }
+        s.push_str("\nmean IPC per upset level (fault-aware / degraded baseline)\n");
+        let _ = writeln!(
+            s,
+            "{:>10} {:>5} {:>10} {:>12} {:>10}",
+            "upset_ppm", "rows", "mean_ipc", "fault_aware", "recovery"
+        );
+        let mut harshest: Option<(u32, f64)> = None;
+        for (ppm, group) in &levels {
+            let n = group.len() as f64;
+            let ipc = group.iter().map(|r| r.ipc).sum::<f64>() / n;
+            let aware = group.iter().map(|r| r.ipc_fault_aware).sum::<f64>() / n;
+            let ratio = if ipc > 0.0 { aware / ipc } else { 0.0 };
+            let _ = writeln!(
+                s,
+                "{ppm:>10} {:>5} {ipc:>10.4} {aware:>12.4} {ratio:>9.2}x",
+                group.len()
+            );
+            if harshest.is_none_or(|(p, _)| *ppm > p) {
+                harshest = Some((*ppm, ratio));
+            }
+        }
+        if let Some((ppm, ratio)) = harshest {
+            let _ = writeln!(
+                s,
+                "at the harshest upset level ({ppm} ppm) fault-aware steering \
+                 holds {ratio:.2}x the degraded baseline's IPC"
+            );
+        }
         s
     }
 }
@@ -412,7 +450,7 @@ impl Sweep for FaultSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{SweepConfig, SweepRunner};
+    use crate::sweep::{ScratchDir, SweepConfig, SweepRunner};
 
     #[test]
     fn sweep_point_degrades_and_recovers() {
@@ -505,17 +543,46 @@ mod tests {
     #[test]
     fn reduced_sweep_runs_and_verifies_on_the_engine() {
         let sweep = FaultSweep::reduced();
-        let dir = std::env::temp_dir().join(format!("rsp-fault-reduced-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new("fault-reduced");
         let cfg = SweepConfig {
-            out_dir: dir.clone(),
+            out_dir: dir.to_path_buf(),
             ..SweepConfig::default()
         };
-        let (summary, _) = sweep.run_and_merge(&cfg).expect("reduced sweep runs");
+        let summary = sweep.run_and_merge(&cfg).expect("reduced sweep runs");
         assert_eq!(summary.points, 2 * 2 * 2);
         let text = std::fs::read_to_string(summary.artifact.unwrap()).unwrap();
         let rows: Vec<FaultRow> = serde_json::from_str(&text).unwrap();
         assert!(sweep.verify(&rows).is_ok());
         assert!(summary.report.contains("fault-sweep"));
+
+        // One table row per upset level, whose means are the means of
+        // that level's artifact rows.
+        let table: Vec<Vec<&str>> = summary
+            .report
+            .lines()
+            .skip_while(|l| !l.trim_start().starts_with("upset_ppm"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("at the harshest"))
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(table.len(), sweep.upset_ppm.len(), "{}", summary.report);
+        for (cells, &ppm) in table.iter().zip(&sweep.upset_ppm) {
+            let level: Vec<&FaultRow> = rows.iter().filter(|r| r.upset_ppm == ppm).collect();
+            let mean = |f: fn(&FaultRow) -> f64| {
+                format!(
+                    "{:.4}",
+                    level.iter().map(|r| f(r)).sum::<f64>() / level.len() as f64
+                )
+            };
+            assert_eq!(cells[0], ppm.to_string());
+            assert_eq!(cells[1], level.len().to_string());
+            assert_eq!(cells[2], mean(|r| r.ipc), "u{ppm}");
+            assert_eq!(cells[3], mean(|r| r.ipc_fault_aware), "u{ppm}");
+        }
+        assert!(
+            summary.report.contains("fault-aware steering holds"),
+            "{}",
+            summary.report
+        );
     }
 }

@@ -10,16 +10,13 @@
 //! engine, honouring `--out-dir`/`--cache-dir` and, with a store,
 //! `--shard`/`--spawn`/`--merge`. Grids worth splitting (`e1-ipc`, the
 //! fault and serve sweeps) have their own impls; every other id is a
-//! one-point sweep whose row is its report text. Multi-stage [`studies`]
-//! compose the sweeps with pivot/report stages over the artifact store
-//! and dispatch through the `study` subcommand.
+//! one-point sweep whose row is its report text.
 
 use crate::sweep::{Sweep, SweepRunner};
 
 pub mod evals;
 pub mod faults;
 pub mod figures;
-pub mod studies;
 
 /// All experiment ids, in DESIGN.md order.
 pub const ALL_IDS: [&str; 26] = [
@@ -148,7 +145,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use crate::sweep::SweepConfig;
+    use crate::sweep::{ScratchDir, SweepConfig};
 
     fn every_id() -> impl Iterator<Item = &'static str> {
         ALL_IDS
@@ -182,18 +179,17 @@ mod tests {
     /// store as its function does directly, and warm without computing.
     #[test]
     fn report_ids_round_trip_through_the_store() {
-        let dir = std::env::temp_dir().join(format!("rsp-reports-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new("reports");
         let cfg = SweepConfig {
-            out_dir: dir.clone(),
+            out_dir: dir.to_path_buf(),
             cache_dir: Some(dir.join("cas")),
             ..SweepConfig::default()
         };
         for id in ["table1", "fig4", "fig5", "e13-hwcost"] {
             let want = run(id).unwrap();
             let sweep = sweep_runner(id).unwrap();
-            let (cold, _) = sweep.run_and_merge(&cfg).unwrap();
-            let (warm, _) = sweep.run_and_merge(&cfg).unwrap();
+            let cold = sweep.run_and_merge(&cfg).unwrap();
+            let warm = sweep.run_and_merge(&cfg).unwrap();
             let (cold_cache, warm_cache) = (cold.cache.unwrap(), warm.cache.unwrap());
             assert_eq!((cold_cache.hits, cold_cache.misses), (0, 1), "{id} cold");
             assert_eq!((warm_cache.hits, warm_cache.misses), (1, 0), "{id} warm");
@@ -201,6 +197,5 @@ mod tests {
             assert_eq!(warm.report, want, "{id} warm");
             assert!(warm.artifact.is_none());
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

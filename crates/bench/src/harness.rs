@@ -89,12 +89,6 @@ pub struct Row {
 }
 
 impl Row {
-    /// Build from a report.
-    pub fn from_report(workload: &str, r: &SimReport) -> Row {
-        let policy = r.policy.clone();
-        Row::labelled(workload, &policy, r)
-    }
-
     /// Build from a report under an explicit policy label (comparison
     /// tables key columns by [`PolicySpec::label`], not by the
     /// simulator's own policy name).

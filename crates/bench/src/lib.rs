@@ -15,8 +15,7 @@
 //! into it, a killed run resumes by running again, and a deterministic
 //! merge loads every point from it, re-runs each sweep's cross-point
 //! assertions and emits the `BENCH_*.json` artifact byte-identically
-//! however the grid was split. Multi-stage studies run as
-//! [`sweep::StudyDag`]s over the same store.
+//! however the grid was split.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +32,6 @@ pub mod timeline;
 pub use harness::{policies, run_one, PolicySpec, Row};
 pub use scaled::scaled_paper_set;
 pub use sweep::{
-    write_artifact, CacheSnapshot, CasStore, Executor, Shard, StudyDag, Sweep, SweepConfig,
-    SweepError, SweepRunner,
+    write_artifact, CacheSnapshot, CasStore, Executor, Shard, Sweep, SweepConfig, SweepError,
+    SweepRunner,
 };

@@ -116,32 +116,6 @@ pub fn point_cache_key(sweep: &str, spec: &Value, point: &Value, code_version: &
     ]))
 }
 
-/// The cache key of one study-DAG node: the hash of an envelope binding
-/// the study name, the node id, the node kind, the (ordered) hashes of
-/// its inputs — point hashes for a sweep node, upstream node keys for a
-/// transform — and the code version.
-pub fn stage_cache_key(
-    study: &str,
-    node: &str,
-    kind: &str,
-    inputs: &[String],
-    code_version: &str,
-) -> String {
-    content_hash(&Value::Object(vec![
-        ("study".to_string(), Value::Str(study.to_string())),
-        ("node".to_string(), Value::Str(node.to_string())),
-        ("kind".to_string(), Value::Str(kind.to_string())),
-        (
-            "inputs".to_string(),
-            Value::Array(inputs.iter().map(|h| Value::Str(h.clone())).collect()),
-        ),
-        (
-            "code_version".to_string(),
-            Value::Str(code_version.to_string()),
-        ),
-    ]))
-}
-
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4), dependency-free
 // ---------------------------------------------------------------------------
@@ -316,35 +290,6 @@ mod tests {
             sha256_hex(
                 br#"{"code_version":"0.10.0","point":{"x":1},"spec":{"grid":[1,2]},"sweep":"demo"}"#
             )
-        );
-    }
-
-    #[test]
-    fn stage_key_depends_on_all_fields() {
-        let base = stage_cache_key("s", "n", "stage", &["h1".into()], "1");
-        assert_ne!(
-            base,
-            stage_cache_key("s2", "n", "stage", &["h1".into()], "1")
-        );
-        assert_ne!(
-            base,
-            stage_cache_key("s", "n2", "stage", &["h1".into()], "1")
-        );
-        assert_ne!(
-            base,
-            stage_cache_key("s", "n", "sweep", &["h1".into()], "1")
-        );
-        assert_ne!(
-            base,
-            stage_cache_key("s", "n", "stage", &["h2".into()], "1")
-        );
-        assert_ne!(
-            base,
-            stage_cache_key("s", "n", "stage", &["h1".into()], "2")
-        );
-        assert_eq!(
-            base,
-            stage_cache_key("s", "n", "stage", &["h1".into()], "1")
         );
     }
 }

@@ -1,10 +1,8 @@
 //! The content-addressed artifact store (DESIGN.md §17).
 //!
-//! Every cached result — one sweep point's row, one study stage's
-//! output — lives as one JSON object file addressed by the hash of its
-//! *inputs* ([`super::canon::point_cache_key`] /
-//! [`super::canon::stage_cache_key`]):
-//! `objects/ab/cdef....json` under the store root, where `abcdef...` is
+//! Every cached result — one sweep point's row — lives as one JSON
+//! object file addressed by the hash of its *inputs*
+//! ([`super::canon::point_cache_key`]): `objects/ab/cdef....json` under the store root, where `abcdef...` is
 //! the 64-hex-digit key. Input addressing (not output addressing) is
 //! what makes the store a cache: the key is computable before the work
 //! runs, so a lookup can short-circuit the computation.
@@ -38,42 +36,40 @@ use serde_json::Value;
 use super::SweepError;
 
 /// One stored object: the cached output plus enough metadata to answer
-/// `study explain <key>` without re-deriving anything.
+/// `experiments explain <key>` without re-deriving anything.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CasObject {
     /// Store schema tag, [`CasStore::SCHEMA`].
     pub schema: String,
-    /// `"point"` for a sweep row, `"stage"` for a study-node output.
+    /// Always `"point"` (a sweep row) when written now; older stores may
+    /// also hold other kinds, which `gc` and `explain` still read.
     pub kind: String,
-    /// The sweep name or `study/node` path that produced this object.
+    /// The sweep that produced this object.
     pub name: String,
-    /// The logical key — the sweep's point key, or the node id. Sanity
-    /// metadata: the content hash is the address; this is for humans
-    /// and for detecting a corrupted store.
+    /// The logical key — the sweep's point key. Sanity metadata: the
+    /// content hash is the address; this is for humans and for detecting
+    /// a corrupted store.
     pub key: String,
     /// Code version baked into the hash.
     pub code_version: String,
-    /// Input hashes (stage objects only; empty for points).
+    /// Input hashes: always empty when written now.
     pub inputs: Vec<String>,
-    /// The cached output: a row value or a stage result.
+    /// The cached output: a sweep row.
     pub row: Value,
 }
 
-/// Everything needed to address + describe an object, short of its row.
+/// Everything needed to address + describe a point's object, short of
+/// its row.
 #[derive(Debug, Clone)]
 pub struct ObjectMeta {
     /// The content hash (object address).
     pub hash: String,
-    /// `"point"` or `"stage"`.
-    pub kind: &'static str,
-    /// Producing sweep or `study/node`.
+    /// Producing sweep.
     pub name: String,
-    /// Logical key.
+    /// Logical (point) key.
     pub key: String,
     /// Code version.
     pub code_version: String,
-    /// Input hashes.
-    pub inputs: Vec<String>,
 }
 
 /// Monotone cache counters, shared across rayon workers.
@@ -290,11 +286,11 @@ impl CasStore {
     pub fn store(&self, meta: &ObjectMeta, row: &Value) -> Result<(), SweepError> {
         let obj = CasObject {
             schema: Self::SCHEMA.to_string(),
-            kind: meta.kind.to_string(),
+            kind: "point".to_string(),
             name: meta.name.clone(),
             key: meta.key.clone(),
             code_version: meta.code_version.clone(),
-            inputs: meta.inputs.clone(),
+            inputs: Vec::new(),
             row: row.clone(),
         };
         let text = serde_json::to_string(&obj).map_err(|e| SweepError::Encode {
@@ -437,7 +433,7 @@ impl CasStore {
     }
 
     /// Load every object whose hash starts with `prefix` (the
-    /// `study explain <key>` lookup; pass a full hash for an exact hit).
+    /// `experiments explain <key>` lookup; pass a full hash for an exact hit).
     pub fn find(&self, prefix: &str) -> Result<Vec<CasObject>, SweepError> {
         let mut found = Vec::new();
         for hash in self.list()? {
@@ -484,29 +480,27 @@ impl CasStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::ScratchDir;
 
-    fn fresh_store(name: &str) -> CasStore {
-        let dir = std::env::temp_dir()
-            .join(format!("rsp-cas-{}", std::process::id()))
-            .join(name);
-        let _ = fs::remove_dir_all(&dir);
-        CasStore::open(dir).unwrap()
+    /// A store in a fresh scratch dir, removed when the guard drops.
+    fn fresh_store(name: &str) -> (ScratchDir, CasStore) {
+        let dir = ScratchDir::new(&format!("cas-{name}"));
+        let store = CasStore::open(dir.join("cas")).unwrap();
+        (dir, store)
     }
 
     fn meta(hash: &str, key: &str) -> ObjectMeta {
         ObjectMeta {
             hash: hash.to_string(),
-            kind: "point",
             name: "demo".to_string(),
             key: key.to_string(),
             code_version: "0".to_string(),
-            inputs: Vec::new(),
         }
     }
 
     #[test]
     fn miss_then_hit_round_trips_the_row() {
-        let store = fresh_store("roundtrip");
+        let (_dir, store) = fresh_store("roundtrip");
         let m = meta(&crate::sweep::canon::sha256_hex(b"k1"), "k1");
         let row = Value::Object(vec![("x".into(), Value::Float(1.5))]);
         let (got, outcome) = store.fetch_or_compute(&m, || Ok(row.clone())).unwrap();
@@ -523,7 +517,7 @@ mod tests {
 
     #[test]
     fn corrupt_object_is_quarantined_and_recomputed() {
-        let store = fresh_store("quarantine");
+        let (_dir, store) = fresh_store("quarantine");
         let hash = crate::sweep::canon::sha256_hex(b"bad");
         let m = meta(&hash, "bad");
         // Plant garbage at the object's address.
@@ -547,7 +541,7 @@ mod tests {
 
     #[test]
     fn key_mismatch_is_treated_as_corruption() {
-        let store = fresh_store("key-mismatch");
+        let (_dir, store) = fresh_store("key-mismatch");
         let hash = crate::sweep::canon::sha256_hex(b"km");
         store
             .store(&meta(&hash, "actual-key"), &Value::Int(1))
@@ -559,7 +553,8 @@ mod tests {
 
     #[test]
     fn claim_wait_reads_the_other_workers_publish() {
-        let store = std::sync::Arc::new(fresh_store("claim-wait").with_claim_timing(
+        let (_dir, store) = fresh_store("claim-wait");
+        let store = std::sync::Arc::new(store.with_claim_timing(
             Duration::from_secs(10),
             Duration::from_millis(5),
             Duration::from_secs(10),
@@ -596,7 +591,8 @@ mod tests {
 
     #[test]
     fn stale_claim_is_stolen() {
-        let store = fresh_store("stale").with_claim_timing(
+        let (_dir, store) = fresh_store("stale");
+        let store = store.with_claim_timing(
             Duration::from_secs(10),
             Duration::from_millis(5),
             Duration::from_millis(0), // every claim is instantly stale
@@ -612,7 +608,7 @@ mod tests {
 
     #[test]
     fn gc_keeps_live_objects_and_clears_the_rest() {
-        let store = fresh_store("gc");
+        let (_dir, store) = fresh_store("gc");
         let live_hash = crate::sweep::canon::sha256_hex(b"live");
         let dead_hash = crate::sweep::canon::sha256_hex(b"dead");
         store
@@ -635,7 +631,7 @@ mod tests {
 
     #[test]
     fn list_and_find_enumerate_by_prefix() {
-        let store = fresh_store("list");
+        let (_dir, store) = fresh_store("list");
         let h1 = crate::sweep::canon::sha256_hex(b"one");
         let h2 = crate::sweep::canon::sha256_hex(b"two");
         store.store(&meta(&h1, "one"), &Value::Int(1)).unwrap();

@@ -34,10 +34,6 @@
 //!   round-trip through JSON exactly, the artifact is byte-for-byte
 //!   identical however the grid was split, and whether its rows were
 //!   computed or read back.
-//! * **Studies** — [`study::StudyDag`] composes sweeps with downstream
-//!   pivot/report stages as a DAG of cached artifacts, each node keyed
-//!   by the hashes of its inputs, with per-node up-to-date
-//!   short-circuiting.
 //!
 //! Sharded runs, worker fan-out and merge persist rows only through the
 //! store, so they need `--cache-dir`; without one they fail with
@@ -46,7 +42,6 @@
 pub mod canon;
 pub mod cas;
 pub mod shard;
-pub mod study;
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -60,7 +55,6 @@ use serde_json::Value;
 use cas::ObjectMeta;
 pub use cas::{CacheSnapshot, CasStore};
 pub use shard::Shard;
-pub use study::{StageOp, StudyDag};
 
 /// Everything that can go wrong running or merging a sweep. Rendered by
 /// the CLI bins, which exit non-zero — artifact-write failures included.
@@ -118,8 +112,6 @@ pub enum SweepError {
         /// What happened.
         msg: String,
     },
-    /// A study DAG is malformed or a stage computation failed.
-    Study(String),
 }
 
 impl SweepError {
@@ -156,7 +148,6 @@ impl std::fmt::Display for SweepError {
             ),
             SweepError::Verify(msg) => write!(f, "cross-point verification failed: {msg}"),
             SweepError::Worker { shard, msg } => write!(f, "shard worker {shard}: {msg}"),
-            SweepError::Study(msg) => write!(f, "study: {msg}"),
         }
     }
 }
@@ -210,7 +201,7 @@ pub trait Sweep: Sync {
     /// cache-key analogue of [`Sweep::key`]. The default reuses the
     /// stable string key, which is correct exactly because keys are
     /// already required to be pure functions of the parameters;
-    /// structured impls make `study explain` output self-describing.
+    /// structured impls make `experiments explain` output self-describing.
     fn point_params(&self, point: &Self::Point) -> Value {
         Value::Str(self.key(point))
     }
@@ -345,16 +336,12 @@ pub trait SweepRunner: Sync {
     fn merge(&self, cfg: &SweepConfig) -> Result<MergeSummary, SweepError>;
     /// Run and merge. In-process, the rows go straight to the merge
     /// (through the store when there is one); other executors run, then
-    /// merge from the store. Also returns the ordered row values (the
-    /// study layer stores them as the sweep node's artifact).
-    fn run_and_merge(&self, cfg: &SweepConfig) -> Result<(MergeSummary, Value), SweepError>;
+    /// merge from the store.
+    fn run_and_merge(&self, cfg: &SweepConfig) -> Result<MergeSummary, SweepError>;
     /// Every point's cache key, in grid order — computable without
-    /// running anything, which is what lets `study status` answer cold.
+    /// running anything, which is what gives `experiments gc` its live
+    /// set.
     fn point_hashes(&self, cfg: &SweepConfig) -> Result<Vec<String>, SweepError>;
-    /// Re-verify and re-render the artifact from cached row values (the
-    /// up-to-date short-circuit: no `run_point`).
-    fn render_from_rows(&self, rows: &Value, cfg: &SweepConfig)
-        -> Result<MergeSummary, SweepError>;
 }
 
 impl<S: Sweep> SweepRunner for S {
@@ -398,18 +385,18 @@ impl<S: Sweep> SweepRunner for S {
 
     fn merge(&self, cfg: &SweepConfig) -> Result<MergeSummary, SweepError> {
         let (keys, values) = stored_values(self, cfg)?;
-        Ok(merge_values(self, cfg, &keys, values, None)?.0)
+        merge_values(self, cfg, &keys, &values, None)
     }
 
-    fn run_and_merge(&self, cfg: &SweepConfig) -> Result<(MergeSummary, Value), SweepError> {
+    fn run_and_merge(&self, cfg: &SweepConfig) -> Result<MergeSummary, SweepError> {
         if !matches!(cfg.executor, Executor::InProcess) {
             let run = SweepRunner::run(self, cfg)?;
             let (keys, values) = stored_values(self, cfg)?;
-            return merge_values(self, cfg, &keys, values, run.cache);
+            return merge_values(self, cfg, &keys, &values, run.cache);
         }
         let store = open_store(cfg)?;
         let (keys, values, _) = point_values(self, cfg, Shard::WHOLE, store.as_ref())?;
-        merge_values(self, cfg, &keys, values, store.map(|s| s.stats()))
+        merge_values(self, cfg, &keys, &values, store.map(|s| s.stats()))
     }
 
     fn point_hashes(&self, cfg: &SweepConfig) -> Result<Vec<String>, SweepError> {
@@ -420,25 +407,6 @@ impl<S: Sweep> SweepRunner for S {
             .iter()
             .map(|p| point_hash(self, cfg, &spec, p))
             .collect())
-    }
-
-    fn render_from_rows(
-        &self,
-        rows: &Value,
-        cfg: &SweepConfig,
-    ) -> Result<MergeSummary, SweepError> {
-        let decode = |msg: String| SweepError::Decode {
-            key: "<stage>".into(),
-            msg,
-        };
-        let values = rows
-            .as_array()
-            .ok_or_else(|| decode("cached sweep artifact is not a row array".into()))?;
-        let rows: Vec<S::Row> = values
-            .iter()
-            .map(|v| S::Row::from_value(v).map_err(|e| decode(e.to_string())))
-            .collect::<Result<_, _>>()?;
-        finish_merge(self, cfg, &rows, None)
     }
 }
 
@@ -515,11 +483,9 @@ fn point_values<S: Sweep>(
             Some(store) => {
                 let meta = ObjectMeta {
                     hash: point_hash(sweep, cfg, &spec, point),
-                    kind: "point",
                     name: Sweep::name(sweep).to_string(),
                     key: key.clone(),
                     code_version: cfg.code_version.clone(),
-                    inputs: Vec::new(),
                 };
                 store.fetch_or_compute(&meta, compute)?.0
             }
@@ -575,22 +541,18 @@ fn stored_values<S: Sweep>(
     Ok((keys, values))
 }
 
-/// Decode, verify and render the rows `values` hold (one per key, in
-/// spec order); hands the values back as one array.
+/// The merge: decode the rows `values` hold (one per key, in spec
+/// order), run the sweep's cross-point assertions, write the artifact
+/// and render the report.
 fn merge_values<S: Sweep>(
     sweep: &S,
     cfg: &SweepConfig,
     keys: &[String],
-    values: Vec<Value>,
+    values: &[Value],
     cache: Option<CacheSnapshot>,
-) -> Result<(MergeSummary, Value), SweepError> {
-    let rows = decode_rows::<S>(keys, &values)?;
-    let summary = finish_merge(sweep, cfg, &rows, cache)?;
-    Ok((summary, Value::Array(values)))
-}
-
-fn decode_rows<S: Sweep>(keys: &[String], values: &[Value]) -> Result<Vec<S::Row>, SweepError> {
-    keys.iter()
+) -> Result<MergeSummary, SweepError> {
+    let rows: Vec<S::Row> = keys
+        .iter()
         .zip(values)
         .map(|(key, v)| {
             S::Row::from_value(v).map_err(|e| SweepError::Decode {
@@ -598,22 +560,12 @@ fn decode_rows<S: Sweep>(keys: &[String], values: &[Value]) -> Result<Vec<S::Row
                 msg: e.to_string(),
             })
         })
-        .collect()
-}
-
-/// The verify-and-render half of a merge, shared by every merge path
-/// and the study layer's cached-rows short-circuit.
-fn finish_merge<S: Sweep>(
-    sweep: &S,
-    cfg: &SweepConfig,
-    rows: &[S::Row],
-    cache: Option<CacheSnapshot>,
-) -> Result<MergeSummary, SweepError> {
-    sweep.verify(rows).map_err(SweepError::Verify)?;
+        .collect::<Result<_, _>>()?;
+    sweep.verify(&rows).map_err(SweepError::Verify)?;
 
     let artifact = match sweep.artifact() {
         Some(name) => {
-            let contents = sweep.render_artifact(rows)?;
+            let contents = sweep.render_artifact(&rows)?;
             Some(write_artifact(&cfg.out_dir, name, &contents)?)
         }
         None => None,
@@ -622,7 +574,7 @@ fn finish_merge<S: Sweep>(
     Ok(MergeSummary {
         points: rows.len(),
         artifact,
-        report: sweep.report(rows),
+        report: sweep.report(&rows),
         cache,
     })
 }
@@ -638,6 +590,36 @@ pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) -> Result<Path
     let path = out_dir.join(name);
     fs::write(&path, contents).map_err(|e| SweepError::io(&path, e))?;
     Ok(path)
+}
+
+/// A fresh, empty `rsp-{tag}-{pid}` directory under the temp dir for one
+/// test; dropping the guard removes it and everything in it.
+#[cfg(test)]
+pub(crate) struct ScratchDir(PathBuf);
+
+#[cfg(test)]
+impl ScratchDir {
+    pub(crate) fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("rsp-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        ScratchDir(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 #[cfg(test)]
@@ -695,13 +677,8 @@ mod tests {
         }
     }
 
-    fn fresh_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("rsp-sweep-{}", std::process::id()))
-            .join(name);
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn fresh_dir(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("sweep-{name}"))
     }
 
     fn cfg_in(dir: &Path) -> SweepConfig {
@@ -730,10 +707,9 @@ mod tests {
     fn single_process_run_and_merge_produces_ordered_artifact() {
         let sweep = TestSweep { n: 7 };
         let dir = fresh_dir("single");
-        let (summary, values) = sweep.run_and_merge(&cfg_in(&dir)).unwrap();
+        let summary = sweep.run_and_merge(&cfg_in(&dir)).unwrap();
         assert_eq!(summary.points, 7);
         assert!(summary.cache.is_none(), "no store configured");
-        assert_eq!(values.as_array().map(<[_]>::len), Some(7));
         let artifact = fs::read_to_string(summary.artifact.unwrap()).unwrap();
         let rows: Vec<TestRow> = serde_json::from_str(&artifact).unwrap();
         assert_eq!(
@@ -745,14 +721,14 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // Nothing but the artifact is left behind.
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(fs::read_dir(&*dir).unwrap().count(), 1);
     }
 
     #[test]
     fn sharded_runs_merge_byte_identically_to_single() {
         let sweep = TestSweep { n: 11 };
         let single = fresh_dir("shard-single");
-        let (s1, _) = sweep.run_and_merge(&cfg_in(&single)).unwrap();
+        let s1 = sweep.run_and_merge(&cfg_in(&single)).unwrap();
         let want = fs::read(s1.artifact.unwrap()).unwrap();
 
         let dir = fresh_dir("shard-split");
@@ -830,14 +806,14 @@ mod tests {
     fn rerun_over_a_partial_store_computes_only_the_gaps() {
         let sweep = TestSweep { n: 9 };
         let ref_dir = fresh_dir("rerun-ref");
-        let (reference, _) = sweep.run_and_merge(&cfg_in(&ref_dir)).unwrap();
+        let reference = sweep.run_and_merge(&cfg_in(&ref_dir)).unwrap();
         let want = fs::read(reference.artifact.unwrap()).unwrap();
 
         // A killed run: only shard 0 of 2 reached the store.
         let dir = fresh_dir("rerun");
         let done = SweepRunner::run(&sweep, &shard_cfg(&dir, 0, 2)).unwrap();
         let done = done.cache.unwrap().misses;
-        let (merged, _) = sweep.run_and_merge(&stored_in(&dir)).unwrap();
+        let merged = sweep.run_and_merge(&stored_in(&dir)).unwrap();
         let cache = merged.cache.unwrap();
         assert_eq!((cache.hits, cache.misses), (done, 9 - done));
         assert_eq!(fs::read(merged.artifact.unwrap()).unwrap(), want);
@@ -927,9 +903,9 @@ mod tests {
             code_version: "0.10.0".into(),
             ..stored_in(&dir)
         };
-        let (filled, _) = sweep.run_and_merge(&old).unwrap();
+        let filled = sweep.run_and_merge(&old).unwrap();
         assert_eq!(filled.cache.unwrap().misses, 6);
-        let (now, _) = sweep.run_and_merge(&stored_in(&dir)).unwrap();
+        let now = sweep.run_and_merge(&stored_in(&dir)).unwrap();
         let cache = now.cache.unwrap();
         assert_eq!((cache.hits, cache.misses), (0, 6));
     }

@@ -8,23 +8,21 @@
 //!   race into a waiter, so total computes equal the grid size;
 //! * flipping the code version invalidates every entry.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
+use common::ScratchDir;
 use rsp_bench::experiments::faults::FaultSweep;
 use rsp_bench::sweep::{Executor, Sweep, SweepConfig, SweepRunner};
 use serde_json::Value;
 
-fn fresh_base(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("rsp-cas-it-{}", std::process::id()))
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn fresh_base(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("cas-it-{name}"))
 }
 
 fn cfg(base: &std::path::Path, out: &str) -> SweepConfig {
@@ -117,7 +115,7 @@ fn concurrent_runs_sharing_a_store_never_compute_a_point_twice() {
     let computes = Arc::new(AtomicU64::new(0));
 
     let worker = |out: String| {
-        let base = base.clone();
+        let base = base.to_path_buf();
         let computes = computes.clone();
         std::thread::spawn(move || {
             let sweep = CountingSweep { computes };

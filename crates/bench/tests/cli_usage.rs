@@ -3,8 +3,11 @@
 //! that fails, an input that is missing or does not parse — exit 1 with
 //! a message that names the problem.
 
-use std::path::PathBuf;
+mod common;
+
 use std::process::{Command, Output};
+
+use common::ScratchDir;
 
 fn timeline(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rsp-timeline"))
@@ -41,12 +44,9 @@ fn assert_usage(out: &Output, needle: &str) {
     );
 }
 
-/// A fresh scratch directory for one test.
-fn scratch(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rsp-cli-{test}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A fresh scratch directory for one test, removed when it drops.
+fn scratch(test: &str) -> ScratchDir {
+    ScratchDir::new(&format!("cli-{test}"))
 }
 
 /// Assert `out` is a run failure: exit 1, `needle` on stderr, no panic.
@@ -69,7 +69,8 @@ fn timeline_usage_errors_exit_2() {
 
 #[test]
 fn timeline_missing_input_exits_1() {
-    let path = scratch("timeline-missing").join("absent.jsonl");
+    let dir = scratch("timeline-missing");
+    let path = dir.join("absent.jsonl");
     let path = path.to_str().unwrap();
     assert_failure(&timeline(&[path]), "cannot read");
     assert_failure(&timeline(&["--flight", path]), "cannot read");
@@ -78,7 +79,8 @@ fn timeline_missing_input_exits_1() {
 #[test]
 fn timeline_malformed_line_exits_1_and_names_it() {
     // Line 1 is blank (skipped); line 2 is not JSON.
-    let path = scratch("timeline-malformed").join("torn.jsonl");
+    let dir = scratch("timeline-malformed");
+    let path = dir.join("torn.jsonl");
     std::fs::write(&path, "\n{\"tick\": 3,\n").unwrap();
     let path = path.to_str().unwrap();
     assert_failure(&timeline(&[path]), "line 2");
@@ -134,7 +136,6 @@ fn report_id_shards_and_merges_to_the_plain_output() {
         String::from_utf8_lossy(&merged),
         String::from_utf8_lossy(&plain.stdout)
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -152,4 +153,52 @@ fn experiments_sweep_failure_exits_1_not_2() {
     ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing"));
+}
+
+#[test]
+fn store_commands_usage_errors_exit_2() {
+    assert_usage(&experiments(&["gc"]), "--cache-dir");
+    // `study` names no experiment or command.
+    let out = experiments(&["study", "run", "fault-study"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown experiment"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_usage(&experiments(&["explain"]), "key prefix");
+}
+
+#[test]
+fn explain_of_an_absent_prefix_exits_1() {
+    let dir = scratch("explain-empty");
+    let cas = dir.join("cas");
+    let out = experiments(&["explain", "deadbeef", "--cache-dir", cas.to_str().unwrap()]);
+    assert_failure(&out, "no object matches");
+}
+
+/// `gc` keeps what the current code version reaches and removes exactly
+/// the objects another version wrote.
+#[test]
+fn gc_removes_exactly_the_foreign_versions_objects() {
+    let dir = scratch("gc-versions");
+    let cas = dir.join("cas");
+    let run = |args: &[&str], version: &str| {
+        let common = [
+            "--cache-dir",
+            cas.to_str().unwrap(),
+            "--code-version",
+            version,
+        ];
+        let out = experiments(&[args, &common[..], &["--out-dir", dir.to_str().unwrap()]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} {version}: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    run(&["fault-sweep-reduced"], "gc-kept");
+    run(&["fault-sweep-reduced"], "gc-foreign");
+    let gc = run(&["gc"], "gc-kept");
+    assert!(gc.contains("kept 8 object(s), removed 8 object(s)"), "{gc}");
+    let kept = run(&["fault-sweep-reduced"], "gc-kept");
+    assert!(kept.contains("cache: 8 hit(s), 0 miss(es)"), "{kept}");
+    let foreign = run(&["fault-sweep-reduced"], "gc-foreign");
+    assert!(foreign.contains("cache: 0 hit(s), 8 miss(es)"), "{foreign}");
 }

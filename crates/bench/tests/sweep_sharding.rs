@@ -10,24 +10,29 @@
 //!   functions of their keys — the fault schedule is open-loop).
 //!
 //! The canonical single-process run happens once (`OnceLock`) and also
-//! fills a source store; the properties then copy object files out of
-//! it, so the per-case cost is the missing points, not the whole grid.
+//! fills a source store and keeps its object files' bytes; the
+//! properties then plant copies of them, so the per-case cost is the
+//! missing points, not the whole grid.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+mod common;
+
+use common::ScratchDir;
 use proptest::prelude::*;
 use rsp_bench::experiments::faults::FaultSweep;
 use rsp_bench::sweep::{Executor, Shard, SweepConfig, SweepRunner};
 
 /// The canonical single-process run of the reduced fault sweep: its
-/// artifact bytes, its store, and every point's store address.
+/// artifact bytes, and every point's store address with the bytes of
+/// its stored object.
 struct Canonical {
     artifact: Vec<u8>,
-    store: PathBuf,
     hashes: Vec<String>,
+    objects: Vec<Vec<u8>>,
 }
 
 fn canonical() -> &'static Canonical {
@@ -35,7 +40,7 @@ fn canonical() -> &'static Canonical {
     CANON.get_or_init(|| {
         let sweep = FaultSweep::reduced();
         let plain = fresh_dir("canonical");
-        let (summary, _) = sweep.run_and_merge(&cfg_in(&plain)).expect("canonical run");
+        let summary = sweep.run_and_merge(&cfg_in(&plain)).expect("canonical run");
         let artifact = fs::read(summary.artifact.expect("fault sweep writes an artifact"))
             .expect("read canonical artifact");
         let dir = fresh_dir("source");
@@ -43,22 +48,24 @@ fn canonical() -> &'static Canonical {
         sweep.run(&cfg).expect("fill the source store");
         let hashes = sweep.point_hashes(&cfg).expect("point hashes");
         assert_eq!(hashes.len(), 8, "reduced grid is 2 workloads x 2 x 2");
+        let objects = hashes
+            .iter()
+            .map(|h| fs::read(object_path(&dir.join("cas"), h)).expect("stored object"))
+            .collect();
         Canonical {
             artifact,
-            store: dir.join("cas"),
             hashes,
+            objects,
         }
     })
 }
 
-fn fresh_dir(name: &str) -> PathBuf {
+fn fresh_dir(name: &str) -> ScratchDir {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir()
-        .join(format!("rsp-sweep-props-{}", std::process::id()))
-        .join(format!("{name}-{}", SEQ.fetch_add(1, Ordering::Relaxed)));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+    ScratchDir::new(&format!(
+        "sweep-props-{name}-{}",
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 fn cfg_in(dir: &Path) -> SweepConfig {
@@ -108,8 +115,8 @@ proptest! {
         let dir = fresh_dir("kill");
         let root = dir.join("cas");
         let mut intact = 0u64;
-        for (hash, _) in canon.hashes.iter().zip(&published).filter(|(_, p)| **p) {
-            plant(&root, hash, &fs::read(object_path(&canon.store, hash)).unwrap());
+        for (i, _) in published.iter().enumerate().filter(|(_, p)| **p) {
+            plant(&root, &canon.hashes[i], &canon.objects[i]);
             intact += 1;
         }
         // The torn file goes to the first unpublished point at or after
@@ -118,11 +125,11 @@ proptest! {
             (at..at + 8).map(|i| i % 8).find(|&i| !published[i]).map(|i| (i, cut))
         });
         if let Some((i, cut)) = torn {
-            let whole = fs::read(object_path(&canon.store, &canon.hashes[i])).unwrap();
+            let whole = &canon.objects[i];
             plant(&root, &canon.hashes[i], &whole[..cut % (whole.len() - 1) + 1]);
         }
 
-        let (merged, _) = FaultSweep::reduced()
+        let merged = FaultSweep::reduced()
             .run_and_merge(&stored_in(&dir))
             .expect("rerun");
         let cache = merged.cache.expect("store configured");

@@ -89,13 +89,6 @@ impl AllocationVector {
         }
     }
 
-    /// Build from raw encodings, checking well-formedness.
-    pub fn from_encodings(slots: Vec<SlotEncoding>) -> Result<AllocationVector, AllocError> {
-        let v = AllocationVector { slots };
-        v.check()?;
-        Ok(v)
-    }
-
     /// Number of slots.
     #[inline]
     pub fn len(&self) -> usize {

@@ -467,14 +467,6 @@ impl Fabric {
         None
     }
 
-    /// The type of a unit, if it (still) exists.
-    pub fn unit_type_of(&self, id: UnitId) -> Option<UnitType> {
-        match id {
-            UnitId::Ffu(i) => self.params.ffus.get(i).copied(),
-            UnitId::Rfu { head } => self.alloc.encoding(head).unit_type(),
-        }
-    }
-
     /// Mark a unit busy (instruction issued to it).
     ///
     /// # Panics

@@ -28,11 +28,6 @@ impl SweepProgress {
         p
     }
 
-    /// (Re)declare how many points this run must account for.
-    pub fn set_total(&self, total: u64) {
-        self.total.store(total, Ordering::Relaxed);
-    }
-
     /// Record one freshly computed point. Returns the snapshot *after*
     /// the increment, for progress lines.
     pub fn point_completed(&self) -> ProgressSnapshot {

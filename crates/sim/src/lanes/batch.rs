@@ -819,12 +819,6 @@ impl LaneBatch {
             })
             .collect()
     }
-
-    /// Whether the fault-aware effective-capacity view is engaged.
-    pub fn lane_effective_view(&self, lane: usize) -> bool {
-        let (w, bit) = self.loc(lane);
-        (self.state.view[w] >> bit) & 1 != 0
-    }
 }
 
 /// One cycle of the steering loop for word `w` (64 lanes): decode,

@@ -66,11 +66,6 @@ impl LaneRunner {
         &self.batch
     }
 
-    /// Mutable batch access (e.g. [`LaneBatch::set_fault_seed`]).
-    pub fn batch_mut(&mut self) -> &mut LaneBatch {
-        &mut self.batch
-    }
-
     /// The stimulus being replayed.
     pub fn stimulus(&self) -> &LaneStimulus {
         &self.stim

@@ -412,12 +412,6 @@ impl Machine {
         &self.mem
     }
 
-    /// Mutable data memory access (for pre-loading inputs before the
-    /// first step).
-    pub fn mem_mut(&mut self) -> &mut DataMemory {
-        &mut self.mem
-    }
-
     /// Install a telemetry bus ([`Telemetry::counting`] or
     /// [`Telemetry::ring`]); the default [`Telemetry::off`] keeps every
     /// hook free. Usually called right after [`Processor::start`], but
@@ -447,11 +441,6 @@ impl Machine {
             Some(log) => std::mem::take(log),
             None => Vec::new(),
         }
-    }
-
-    /// Mutable telemetry access (e.g. to drain the event ring mid-run).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
     }
 
     /// The demand signature the steering policy would observe right now

@@ -98,15 +98,6 @@ impl SteeringTrace {
         m.report()
     }
 
-    /// Cycles (sampled) during which the fabric's unit mix differed from
-    /// the previous sample — a coarse steering-activity measure.
-    pub fn config_change_samples(&self) -> usize {
-        self.samples
-            .windows(2)
-            .filter(|w| w[0].rfu_counts != w[1].rfu_counts)
-            .count()
-    }
-
     /// Serialise to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("trace serialises")
