@@ -34,6 +34,7 @@
 //! and quarantined files), and `explain` prints the metadata of every
 //! object whose hash starts with a prefix.
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -137,8 +138,8 @@ fn fail(e: SweepError) -> ! {
 
 /// Drive one sweep per the CLI. Shard runs publish into the store and
 /// stop; `--merge` only merges from it; everything else runs and merges,
-/// printing the report.
-fn drive_sweep(sweep: &dyn SweepRunner, cli: &Cli) {
+/// writing the report to `out`.
+fn drive_sweep(sweep: &dyn SweepRunner, cli: &Cli, out: &mut impl Write) -> io::Result<()> {
     if cli.sweep_flags_used && cli.cfg.cache_dir.is_none() {
         eprintln!(
             "--shard/--spawn/--merge keep sweep rows in the artifact store: pass --cache-dir DIR"
@@ -153,18 +154,19 @@ fn drive_sweep(sweep: &dyn SweepRunner, cli: &Cli) {
         if let Some(cache) = &summary.cache {
             eprintln!("{}", cache.summary_line());
         }
-        return;
+        return Ok(());
     } else {
         sweep.run_and_merge(&cli.cfg)
     };
     let merged = merged.unwrap_or_else(|e| fail(e));
     if let Some(cache) = &merged.cache {
-        println!("{}", cache.summary_line());
+        writeln!(out, "{}", cache.summary_line())?;
     }
-    println!("{}", merged.report);
+    writeln!(out, "{}", merged.report)?;
     if let Some(path) = &merged.artifact {
-        println!("wrote {} ({} points)", path.display(), merged.points);
+        writeln!(out, "wrote {} ({} points)", path.display(), merged.points)?;
     }
+    Ok(())
 }
 
 fn open_store(cli: &Cli) -> CasStore {
@@ -177,7 +179,7 @@ fn open_store(cli: &Cli) -> CasStore {
 
 /// `experiments gc`: remove every object that no id (listed or hidden)
 /// reaches under the current code version.
-fn gc(cli: &Cli) {
+fn gc(cli: &Cli, out: &mut impl Write) -> io::Result<()> {
     let store = open_store(cli);
     let mut live = std::collections::BTreeSet::new();
     for sweep in ALL_IDS
@@ -188,15 +190,16 @@ fn gc(cli: &Cli) {
         live.extend(sweep.point_hashes(&cli.cfg).unwrap_or_else(|e| fail(e)));
     }
     let summary = store.gc(&live).unwrap_or_else(|e| fail(e));
-    println!(
+    writeln!(
+        out,
         "gc: kept {} object(s), removed {} object(s), {} claim(s), {} quarantined",
         summary.kept, summary.removed, summary.claims_removed, summary.quarantine_removed
-    );
+    )
 }
 
 /// `experiments explain <prefix>`: every stored object whose hash starts
 /// with `prefix`, with its metadata.
-fn explain(cli: &Cli, prefix: &str) {
+fn explain(cli: &Cli, prefix: &str, out: &mut impl Write) -> io::Result<()> {
     let store = open_store(cli);
     let found = store.find(prefix).unwrap_or_else(|e| fail(e));
     if found.is_empty() {
@@ -204,18 +207,33 @@ fn explain(cli: &Cli, prefix: &str) {
         exit(1);
     }
     for obj in found {
-        println!("{} ({})", obj.key, obj.kind);
-        println!("  name:         {}", obj.name);
-        println!("  code_version: {}", obj.code_version);
-        println!("  inputs:       {}", obj.inputs.len());
+        writeln!(out, "{} ({})", obj.key, obj.kind)?;
+        writeln!(out, "  name:         {}", obj.name)?;
+        writeln!(out, "  code_version: {}", obj.code_version)?;
+        writeln!(out, "  inputs:       {}", obj.inputs.len())?;
         for input in &obj.inputs {
-            println!("    {input}");
+            writeln!(out, "    {input}")?;
+        }
+    }
+    Ok(())
+}
+
+/// Runs the command; stdout closing early (`| head`) ends the run
+/// quietly with exit 0.
+fn main() {
+    let cli = parse_cli();
+    let mut out = io::stdout().lock();
+    match run(&cli, &mut out).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => exit(0),
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            exit(1);
         }
     }
 }
 
-fn main() {
-    let cli = parse_cli();
+fn run(cli: &Cli, out: &mut impl Write) -> io::Result<()> {
     let args: Vec<&str> = cli.positionals.iter().map(String::as_str).collect();
     let known =
         |id: &str| matches!(id, "all" | "list" | "gc" | "explain") || sweep_runner(id).is_some();
@@ -229,23 +247,24 @@ fn main() {
             eprintln!("--shard/--spawn/--merge apply to experiment ids, not gc or explain");
             usage();
         }
-        ["gc"] => gc(&cli),
+        ["gc"] => gc(cli, out),
         ["explain"] => {
             eprintln!("explain needs a key prefix");
             usage();
         }
-        ["explain", prefix] => explain(&cli, prefix),
+        ["explain", prefix] => explain(cli, prefix, out),
         ["all"] => {
             if cli.sweep_flags_used {
                 eprintln!("--shard/--spawn/--merge apply to a single experiment id, not 'all'");
                 exit(2);
             }
             for id in ALL_IDS.iter().filter(|&&i| i != "all") {
-                drive_sweep(sweep_runner(id).expect("listed id").as_ref(), &cli);
-                println!("{}", "=".repeat(78));
+                drive_sweep(sweep_runner(id).expect("listed id").as_ref(), cli, out)?;
+                writeln!(out, "{}", "=".repeat(78))?;
             }
+            Ok(())
         }
-        [id] => drive_sweep(sweep_runner(id).expect("known id").as_ref(), &cli),
+        [id] => drive_sweep(sweep_runner(id).expect("known id").as_ref(), cli, out),
         _ => {
             eprintln!("unexpected arguments {:?}", &args[1..]);
             usage();

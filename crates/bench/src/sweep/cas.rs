@@ -450,6 +450,7 @@ impl CasStore {
     /// everything in quarantine.
     pub fn gc(&self, live: &std::collections::BTreeSet<String>) -> Result<GcSummary, SweepError> {
         let mut summary = GcSummary::default();
+        let mut shards = std::collections::BTreeSet::new();
         for hash in self.list()? {
             if live.contains(&hash) {
                 summary.kept += 1;
@@ -457,7 +458,13 @@ impl CasStore {
                 let path = self.object_path(&hash);
                 fs::remove_file(&path).map_err(|e| SweepError::io(&path, e))?;
                 summary.removed += 1;
+                shards.extend(path.parent().map(Path::to_path_buf));
             }
+        }
+        // Drop the shard directories this emptied; one that still holds
+        // an object refuses, and stays.
+        for dir in shards {
+            let _ = fs::remove_dir(dir);
         }
         for sub in ["claims", "quarantine"] {
             let dir = self.root.join(sub);
@@ -627,6 +634,29 @@ mod tests {
         );
         assert!(store.contains(&live_hash));
         assert!(!store.contains(&dead_hash));
+    }
+
+    #[test]
+    fn gc_leaves_no_empty_shard_directory() {
+        let (_dir, store) = fresh_store("gc-shards");
+        let hashes: Vec<String> = (0..12)
+            .map(|i| crate::sweep::canon::sha256_hex(format!("obj{i}").as_bytes()))
+            .collect();
+        for h in &hashes {
+            store.store(&meta(h, h), &Value::Int(0)).unwrap();
+        }
+        let live: std::collections::BTreeSet<String> = hashes[..3].iter().cloned().collect();
+        assert_eq!(store.gc(&live).unwrap().removed, 9);
+        let objects = store.root.join("objects");
+        for shard in fs::read_dir(&objects).unwrap() {
+            let shard = shard.unwrap().path();
+            assert!(
+                fs::read_dir(&shard).unwrap().next().is_some(),
+                "gc left {} empty",
+                shard.display()
+            );
+        }
+        assert_eq!(store.list().unwrap().len(), 3);
     }
 
     #[test]

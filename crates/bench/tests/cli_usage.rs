@@ -5,7 +5,7 @@
 
 mod common;
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use common::ScratchDir;
 
@@ -136,6 +136,23 @@ fn report_id_shards_and_merges_to_the_plain_output() {
         String::from_utf8_lossy(&merged),
         String::from_utf8_lossy(&plain.stdout)
     );
+}
+
+/// A reader that goes away early (`experiments … | head -1`) ends the
+/// run quietly: no panic, no backtrace.
+#[test]
+fn experiments_end_quietly_on_a_closed_stdout() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("table1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn experiments");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for experiments");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
 #[test]

@@ -42,6 +42,7 @@ mod hash;
 mod metrics;
 mod progress;
 mod recorder;
+mod ring;
 mod sink;
 
 pub use event::{Event, StallCause, Stamped, MAX_CANDIDATES};

@@ -15,6 +15,7 @@
 //! never allocates after construction (entries are `Copy`, the ring is
 //! pre-allocated, storm detection is two counters).
 
+use crate::ring::Ring;
 use serde::{Deserialize, Serialize};
 
 /// Why a submission was shed, without the free-form detail of
@@ -126,12 +127,7 @@ pub const DEFAULT_SHED_STORM_WINDOW: u64 = 64;
 /// Bounded ring of [`FleetEntry`]s with shed-storm detection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecorder {
-    enabled: bool,
-    buf: Vec<FleetEntry>,
-    capacity: usize,
-    /// Index of the oldest entry once the buffer has wrapped.
-    next: usize,
-    dropped: u64,
+    ring: Ring<FleetEntry>,
     storm_threshold: u32,
     storm_window: u64,
     window_start: u64,
@@ -144,11 +140,7 @@ impl FlightRecorder {
     /// shed-storm policy. `capacity == 0` yields a disabled recorder.
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            enabled: capacity > 0,
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            next: 0,
-            dropped: 0,
+            ring: Ring::new(capacity),
             storm_threshold: DEFAULT_SHED_STORM_THRESHOLD,
             storm_window: DEFAULT_SHED_STORM_WINDOW,
             window_start: 0,
@@ -172,23 +164,17 @@ impl FlightRecorder {
 
     /// True iff records do anything.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.ring.capacity() > 0
     }
 
     /// Record one entry. Returns `true` exactly when this entry crossed
     /// the shed-storm threshold (once per window — the caller dumps).
     #[inline]
     pub fn record(&mut self, entry: FleetEntry) -> bool {
-        if !self.enabled {
+        if !self.enabled() {
             return false;
         }
-        if self.buf.len() < self.capacity {
-            self.buf.push(entry);
-        } else {
-            self.buf[self.next] = entry;
-            self.next = (self.next + 1) % self.capacity;
-            self.dropped += 1;
-        }
+        self.ring.push(entry);
         if let FleetEvent::Shed { .. } = entry.event {
             if self.storm_threshold == 0 {
                 return false;
@@ -208,22 +194,22 @@ impl FlightRecorder {
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// True if no entries are held.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.len() == 0
     }
 
     /// Maximum entries held.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Entries overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Shed storms detected so far.
@@ -233,17 +219,14 @@ impl FlightRecorder {
 
     /// The held entries in chronological order.
     pub fn entries(&self) -> Vec<FleetEntry> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
+        self.ring.iter().copied().collect()
     }
 
     /// Serialise the held entries as JSON Lines (chronological order).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for e in self.entries() {
-            out.push_str(&serde_json::to_string(&e).expect("fleet entries always serialise"));
+        for e in self.ring.iter() {
+            out.push_str(&serde_json::to_string(e).expect("fleet entries always serialise"));
             out.push('\n');
         }
         out
@@ -252,9 +235,7 @@ impl FlightRecorder {
     /// Discard all held entries and reset storm detection (capacity and
     /// policy are kept).
     pub fn clear(&mut self) {
-        self.buf.clear();
-        self.next = 0;
-        self.dropped = 0;
+        self.ring.clear();
         self.window_start = 0;
         self.window_sheds = 0;
         self.storms = 0;

@@ -7,6 +7,7 @@
 //! allocates (overwrites the oldest entry instead, counting drops).
 
 use crate::event::Stamped;
+use crate::ring::Ring;
 
 /// A fixed-capacity ring buffer of stamped events with a JSONL export.
 ///
@@ -15,11 +16,7 @@ use crate::event::Stamped;
 /// consumers can tell a complete log from a truncated one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RingSink {
-    buf: Vec<Stamped>,
-    capacity: usize,
-    /// Index of the oldest entry once the buffer has wrapped.
-    next: usize,
-    dropped: u64,
+    ring: Ring<Stamped>,
 }
 
 impl RingSink {
@@ -27,43 +24,33 @@ impl RingSink {
     pub fn new(capacity: usize) -> RingSink {
         assert!(capacity > 0, "ring sink needs a nonzero capacity");
         RingSink {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            next: 0,
-            dropped: 0,
+            ring: Ring::new(capacity),
         }
     }
 
     /// Events currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// True if no events are held.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.len() == 0
     }
 
     /// Maximum events held.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The held events in chronological order, as the ring's two
-    /// halves (oldest first).
-    fn halves(&self) -> (&[Stamped], &[Stamped]) {
-        (&self.buf[self.next..], &self.buf[..self.next])
+        self.ring.dropped()
     }
 
     /// The held events in chronological order.
     pub fn events(&self) -> Vec<Stamped> {
-        let (older, newer) = self.halves();
-        [older, newer].concat()
+        self.ring.iter().copied().collect()
     }
 
     /// Append the held events to `out` as JSON Lines (one event per
@@ -72,8 +59,7 @@ impl RingSink {
     /// [`Stamped::write_json`]); into a `String` with room to spare this
     /// allocates nothing.
     pub fn write_jsonl(&self, out: &mut String) {
-        let (older, newer) = self.halves();
-        for ev in older.iter().chain(newer) {
+        for ev in self.ring.iter() {
             ev.write_json(out);
             out.push('\n');
         }
@@ -90,21 +76,13 @@ impl RingSink {
     /// Discard all held events (capacity and drop count keep their
     /// meaning for the next run; the drop count is zeroed).
     pub fn clear(&mut self) {
-        self.buf.clear();
-        self.next = 0;
-        self.dropped = 0;
+        self.ring.clear();
     }
 
     /// Record one event, overwriting the oldest once the ring is full.
     #[inline]
     pub fn record(&mut self, ev: Stamped) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-            self.next = (self.next + 1) % self.capacity;
-            self.dropped += 1;
-        }
+        self.ring.push(ev);
     }
 }
 

@@ -9,86 +9,30 @@
 use crate::engine::EngineStats;
 use crate::protocol::{self, Request, Response};
 use crate::scheduler::ShedReason;
-use crate::server::is_unix_addr;
 use crate::slo::MetricsFrame;
 use crate::tenant::{TenantRequest, TenantStatus};
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
-
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.flush(),
-        }
-    }
-}
+use crate::transport::Stream;
+use std::io;
 
 /// A connected serve client.
 pub struct ServeClient {
-    stream: ClientStream,
+    stream: Stream,
 }
 
 impl ServeClient {
     /// Connect to `addr` (TCP `host:port`, or a Unix socket path when
     /// the address contains `/`).
     pub fn connect(addr: &str) -> io::Result<ServeClient> {
-        let stream = if is_unix_addr(addr) {
-            #[cfg(unix)]
-            {
-                ClientStream::Unix(UnixStream::connect(addr)?)
-            }
-            #[cfg(not(unix))]
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix socket addresses need a unix platform",
-            ));
-        } else {
-            let stream = TcpStream::connect(addr)?;
-            // One frame per request, then wait for the reply: never
-            // let Nagle hold a frame back.
-            stream.set_nodelay(true)?;
-            ClientStream::Tcp(stream)
-        };
-        Ok(ServeClient { stream })
+        Ok(ServeClient {
+            stream: Stream::connect(addr)?,
+        })
     }
 
     /// Whether `TCP_NODELAY` is set (`true` on a Unix socket, which
     /// has no Nagle delay).
     #[cfg(test)]
     pub(crate) fn nodelay(&self) -> io::Result<bool> {
-        match &self.stream {
-            ClientStream::Tcp(s) => s.nodelay(),
-            #[cfg(unix)]
-            ClientStream::Unix(_) => Ok(true),
-        }
+        self.stream.nodelay()
     }
 
     fn roundtrip(&mut self, req: &Request) -> io::Result<Response> {

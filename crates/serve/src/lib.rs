@@ -48,6 +48,7 @@ pub mod scheduler;
 pub mod server;
 pub mod slo;
 pub mod tenant;
+mod transport;
 
 pub use client::ServeClient;
 pub use engine::{

@@ -3,9 +3,11 @@
 //! Each frame is a 4-byte big-endian payload length followed by that
 //! many bytes of UTF-8 JSON (one [`Request`] or [`Response`]). The
 //! framing is symmetric, std-only, and transport-agnostic: the same
-//! functions drive TCP and Unix-domain streams. Frames larger than
-//! [`MAX_FRAME`] are rejected before allocation so a corrupt or
-//! hostile peer cannot make the server reserve gigabytes.
+//! functions drive TCP and Unix-domain streams, on the server and the
+//! client alike. Frames larger than [`MAX_FRAME`] are rejected before
+//! allocation, and a frame's buffer grows only with the bytes received,
+//! so a corrupt or hostile peer cannot make the server reserve memory
+//! it never sends.
 
 use crate::engine::EngineStats;
 use crate::scheduler::ShedReason;
@@ -16,6 +18,9 @@ use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload (16 MiB).
 pub const MAX_FRAME: usize = 16 << 20;
+
+/// Most a frame reader reserves before the body's bytes arrive (64 KiB).
+const FRAME_RESERVE: usize = 64 << 10;
 
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -114,6 +119,10 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()>
 
 /// Read one frame's payload. `Ok(None)` on clean EOF at a frame
 /// boundary; errors on torn frames, oversized lengths, or bad UTF-8.
+///
+/// The body buffer grows with the bytes that arrive, from at most 64 KiB
+/// up front: a header alone cannot make the reader reserve a
+/// [`MAX_FRAME`] buffer.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
     let mut header = [0u8; 4];
     let mut got = 0;
@@ -127,6 +136,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
                 ))
             }
             Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
@@ -137,8 +147,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(FRAME_RESERVE));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "EOF inside frame body",
+        ));
+    }
     String::from_utf8(body)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))

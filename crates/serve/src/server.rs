@@ -17,22 +17,27 @@
 //! Shutdown: a `Shutdown` request is answered with `Bye`, then the
 //! engine thread finishes its current drain, telemetry is exported
 //! under fleet-global ids (when configured), and the final merged stats
-//! are returned once the accept loop exits. Connection reads use a
-//! short timeout so every thread observes the shutdown flag promptly
-//! instead of blocking forever.
+//! are returned once the accept loop exits. Only the accept loop polls;
+//! connection threads block in their reads and the engine thread blocks
+//! on its channel while idle. The accept loop keeps a second handle on
+//! every live connection and drops it once that connection's thread
+//! has finished; at shutdown it closes the read half of every one still
+//! open, which wakes its blocked read at once, even mid-frame.
 
 use crate::engine::{EngineConfig, EngineStats};
 use crate::fleet::{PanicFlightGuard, ShardedEngine};
 use crate::protocol::{self, Request, Response};
 use crate::scheduler::WatermarkScheduler;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use crate::transport::{Listener, Stream};
+use std::io;
+use std::net::Shutdown;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+pub use crate::transport::is_unix_addr;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -49,9 +54,6 @@ pub struct ServerConfig {
     /// scheduler, and tenants are pinned by affinity hash. 0 is treated
     /// as 1.
     pub shards: usize,
-    /// Engine idle-poll interval (how long the engine thread waits for
-    /// commands when nothing is running).
-    pub idle_poll: Duration,
     /// Export per-tenant telemetry here on shutdown (`None` = skip).
     pub telemetry_dir: Option<PathBuf>,
 }
@@ -62,84 +64,14 @@ impl Default for ServerConfig {
             engine: EngineConfig::default(),
             scheduler: WatermarkScheduler::default(),
             shards: 1,
-            idle_poll: Duration::from_millis(2),
             telemetry_dir: None,
         }
     }
 }
 
-/// Read timeout on connection sockets; bounds how long a connection
-/// thread can miss the shutdown flag.
-const CONN_READ_TIMEOUT: Duration = Duration::from_millis(250);
-
-enum ListenerKind {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, PathBuf),
-}
-
-impl ListenerKind {
-    /// Accept one connection. TCP streams get `TCP_NODELAY`: every
-    /// reply is one frame the client is waiting on, so Nagle would only
-    /// hold it back for the client's delayed ACK. An error here ends the
-    /// accept loop, so a failing `set_nodelay` (the peer already reset)
-    /// is left to that connection's own first read.
-    fn accept(&self) -> io::Result<ConnStream> {
-        match self {
-            ListenerKind::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                let _ = s.set_nodelay(true);
-                Ok(ConnStream::Tcp(s))
-            }
-            #[cfg(unix)]
-            ListenerKind::Unix(l, _) => l.accept().map(|(s, _)| ConnStream::Unix(s)),
-        }
-    }
-}
-
-enum ConnStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Read for ConnStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ConnStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ConnStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ConnStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ConnStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// True iff `addr` names a Unix-domain socket path rather than a TCP
-/// address (contains `/`, the convention the CLI documents).
-pub fn is_unix_addr(addr: &str) -> bool {
-    addr.contains('/')
-}
-
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: ListenerKind,
+    listener: Listener,
     addr: String,
     cfg: ServerConfig,
 }
@@ -154,30 +86,9 @@ impl Server {
     /// address contains `/`). TCP port 0 picks a free port; the bound
     /// address is reported by [`Server::local_addr`].
     pub fn bind(addr: &str, cfg: ServerConfig) -> io::Result<Server> {
-        if is_unix_addr(addr) {
-            #[cfg(unix)]
-            {
-                let path = PathBuf::from(addr);
-                // A stale socket file from a crashed server blocks
-                // rebinding; remove it (connect would fail anyway).
-                let _ = std::fs::remove_file(&path);
-                let listener = UnixListener::bind(&path)?;
-                return Ok(Server {
-                    listener: ListenerKind::Unix(listener, path),
-                    addr: addr.to_string(),
-                    cfg,
-                });
-            }
-            #[cfg(not(unix))]
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix socket addresses need a unix platform",
-            ));
-        }
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?.to_string();
+        let (listener, addr) = Listener::bind(addr)?;
         Ok(Server {
-            listener: ListenerKind::Tcp(listener),
+            listener,
             addr,
             cfg,
         })
@@ -202,7 +113,7 @@ impl Server {
         let engine_shutdown = shutdown.clone();
         let engine_thread = std::thread::spawn(move || {
             let mut engine = ShardedEngine::new(cfg.engine, cfg.scheduler, cfg.shards);
-            run_engine(&mut engine, rx, cfg.idle_poll);
+            run_engine(&mut engine, rx);
             engine_shutdown.store(true, Ordering::SeqCst);
             if let Some(dir) = cfg.telemetry_dir {
                 let _ = engine.export_telemetry(&dir);
@@ -210,62 +121,52 @@ impl Server {
             engine.stats()
         });
 
-        match &listener {
-            ListenerKind::Tcp(l) => l.set_nonblocking(true)?,
-            #[cfg(unix)]
-            ListenerKind::Unix(l, _) => l.set_nonblocking(true)?,
-        }
-        let mut conn_threads = Vec::new();
-        while !shutdown.load(Ordering::SeqCst) {
+        listener.set_nonblocking(true)?;
+        // Each live connection's thread and a second handle on its
+        // socket, so shutdown can wake the thread's blocked read.
+        let mut conns: Vec<(JoinHandle<()>, Stream)> = Vec::new();
+        let accepted = loop {
+            conns.retain(|(thread, _)| !thread.is_finished());
+            if shutdown.load(Ordering::SeqCst) {
+                break Ok(());
+            }
             match listener.accept() {
                 Ok(stream) => {
+                    let Ok(handle) = stream.try_clone() else {
+                        continue; // dropping `stream` hangs up on the peer
+                    };
                     let tx = tx.clone();
-                    let shutdown = shutdown.clone();
-                    conn_threads.push(std::thread::spawn(move || {
-                        conn_loop(stream, tx, shutdown);
-                    }));
+                    conns.push((std::thread::spawn(move || conn_loop(stream, tx)), handle));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
                 }
-                Err(e) => {
-                    shutdown.store(true, Ordering::SeqCst);
-                    drop(tx);
-                    let _ = engine_thread.join();
-                    return Err(e);
-                }
+                Err(e) => break Err(e),
             }
-        }
+        };
+        // After an accept error the engine thread is still serving; it
+        // stops once idle with every `Sender` gone, so the connection
+        // threads must end too.
         drop(tx);
-        for t in conn_threads {
-            let _ = t.join();
+        for (_, handle) in &conns {
+            let _ = handle.shutdown(Shutdown::Read);
         }
-        #[cfg(unix)]
-        if let ListenerKind::Unix(_, path) = &listener {
-            let _ = std::fs::remove_file(path);
+        for (thread, _) in conns {
+            let _ = thread.join();
         }
-        engine_thread
+        let stats = engine_thread
             .join()
-            .map_err(|_| io::Error::other("engine thread panicked"))
+            .map_err(|_| io::Error::other("engine thread panicked"));
+        accepted.and(stats)
     }
 }
 
 /// One connection: read frames, forward to the engine, write replies.
-fn conn_loop(mut stream: ConnStream, tx: mpsc::Sender<Command>, shutdown: Arc<AtomicBool>) {
-    let set_timeout = |s: &ConnStream| match s {
-        ConnStream::Tcp(s) => s.set_read_timeout(Some(CONN_READ_TIMEOUT)),
-        #[cfg(unix)]
-        ConnStream::Unix(s) => s.set_read_timeout(Some(CONN_READ_TIMEOUT)),
-    };
-    if set_timeout(&stream).is_err() {
-        return;
-    }
-    loop {
-        let text = match read_frame_interruptible(&mut stream, &shutdown) {
-            Ok(Some(t)) => t,
-            Ok(None) => return, // clean EOF or shutdown
-            Err(_) => return,
-        };
+/// Ends at EOF (the peer hung up, or shutdown closed the read half), on
+/// a torn or malformed frame, or after replying `Bye`, and then shuts
+/// the socket down so the peer sees the hangup at once.
+fn conn_loop(mut stream: Stream, tx: mpsc::Sender<Command>) {
+    while let Ok(Some(text)) = protocol::read_frame(&mut stream) {
         let response = match protocol::decode::<Request>(&text) {
             Ok(req) => {
                 let (rtx, rrx) = mpsc::channel();
@@ -283,77 +184,10 @@ fn conn_loop(mut stream: ConnStream, tx: mpsc::Sender<Command>, shutdown: Arc<At
         };
         let bye = matches!(response, Response::Bye);
         if protocol::write_frame(&mut stream, &response).is_err() || bye {
-            return;
+            break;
         }
     }
-}
-
-/// Like [`protocol::read_frame`], but treats read timeouts as a chance
-/// to observe the shutdown flag instead of an error. Safe against
-/// partial reads: progress within the frame is tracked across retries.
-fn read_frame_interruptible(
-    stream: &mut ConnStream,
-    shutdown: &AtomicBool,
-) -> io::Result<Option<String>> {
-    let mut header = [0u8; 4];
-    if !read_n(stream, &mut header, shutdown, true)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > protocol::MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    if !read_n(stream, &mut body, shutdown, false)? {
-        return Ok(None);
-    }
-    String::from_utf8(body)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
-}
-
-/// Fill `buf`, retrying on timeout until shutdown. Returns false on a
-/// clean stop (EOF before any byte when `eof_ok`, or shutdown at a
-/// frame boundary with nothing read). Shutdown inside a frame is an
-/// error: a peer that sent part of a frame and stalled must not hold
-/// the server's shutdown, which joins every connection thread.
-fn read_n(
-    stream: &mut ConnStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    eof_ok: bool,
-) -> io::Result<bool> {
-    let mut got = 0;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) if got == 0 && eof_ok => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside frame",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    if got == 0 && eof_ok {
-                        return Ok(false);
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "shutdown inside frame",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 fn handle(engine: &mut ShardedEngine, req: Request, bye: &mut bool) -> Response {
@@ -391,7 +225,8 @@ fn handle(engine: &mut ShardedEngine, req: Request, bye: &mut bool) -> Response 
 /// The engine's serve loop, driven through a [`PanicFlightGuard`]: if
 /// the loop panics, the guard's `Drop` dumps every shard's flight ring
 /// (with an `EnginePanic` trigger entry) before the thread unwinds.
-fn run_engine(engine: &mut ShardedEngine, rx: mpsc::Receiver<Command>, idle_poll: Duration) {
+/// Idle, it blocks until a command arrives or every sender is gone.
+fn run_engine(engine: &mut ShardedEngine, rx: mpsc::Receiver<Command>) {
     let guard = PanicFlightGuard::new(engine);
     let mut bye = false;
     loop {
@@ -403,14 +238,9 @@ fn run_engine(engine: &mut ShardedEngine, rx: mpsc::Receiver<Command>, idle_poll
             break;
         }
         if guard.engine.is_idle() {
-            match rx.recv_timeout(idle_poll) {
-                Ok(cmd) => {
-                    let resp = handle(&mut *guard.engine, cmd.req, &mut bye);
-                    let _ = cmd.reply.send(resp);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
+            let Ok(cmd) = rx.recv() else { break };
+            let resp = handle(&mut *guard.engine, cmd.req, &mut bye);
+            let _ = cmd.reply.send(resp);
         } else {
             guard.engine.tick();
         }
@@ -427,10 +257,9 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
         let client = ServeClient::connect(server.local_addr()).unwrap();
         assert!(client.nodelay().unwrap(), "client end");
-        match server.listener.accept().unwrap() {
-            ConnStream::Tcp(s) => assert!(s.nodelay().unwrap(), "server end"),
-            #[cfg(unix)]
-            ConnStream::Unix(_) => panic!("bound a TCP address"),
-        }
+        let Stream::Tcp(s) = server.listener.accept().unwrap() else {
+            panic!("bound a TCP address");
+        };
+        assert!(s.nodelay().unwrap(), "server end");
     }
 }

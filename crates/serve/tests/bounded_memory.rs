@@ -1,0 +1,107 @@
+//! A hostile or merely finished client must not cost the server memory
+//! it keeps: a frame header alone reserves no more than a small buffer,
+//! and a connection that has ended leaves no thread stack behind.
+//!
+//! These tests share a binary with a counting global allocator and no
+//! other servers, so `/proc/self/maps` moves only with what they do.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rsp_serve::protocol::read_frame;
+use rsp_serve::MAX_FRAME;
+
+/// Counts the bytes every allocation and reallocation asks for, per
+/// thread, so the harness's own threads do not count against the code
+/// under test.
+struct CountingAlloc;
+
+thread_local! {
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down at thread exit.
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn bytes_allocated() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+#[test]
+fn a_frame_header_alone_reserves_no_large_buffer() {
+    // A header promising the largest legal frame, ten body bytes, EOF.
+    let mut wire = (MAX_FRAME as u32).to_be_bytes().to_vec();
+    wire.extend_from_slice(&[b' '; 10]);
+    let before = bytes_allocated();
+    let err = read_frame(&mut &wire[..]).unwrap_err();
+    let allocated = bytes_allocated() - before;
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(
+        allocated < 1 << 20,
+        "a {MAX_FRAME}-byte header with a 10-byte body allocated {allocated} bytes"
+    );
+}
+
+/// Every finished connection's thread is released while the server
+/// runs: 200 sequential connections leave `/proc/self/maps` (one line
+/// per mapping, two per thread stack kept alive) about where it was.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_connections_release_their_threads() {
+    use rsp_serve::{ServeClient, Server, ServerConfig};
+
+    fn maps_lines() -> usize {
+        std::fs::read_to_string("/proc/self/maps")
+            .unwrap()
+            .lines()
+            .count()
+    }
+
+    let path = std::env::temp_dir().join(format!("rsp-bounded-{}.sock", std::process::id()));
+    let addr = path.to_str().unwrap().to_string();
+    let server = Server::bind(&addr, ServerConfig::default()).unwrap();
+    let handle = std::thread::spawn(move || server.run());
+
+    // One cycle first, so the allocator arenas and thread-stack cache
+    // that any connection thread needs are already mapped.
+    ServeClient::connect(&addr).unwrap().stats().unwrap();
+    let before = maps_lines();
+    for _ in 0..200 {
+        ServeClient::connect(&addr).unwrap().stats().unwrap();
+    }
+    let grown = maps_lines().saturating_sub(before);
+
+    ServeClient::connect(&addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    assert!(
+        grown < 100,
+        "200 finished connections grew /proc/self/maps by {grown} lines"
+    );
+}
