@@ -181,8 +181,28 @@ pub fn achievable_rfu_counts(
     c
 }
 
+/// A predefined configuration the loader's last per-unit walk found fully
+/// in place: every unit already configured at its own head, none on a
+/// dead slot, corrupted or cooling down. It stays in place for as long as
+/// the fabric's allocation epoch does not move: only a load (which bumps
+/// the epoch when it starts, lands or fails) can change a span, set a
+/// cooldown or restart a failure streak, and upsets and scrub bump it
+/// too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct InPlace {
+    /// Index into the steering set's predefined configurations.
+    target: usize,
+    /// [`Fabric::epoch`] when the walk found it in place.
+    epoch: u64,
+    /// Its unit count: what every skipped walk adds to `skipped_matching`.
+    units: u64,
+}
+
 /// The configuration loader: applies a selection to the fabric using
 /// partial reconfiguration.
+///
+/// A loader steers one fabric: its retry backoff and its record of which
+/// configuration is in place are state of the fabric it was applied to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigurationLoader {
     set: SteeringSet,
@@ -201,6 +221,8 @@ pub struct ConfigurationLoader {
     cooldown_until: Vec<u64>,
     /// Per-head-slot: consecutive load failures (drives the backoff).
     fail_streak: Vec<u32>,
+    /// The target found fully in place, for the empty-diff exit.
+    in_place: Option<InPlace>,
 }
 
 impl ConfigurationLoader {
@@ -220,6 +242,7 @@ impl ConfigurationLoader {
             tick: 0,
             cooldown_until: Vec::new(),
             fail_streak: Vec::new(),
+            in_place: None,
         }
     }
 
@@ -288,11 +311,42 @@ impl ConfigurationLoader {
     /// [`ConfigurationLoader::apply`], emitting load-lifecycle telemetry
     /// (start/retry/backoff-deferral/dead-skip) into `obs`. Behaviour is
     /// identical; a disabled handle makes every emit a no-op.
+    ///
+    /// When the paper's XOR slot diff between the target and the
+    /// allocation vector is empty — the target was found fully in place
+    /// and the fabric's allocation epoch has not moved since — the
+    /// per-unit walk is skipped: it would only count every unit as
+    /// matching, so the exit adds the unit count to `skipped_matching`.
+    #[inline]
     pub fn apply_observed(
         &mut self,
         choice: ConfigChoice,
         fabric: &mut Fabric,
         obs: &mut Telemetry,
+    ) -> usize {
+        self.apply_inner(choice, fabric, obs, true)
+    }
+
+    /// [`ConfigurationLoader::apply_observed`] without the empty-diff
+    /// exit: the per-unit walk runs on every selection of a predefined
+    /// configuration. The reference the exit is checked against.
+    #[doc(hidden)]
+    pub fn apply_observed_scan(
+        &mut self,
+        choice: ConfigChoice,
+        fabric: &mut Fabric,
+        obs: &mut Telemetry,
+    ) -> usize {
+        self.apply_inner(choice, fabric, obs, false)
+    }
+
+    #[inline]
+    fn apply_inner(
+        &mut self,
+        choice: ConfigChoice,
+        fabric: &mut Fabric,
+        obs: &mut Telemetry,
+        exit_in_place: bool,
     ) -> usize {
         self.tick += 1;
         self.drain_fault_events(fabric);
@@ -308,9 +362,26 @@ impl ConfigurationLoader {
         let ConfigChoice::Predefined(i) = choice else {
             return 0; // keep the current configuration: no reconfiguration
         };
+        if exit_in_place && self.partial {
+            if let Some(p) = self.in_place {
+                if p.target == i && p.epoch == fabric.epoch() {
+                    self.stats.skipped_matching += p.units;
+                    return 0;
+                }
+            }
+        }
+        self.load_target(i, fabric, obs)
+    }
+
+    /// The per-unit walk over predefined configuration `i`: start, defer
+    /// or skip each unit's load. Records the target as in place when
+    /// every unit was skipped as already matching.
+    fn load_target(&mut self, i: usize, fabric: &mut Fabric, obs: &mut Telemetry) -> usize {
         let target = &self.set.predefined[i];
         let mut started = 0;
+        let (mut units, mut matching) = (0u64, 0u64);
         for pu in target.placement.units() {
+            units += 1;
             if self.tick < self.cooldown_until[pu.head] {
                 self.stats.deferred_backoff += 1;
                 obs.emit(Event::LoadBackoffDeferred {
@@ -369,6 +440,9 @@ impl ConfigurationLoader {
                         // selection loaded it): the failure streak is over.
                         self.fail_streak[pu.head] = 0;
                         self.stats.skipped_matching += 1;
+                        if !fabric.slot_corrupted(pu.head) {
+                            matching += 1;
+                        }
                     }
                 }
                 Err(LoadError::SpanBusy) => self.stats.deferred_busy += 1,
@@ -452,6 +526,12 @@ impl ConfigurationLoader {
                 }
             }
         }
+        // A walk that changed nothing leaves the epoch where it was.
+        self.in_place = (self.partial && matching == units).then(|| InPlace {
+            target: i,
+            epoch: fabric.epoch(),
+            units,
+        });
         started
     }
 }

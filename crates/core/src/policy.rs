@@ -21,7 +21,7 @@ use crate::select::{ConfigChoice, SelectionUnit};
 use crate::smooth::DemandFilter;
 use rsp_fabric::config::{Configuration, SteeringSet};
 use rsp_fabric::fabric::Fabric;
-use rsp_isa::units::{SlotEncoding, TypeCounts, UnitType};
+use rsp_isa::units::{TypeCounts, UnitType};
 use rsp_obs::{Event, Telemetry, MAX_CANDIDATES};
 
 /// What a policy did this cycle.
@@ -72,7 +72,8 @@ pub const DEFAULT_CAPACITY_HYSTERESIS: u32 = 32;
 /// The unit is a pure function of these inputs, and they rarely change
 /// from one cycle to the next, so a tick whose inputs equal the saved
 /// ones reuses the saved result. The steering set is the loader's,
-/// fixed when the policy is built.
+/// fixed when the policy is built; the allocation epoch is the steered
+/// fabric's (a policy, like its loader, steers one fabric).
 #[derive(Debug, Clone)]
 struct SelectionMemo {
     /// False until the first evaluation.
@@ -84,8 +85,11 @@ struct SelectionMemo {
     /// Key: whether predefined candidates were scored against their
     /// dead-slot-aware counts.
     effective_view: bool,
-    /// Key: the live allocation vector (the reconfiguration costs).
-    alloc: Vec<SlotEncoding>,
+    /// Key: the fabric's allocation epoch, standing for the live
+    /// allocation vector (the reconfiguration costs): the epoch moves
+    /// whenever the vector may have changed, and comparing it is cheaper
+    /// than comparing the vector.
+    alloc_epoch: u64,
     /// Key: the unit's encoder, CEM and tie rule (public, so mutable
     /// between ticks).
     unit: SelectionUnit,
@@ -98,13 +102,13 @@ struct SelectionMemo {
 }
 
 impl SelectionMemo {
-    fn new(unit: SelectionUnit, rfu_slots: usize) -> SelectionMemo {
+    fn new(unit: SelectionUnit) -> SelectionMemo {
         SelectionMemo {
             valid: false,
             required: TypeCounts::ZERO,
             current_counts: TypeCounts::ZERO,
             effective_view: false,
-            alloc: Vec::with_capacity(rfu_slots),
+            alloc_epoch: 0,
             unit,
             choice: ConfigChoice::Current,
             scored: 0,
@@ -118,7 +122,7 @@ impl SelectionMemo {
         required: TypeCounts,
         current_counts: TypeCounts,
         effective_view: bool,
-        alloc: &[SlotEncoding],
+        alloc_epoch: u64,
         unit: &SelectionUnit,
     ) -> bool {
         self.valid
@@ -126,7 +130,7 @@ impl SelectionMemo {
             && self.current_counts == current_counts
             && self.effective_view == effective_view
             && self.unit == *unit
-            && self.alloc == alloc
+            && self.alloc_epoch == alloc_epoch
     }
 }
 
@@ -173,7 +177,7 @@ impl PaperSteering {
     /// Steering over a custom set / selection unit.
     pub fn new(unit: SelectionUnit, set: SteeringSet) -> PaperSteering {
         PaperSteering {
-            memo: SelectionMemo::new(unit, set.rfu_slots),
+            memo: SelectionMemo::new(unit),
             unit,
             loader: ConfigurationLoader::new(set),
             smoothing: None,
@@ -238,6 +242,7 @@ impl SteeringPolicy for PaperSteering {
         n
     }
 
+    #[inline]
     fn tick_observed(
         &mut self,
         demand: &TypeCounts,
@@ -298,13 +303,12 @@ impl SteeringPolicy for PaperSteering {
             }
         }
         let required = demand.saturating_3bit();
-        let alloc = fabric.alloc().encodings();
         let memo = &mut self.memo;
         if !memo.hits(
             required,
             current_counts,
             self.effective_view,
-            alloc,
+            fabric.epoch(),
             &self.unit,
         ) {
             let candidate_counts: &[TypeCounts] = if self.effective_view {
@@ -325,8 +329,7 @@ impl SteeringPolicy for PaperSteering {
             memo.required = required;
             memo.current_counts = current_counts;
             memo.effective_view = self.effective_view;
-            memo.alloc.clear();
-            memo.alloc.extend_from_slice(alloc);
+            memo.alloc_epoch = fabric.epoch();
             memo.unit = self.unit;
             memo.choice = choice;
             memo.scored = scored;

@@ -174,6 +174,13 @@ pub struct Fabric {
     effective: TypeCounts,
     /// Configuration-memory fault model state (inert by default).
     fault: FaultState,
+    /// Allocation epoch: advanced whenever the allocation vector or the
+    /// corruption state may have changed (a load starts, lands or fails;
+    /// an upset strikes; scrub clears a span). On one fabric, an
+    /// unchanged epoch means the same units in the same spans with the
+    /// same corruption — what lets the configuration loader skip
+    /// re-checking a configuration it already found fully in place.
+    epoch: u64,
 }
 
 /// Decrement one type's count in an incremental unit-count cache.
@@ -201,6 +208,7 @@ impl Fabric {
             idle: TypeCounts::ZERO,
             effective: TypeCounts::ZERO,
             fault,
+            epoch: 0,
         };
         fab.rebuild_counts();
         fab
@@ -240,6 +248,7 @@ impl Fabric {
             }
         }
         self.rebuild_counts();
+        self.epoch += 1;
     }
 
     /// Static parameters.
@@ -252,6 +261,14 @@ impl Fabric {
     #[inline]
     pub fn alloc(&self) -> &AllocationVector {
         &self.alloc
+    }
+
+    /// The allocation epoch: it changes whenever the allocation vector
+    /// or the corruption state may have changed, and only then. Busy
+    /// toggles leave it alone.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Statistics so far.
@@ -649,6 +666,7 @@ impl Fabric {
         });
         self.stats.loads_started += 1;
         self.stats.slots_reloaded += cost as u64;
+        self.epoch += 1;
         Ok(())
     }
 
@@ -668,9 +686,14 @@ impl Fabric {
     pub fn tick_into(&mut self, done: &mut Vec<PlacedUnit>) {
         done.clear();
         self.fault.events.clear();
+        // Nothing in flight and no fault model: the tick changes nothing.
+        if self.loads.is_empty() && !self.fault.enabled() {
+            return;
+        }
         if !self.loads.is_empty() {
             self.stats.load_busy_cycles += 1;
         }
+        let in_flight = self.loads.len();
         let events = &mut self.fault.events;
         let fault_stats = &mut self.fault.stats;
         self.loads.retain_mut(|l| {
@@ -695,6 +718,10 @@ impl Fabric {
                 true
             }
         });
+        if self.loads.len() != in_flight {
+            // A load landed or failed readback.
+            self.epoch += 1;
+        }
         for pu in done.iter() {
             self.alloc.place(pu.head, pu.unit);
             // The freshly loaded unit arrives configured, idle, and
@@ -750,6 +777,7 @@ impl Fabric {
                     // no demand from this cycle on.
                     dec(&mut self.idle, pu.unit);
                     dec(&mut self.effective, pu.unit);
+                    self.epoch += 1;
                     self.fault.stats.upsets_injected += 1;
                     self.fault.events.push(FaultEvent::UpsetInjected {
                         head: pu.head,
@@ -781,6 +809,7 @@ impl Fabric {
                         // `effective` was debited at upset time; only the
                         // nominal configured count changes on detection.
                         dec(&mut self.configured, pu.unit);
+                        self.epoch += 1;
                         self.fault.stats.upsets_detected += 1;
                         detected += 1;
                         self.fault.events.push(FaultEvent::UpsetDetected {

@@ -361,18 +361,12 @@ impl WakeupArray {
     /// All requesting slots this cycle, in slot order, appended to a
     /// caller-provided buffer (cleared first). The hot loop reuses one
     /// buffer across cycles so no allocation happens in steady state.
-    /// The request lines are one mask expression — the ready mask ANDed
-    /// with the resource columns of the available types — standing in
-    /// for the per-entry walk of [`WakeupArray::requests_entry`].
+    /// The request lines are the mask of [`WakeupArray::requesting`],
+    /// standing in for the per-entry walk of
+    /// [`WakeupArray::requests_entry`].
     pub fn requests_into(&self, resource_available: &[bool; 5], out: &mut Vec<SlotIdx>) {
         out.clear();
-        let mut wanted = 0u64;
-        for (t, &avail) in resource_available.iter().enumerate() {
-            if avail {
-                wanted |= self.of_type[t];
-            }
-        }
-        let requesting = self.ready() & wanted;
+        let requesting = self.requesting(resource_available);
         out.extend(bits(requesting));
         #[cfg(debug_assertions)]
         for s in 0..self.capacity() {
@@ -382,6 +376,21 @@ impl WakeupArray {
                 "request mask out of sync with dependency walk in slot {s}"
             );
         }
+    }
+
+    /// The request lines as a mask (bit `i` set ⇒ slot `i` requests):
+    /// the ready mask ANDed with the resource columns of the available
+    /// types. Zero means [`WakeupArray::requests_into`] would emit
+    /// nothing.
+    #[inline]
+    pub fn requesting(&self, resource_available: &[bool; 5]) -> u64 {
+        let mut wanted = 0u64;
+        for (t, &avail) in resource_available.iter().enumerate() {
+            if avail {
+                wanted |= self.of_type[t];
+            }
+        }
+        self.ready() & wanted
     }
 
     /// All requesting slots this cycle, in slot order.

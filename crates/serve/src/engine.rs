@@ -58,7 +58,7 @@ pub const LANES_PER_GROUP: usize = 64;
 /// Granted cycles a tick needs before its scalar step phase fans out to
 /// worker threads: 16 base quanta of the default scheduler (16 × 256 =
 /// 4096 cycles), about 1 ms of stepping at the scalar machine's
-/// ~4.1 M cycles/s. That pays for a scoped spawn and join many times
+/// ~4.2 M cycles/s. That pays for a scoped spawn and join many times
 /// over, while an open-loop tick with 1–3 tenants stays inline and its
 /// latency never waits on a spawn. In a [`ShardedEngine`](crate::ShardedEngine)
 /// the threshold applies to the total grants of the whole fleet, whose

@@ -1,6 +1,8 @@
 //! A hostile or merely finished client must not cost the server memory
 //! it keeps: a frame header alone reserves no more than a small buffer,
-//! and a connection that has ended leaves no thread stack behind.
+//! a spec naming an oversized workload is shed before anything is
+//! generated for it, and a connection that has ended leaves no thread
+//! stack behind.
 //!
 //! These tests share a binary with a counting global allocator and no
 //! other servers, so `/proc/self/maps` moves only with what they do.
@@ -66,6 +68,57 @@ fn a_frame_header_alone_reserves_no_large_buffer() {
     assert!(
         allocated < 1 << 20,
         "a {MAX_FRAME}-byte header with a 10-byte body allocated {allocated} bytes"
+    );
+}
+
+/// One step past a generation cap is a counted `BadSpec` shed: admitted,
+/// the spec would make the engine thread allocate in proportion to the
+/// size it names when the tenant activates.
+#[test]
+fn oversized_specs_are_shed_before_they_allocate() {
+    use rsp_serve::{EngineConfig, ServeEngine, ShedReason, TenantRequest};
+    use rsp_workloads::{
+        LaneTraceSpec, PhasedSpec, StreamSpec, StreamWorkload, SynthSpec, UnitMix,
+        MAX_LANE_TRACE_CYCLES, MAX_STREAM_BODY_LEN,
+    };
+
+    let lane = StreamSpec::lane(
+        "lane",
+        LaneTraceSpec::synthetic_mix(MAX_LANE_TRACE_CYCLES + 1, 1),
+        64,
+    );
+    let synth = StreamSpec::synth(
+        "synth",
+        SynthSpec {
+            body_len: MAX_STREAM_BODY_LEN + 1,
+            ..SynthSpec::new("synth", UnitMix::BALANCED, 2)
+        },
+        64,
+    );
+    // Three phases, each under the cap, together one past it.
+    let phased = StreamSpec {
+        name: "phased".into(),
+        workload: StreamWorkload::Phased(PhasedSpec::int_fp_mem(MAX_STREAM_BODY_LEN / 3 + 1, 1, 3)),
+        seed: 3,
+        max_cycles: 64,
+        weight: 0,
+    };
+    let mut engine = ServeEngine::with_defaults(EngineConfig::default());
+    let before = bytes_allocated();
+    for spec in [lane, synth, phased] {
+        let name = spec.name.clone();
+        let shed = engine.submit(TenantRequest::new(spec));
+        assert!(
+            matches!(shed, Err(ShedReason::BadSpec(_))),
+            "{name}: {shed:?}"
+        );
+    }
+    assert!(engine.run_until_idle(1_000), "engine did not drain");
+    let allocated = bytes_allocated() - before;
+    assert_eq!(engine.stats().shed_bad_spec, 3);
+    assert!(
+        allocated < 64 << 10,
+        "three shed specs allocated {allocated} bytes"
     );
 }
 

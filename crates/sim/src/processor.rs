@@ -24,7 +24,10 @@
 //! 7. **tick** — timers, reconfiguration progress, unit drain.
 //!
 //! Each stage is a [`PipeStage`] that [`Machine::step_stage`] runs on its
-//! own; `step` is the seven calls in this order.
+//! own; `step` is the seven calls in this order. A stage whose inputs
+//! have not changed does O(1) work: complete waits for its completion
+//! horizon, issue skips arbitration with no request line up, and the
+//! loader skips a target already in place (DESIGN.md §8).
 
 use crate::config::{DemandMode, PolicyKind, SelectMode, SimConfig};
 use crate::exec::{execute, operand_value};
@@ -260,6 +263,11 @@ pub struct Machine {
     fabric: Fabric,
     policy: PolicyInstance,
     draining: Vec<(UnitId, u64)>,
+    /// Completion horizon: no executing entry finishes before this cycle
+    /// (`u64::MAX` when none executes). Lowered at every grant and
+    /// recomputed by every completion walk, so the complete stage skips
+    /// its walk on cycles where no timer can expire.
+    next_done: u64,
     /// Select-free recovery, indexed by wake-up slot: first cycle the
     /// slot may request again (0 = no cooldown; real cooldowns are
     /// always ≥ 1 because the penalty is clamped to at least one cycle).
@@ -311,6 +319,7 @@ impl Machine {
             fabric,
             policy,
             draining: Vec::new(),
+            next_done: u64::MAX,
             collision_cooldown: vec![0; cfg.queue_size],
             // `grants` briefly holds every request of a type before the
             // arbiter cuts it to the idle quota, so both buffers take the
@@ -359,6 +368,7 @@ impl Machine {
         }
         self.policy = PolicyInstance::build(&self.cfg);
         self.draining.clear();
+        self.next_done = u64::MAX;
         self.collision_cooldown.fill(0);
         self.telemetry.reset();
         self.issue_stall = None;
@@ -548,6 +558,8 @@ impl Machine {
     /// 4. The set of busy functional units equals (executing entries'
     ///    units) ∪ (draining squashed units), with no double booking.
     /// 5. Completed entries with a destination have a pending value.
+    /// 6. The completion horizon is no later than any executing entry's
+    ///    finish cycle (`next_done_scan`).
     ///
     /// [`Machine::step`] calls this every cycle only under the `validate`
     /// cargo feature (it allocates and rescans every structure); the
@@ -612,6 +624,27 @@ impl Machine {
             .map(|u| u.id)
             .collect();
         assert_eq!(actually_busy, expected_busy, "fabric busy-set mismatch");
+        // (6)
+        assert!(
+            self.next_done <= self.next_done_scan(),
+            "completion horizon {} passes an executing entry's done_at {}",
+            self.next_done,
+            self.next_done_scan()
+        );
+    }
+
+    /// The earliest `done_at` among executing entries (`u64::MAX` if none)
+    /// recomputed by walking the register update unit — the bound the
+    /// incremental completion horizon must never exceed.
+    fn next_done_scan(&self) -> u64 {
+        self.rob
+            .iter()
+            .filter_map(|e| match e.stage {
+                Stage::Executing { done_at, .. } => Some(done_at),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Advance one cycle; returns `false` once the program has ended.
@@ -703,8 +736,14 @@ impl Machine {
     }
 
     fn stage_complete(&mut self) {
-        // One pass, oldest first. A mispredict flushes every younger
-        // entry, so the walk ends at the first flush.
+        // No timer can expire before the horizon.
+        if self.cycle < self.next_done {
+            return;
+        }
+        // One pass, oldest first, recomputing the horizon over the entries
+        // that keep executing. A mispredict flushes every younger entry,
+        // so the walk ends at the first flush.
+        let mut next_done = u64::MAX;
         let mut i = 0;
         while let Some(e) = self.rob.at_mut(i) {
             i += 1;
@@ -712,6 +751,7 @@ impl Machine {
                 continue;
             };
             if done_at > self.cycle {
+                next_done = next_done.min(done_at);
                 continue;
             }
             e.stage = Stage::Completed;
@@ -732,6 +772,7 @@ impl Machine {
                 }
             }
         }
+        self.next_done = next_done;
     }
 
     fn flush_after(&mut self, seq: Seq, redirect_to: u64) {
@@ -808,29 +849,52 @@ impl Machine {
             self.stalls.unit_unconfigured += 1;
         }
 
-        self.wakeup
-            .requests_into(&avail, &mut self.scratch.requests);
         // How many entries would request with every resource available:
         // exactly the ready mask's population.
         let ready_any = self.wakeup.ready().count_ones() as usize;
+        // The grant list is taken out of the scratch space for the issue
+        // loop, which borrows the machine broadly.
+        let mut grants = std::mem::take(&mut self.scratch.grants);
+        grants.clear();
+        // With no request line up (nothing ready, or no idle unit of any
+        // ready entry's type) there is nothing to arbitrate or grant.
+        if self.wakeup.requesting(&avail) != 0 {
+            self.issue_grants(&avail, &idle, &mut grants);
+        }
+        if ready_any > grants.len() {
+            self.stalls.starved_requests += 1;
+        }
+        if self.telemetry.enabled() {
+            // Attribute the stage's (lack of) progress after grants have
+            // consumed their scheduled bits.
+            let cause = rsp_sched::stall::classify_issue(
+                self.wakeup.len(),
+                ready_any,
+                grants.len(),
+                &self.wakeup.demand_unscheduled(),
+                &configured,
+            );
+            self.note_issue_stall(cause);
+        }
+        self.scratch.grants = grants;
+    }
+
+    /// The issue stage's request collection, arbitration and per-grant
+    /// execution, for a cycle with at least one request line up.
+    fn issue_grants(&mut self, avail: &[bool; 5], idle: &TypeCounts, grants: &mut Vec<Grant>) {
+        self.wakeup.requests_into(avail, &mut self.scratch.requests);
         // Select-free mode: slots in collision recovery cannot request.
         if let SelectMode::SelectFree { .. } = self.cfg.select_mode {
             let now = self.cycle;
             let cd = &self.collision_cooldown;
             self.scratch.requests.retain(|&s| cd[s] <= now);
         }
-        // The grant list is taken out of the scratch space for the issue
-        // loop below, which borrows the machine broadly.
-        let mut grants = std::mem::take(&mut self.scratch.grants);
-        arbitrate_into(&self.wakeup, &self.scratch.requests, &idle, &mut grants);
-        if ready_any > grants.len() {
-            self.stalls.starved_requests += 1;
-        }
+        arbitrate_into(&self.wakeup, &self.scratch.requests, idle, grants);
         // Select-free mode: requesting entries that fired into a
         // contended unit type collide and pay the recovery penalty.
         if let SelectMode::SelectFree { penalty } = self.cfg.select_mode {
             let mut granted: u64 = 0;
-            for g in &grants {
+            for g in grants.iter() {
                 granted |= 1 << g.slot;
             }
             for &s in &self.scratch.requests {
@@ -842,7 +906,7 @@ impl Machine {
                 }
             }
         }
-        for &g in &grants {
+        for &g in grants.iter() {
             let tag = self.wakeup.get(g.slot).expect("granted slot occupied").tag;
             let unit = self
                 .fabric
@@ -872,13 +936,12 @@ impl Machine {
                 .map(|r| operand_value(&self.rob, &self.regfile, r, producers[1]));
             let issued = execute(&instr, pc, s1, s2, &mut self.mem);
             let latency = self.cfg.latencies.of(instr.opcode.latency_class());
+            let done_at = self.cycle + latency as u64;
+            self.next_done = self.next_done.min(done_at);
             let e = self.rob.at_mut(at).unwrap();
             e.value = issued.value;
             e.resolved_next = issued.resolved_next;
-            e.stage = Stage::Executing {
-                unit,
-                done_at: self.cycle + latency as u64,
-            };
+            e.stage = Stage::Executing { unit, done_at };
             self.wakeup.grant(g.slot, latency);
             if self.telemetry.enabled() {
                 self.telemetry
@@ -890,19 +953,6 @@ impl Machine {
                 }
             }
         }
-        if self.telemetry.enabled() {
-            // Attribute the stage's (lack of) progress after grants have
-            // consumed their scheduled bits.
-            let cause = rsp_sched::stall::classify_issue(
-                self.wakeup.len(),
-                ready_any,
-                grants.len(),
-                &self.wakeup.demand_unscheduled(),
-                &configured,
-            );
-            self.note_issue_stall(cause);
-        }
-        self.scratch.grants = grants;
     }
 
     fn stage_steer(&mut self) {

@@ -33,5 +33,8 @@ pub mod synth;
 
 pub use ilp::chains;
 pub use lanes::{LaneTraceSpec, QueueRow};
-pub use stream::{StreamError, StreamSpec, StreamWorkload, MAX_STREAM_WEIGHT};
+pub use stream::{
+    StreamError, StreamSpec, StreamWorkload, MAX_LANE_TRACE_CYCLES, MAX_STREAM_BODY_LEN,
+    MAX_STREAM_WEIGHT,
+};
 pub use synth::{PhasedSpec, SynthSpec, UnitMix};

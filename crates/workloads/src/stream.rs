@@ -48,6 +48,17 @@ pub enum StreamWorkload {
 /// anything above it so one tenant cannot claim an unbounded share.
 pub const MAX_STREAM_WEIGHT: u32 = 64;
 
+/// Largest admissible program body in generated instructions: a synth
+/// `body_len`, or the summed phase lengths of a phased spec. Generation
+/// allocates in proportion to it, so one spec cannot make the engine
+/// reserve unbounded memory. The largest in-repo body is 2,000.
+pub const MAX_STREAM_BODY_LEN: usize = 1 << 14;
+
+/// Largest admissible lane-trace length in cycles: the trace is
+/// generated up front, one 8-byte row per cycle. The largest in-repo
+/// trace is 4,096 cycles (`rsp-serve drive` at its cap).
+pub const MAX_LANE_TRACE_CYCLES: u32 = 1 << 16;
+
 /// A complete tenant stream request: workload + seed + cycle budget.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamSpec {
@@ -181,6 +192,12 @@ impl StreamSpec {
                         "synth body_len must be positive".into(),
                     ));
                 }
+                if s.body_len > MAX_STREAM_BODY_LEN {
+                    return Err(StreamError::Invalid(format!(
+                        "synth body_len {} exceeds the maximum {MAX_STREAM_BODY_LEN}",
+                        s.body_len
+                    )));
+                }
                 if s.mix.weights.iter().sum::<f64>() <= 0.0 {
                     return Err(StreamError::Invalid(
                         "synth mix must have positive total weight".into(),
@@ -197,6 +214,15 @@ impl StreamSpec {
                     return Err(StreamError::Invalid(
                         "phased spec needs non-empty phases".into(),
                     ));
+                }
+                let body = p
+                    .phases
+                    .iter()
+                    .fold(0usize, |n, (_, l)| n.saturating_add(*l));
+                if body > MAX_STREAM_BODY_LEN {
+                    return Err(StreamError::Invalid(format!(
+                        "phased body of {body} instructions exceeds the maximum {MAX_STREAM_BODY_LEN}"
+                    )));
                 }
                 if p.phases
                     .iter()
@@ -239,6 +265,12 @@ impl StreamSpec {
                     return Err(StreamError::Invalid(
                         "lane phase_len and cycles must be positive".into(),
                     ));
+                }
+                if t.cycles > MAX_LANE_TRACE_CYCLES {
+                    return Err(StreamError::Invalid(format!(
+                        "lane trace of {} cycles exceeds the maximum {MAX_LANE_TRACE_CYCLES}",
+                        t.cycles
+                    )));
                 }
                 if t.partial_pct > 100 {
                     return Err(StreamError::Invalid(
@@ -453,6 +485,48 @@ mod tests {
 
         let heavy = synth_spec(1).with_weight(MAX_STREAM_WEIGHT + 1);
         assert!(heavy.validate().is_err());
+    }
+
+    #[test]
+    fn generated_sizes_are_capped() {
+        let mut body = synth_spec(1);
+        if let StreamWorkload::Synth(s) = &mut body.workload {
+            s.body_len = MAX_STREAM_BODY_LEN;
+        }
+        assert!(body.validate().is_ok());
+        if let StreamWorkload::Synth(s) = &mut body.workload {
+            s.body_len = MAX_STREAM_BODY_LEN + 1;
+        }
+        assert!(body.validate().is_err());
+
+        // Phase lengths count together: each is under the cap, the sum
+        // is not.
+        let half = MAX_STREAM_BODY_LEN / 2;
+        let mut phased = PhasedSpec::int_fp_mem(half, 1, 3);
+        phased.phases.truncate(2);
+        let mut spec = StreamSpec {
+            name: "p".into(),
+            workload: StreamWorkload::Phased(phased),
+            seed: 3,
+            max_cycles: 1,
+            weight: 0,
+        };
+        assert!(spec.validate().is_ok());
+        if let StreamWorkload::Phased(p) = &mut spec.workload {
+            p.phases[1].1 += 1;
+        }
+        assert!(spec.validate().is_err());
+
+        let mut lane = StreamSpec::lane(
+            "l",
+            LaneTraceSpec::synthetic_mix(MAX_LANE_TRACE_CYCLES, 1),
+            64,
+        );
+        assert!(lane.validate().is_ok());
+        if let StreamWorkload::LaneTrace(t) = &mut lane.workload {
+            t.cycles += 1;
+        }
+        assert!(lane.validate().is_err());
     }
 
     #[test]
