@@ -207,13 +207,9 @@ fn explain(cli: &Cli, prefix: &str, out: &mut impl Write) -> io::Result<()> {
         exit(1);
     }
     for obj in found {
-        writeln!(out, "{} ({})", obj.key, obj.kind)?;
+        writeln!(out, "{}", obj.key)?;
         writeln!(out, "  name:         {}", obj.name)?;
         writeln!(out, "  code_version: {}", obj.code_version)?;
-        writeln!(out, "  inputs:       {}", obj.inputs.len())?;
-        for input in &obj.inputs {
-            writeln!(out, "    {input}")?;
-        }
     }
     Ok(())
 }

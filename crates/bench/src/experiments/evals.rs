@@ -92,48 +92,6 @@ impl Sweep for E1Sweep {
         format!("{}|{}", point.workload, point.policy)
     }
 
-    fn spec(&self) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            (
-                "workloads".into(),
-                Value::Array(
-                    self.programs
-                        .iter()
-                        .map(|p| {
-                            Value::Object(vec![
-                                ("name".into(), Value::Str(p.name.clone())),
-                                (
-                                    "digest".into(),
-                                    Value::Str(crate::sweep::canon::sha256_hex(
-                                        format!("{:?}", p.instrs).as_bytes(),
-                                    )),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "policies".into(),
-                Value::Array(
-                    self.specs
-                        .iter()
-                        .map(|s| Value::Str(s.label.clone()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn point_params(&self, point: &E1Point) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            ("workload".into(), Value::Str(point.workload.clone())),
-            ("policy".into(), Value::Str(point.policy.clone())),
-        ])
-    }
-
     fn run_point(&self, point: &E1Point) -> Row {
         let p = self
             .programs

@@ -147,6 +147,9 @@ pub struct FaultPoint {
 /// The paired baseline/fault-aware sweep over
 /// workload × upset rate × scrub interval, as a [`Sweep`].
 pub struct FaultSweep {
+    /// The store name: each grid has its own, so the full and reduced
+    /// grids (both with a "memcpy" workload) never share a store entry.
+    name: &'static str,
     programs: Vec<Program>,
     upset_ppm: Vec<u32>,
     scrub_intervals: Vec<u64>,
@@ -160,6 +163,7 @@ impl FaultSweep {
     /// The full CI grid (DESIGN.md §9/§11 assertions enforced).
     pub fn full() -> FaultSweep {
         FaultSweep {
+            name: "fault_sweep",
             programs: sweep_workloads(),
             upset_ppm: UPSET_PPM.to_vec(),
             scrub_intervals: SCRUB_INTERVALS.to_vec(),
@@ -172,6 +176,7 @@ impl FaultSweep {
     /// grid's workload sizes, not about the engine).
     pub fn reduced() -> FaultSweep {
         FaultSweep {
+            name: "fault_sweep_reduced",
             programs: vec![
                 PhasedSpec::int_fp_mem(60, 1, 7).generate(),
                 kernels::memcpy(16),
@@ -195,7 +200,7 @@ impl Sweep for FaultSweep {
     type Row = FaultRow;
 
     fn name(&self) -> &'static str {
-        "fault_sweep"
+        self.name
     }
 
     fn points(&self) -> Vec<FaultPoint> {
@@ -219,69 +224,6 @@ impl Sweep for FaultSweep {
             "{}/u{}/s{}",
             point.workload, point.upset_ppm, point.scrub_interval
         )
-    }
-
-    fn spec(&self) -> serde_json::Value {
-        use serde_json::Value;
-        // Workloads carry a content digest, not just a name: the full
-        // and reduced grids both have a "memcpy", and their rows must
-        // never share a cache entry.
-        let workloads = Value::Array(
-            self.programs
-                .iter()
-                .map(|p| {
-                    Value::Object(vec![
-                        ("name".into(), Value::Str(p.name.clone())),
-                        ("instrs".into(), Value::Int(p.instrs.len() as i128)),
-                        (
-                            "digest".into(),
-                            Value::Str(crate::sweep::canon::sha256_hex(
-                                format!("{:?}", p.instrs).as_bytes(),
-                            )),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("workloads".into(), workloads),
-            (
-                "upset_ppm".into(),
-                Value::Array(
-                    self.upset_ppm
-                        .iter()
-                        .map(|&u| Value::Int(u as i128))
-                        .collect(),
-                ),
-            ),
-            (
-                "scrub_intervals".into(),
-                Value::Array(
-                    self.scrub_intervals
-                        .iter()
-                        .map(|&s| Value::Int(s as i128))
-                        .collect(),
-                ),
-            ),
-            (
-                "load_failure_ppm".into(),
-                Value::Int(LOAD_FAILURE_PPM as i128),
-            ),
-            ("fault_seed".into(), Value::Int(0xF0A17)),
-            ("strict".into(), Value::Bool(self.strict)),
-        ])
-    }
-
-    fn point_params(&self, point: &FaultPoint) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            ("workload".into(), Value::Str(point.workload.clone())),
-            ("upset_ppm".into(), Value::Int(point.upset_ppm as i128)),
-            (
-                "scrub_interval".into(),
-                Value::Int(point.scrub_interval as i128),
-            ),
-        ])
     }
 
     fn run_point(&self, point: &FaultPoint) -> FaultRow {

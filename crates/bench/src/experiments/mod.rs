@@ -83,8 +83,8 @@ const REPORTS: [(&str, Render); 21] = [
 ];
 
 /// A report-only experiment as a one-point sweep: its single row is the
-/// report text. `spec()` stays `null` because the row depends on nothing
-/// but the code, which the cache key's code version covers.
+/// report text, which depends on nothing but the code, so the cache
+/// key's code version covers it.
 struct Report {
     name: &'static str,
     render: Render,
@@ -154,9 +154,10 @@ mod tests {
             .chain(HIDDEN_IDS)
     }
 
-    /// Every id resolves to a sweep. Listed ids have distinct names; the
-    /// hidden reduced fault grid keeps its sibling's name and is told
-    /// apart by its spec, so no two ids share a store entry.
+    /// Every id, listed or hidden, resolves to a sweep with a name of its
+    /// own. A store key is (name, point key, code version), so distinct
+    /// names are what keep two ids — the full and reduced fault grids
+    /// among them — out of each other's store entries.
     #[test]
     fn every_id_resolves_to_a_sweep_with_its_own_store_keys() {
         let cfg = SweepConfig::default();
@@ -164,9 +165,7 @@ mod tests {
         let mut keys = BTreeSet::new();
         for id in every_id() {
             let sweep = sweep_runner(id).unwrap_or_else(|| panic!("{id} does not resolve"));
-            if !HIDDEN_IDS.contains(&id) {
-                assert!(names.insert(sweep.name()), "{id}: name reused");
-            }
+            assert!(names.insert(sweep.name()), "{id}: name reused");
             for key in sweep.point_hashes(&cfg).unwrap() {
                 assert!(keys.insert(key), "{id}: store key shared with another id");
             }

@@ -187,36 +187,6 @@ impl Sweep for ServeSaturationSweep {
     // Wall-clock fields (`wall_seconds`, `cycles_per_sec`) are
     // informative-only (verified only finite and positive), so a cached
     // row may carry another run's timing.
-    fn spec(&self) -> serde_json::Value {
-        use serde_json::Value;
-        let sched = saturation_scheduler();
-        Value::Object(vec![
-            (
-                "rates".into(),
-                Value::Array(RATES.iter().map(|&r| Value::Int(r as i128)).collect()),
-            ),
-            ("arrival_ticks".into(), Value::Int(ARRIVAL_TICKS as i128)),
-            ("tenant_cycles".into(), Value::Int(TENANT_CYCLES as i128)),
-            (
-                "scheduler".into(),
-                Value::Object(vec![
-                    ("queue_depth".into(), Value::Int(sched.queue_depth as i128)),
-                    ("max_active".into(), Value::Int(sched.max_active as i128)),
-                    (
-                        "step_lag_watermark".into(),
-                        Value::Int(sched.step_lag_watermark as i128),
-                    ),
-                    ("quantum".into(), Value::Int(sched.quantum as i128)),
-                ]),
-            ),
-        ])
-    }
-
-    fn point_params(&self, rate: &u32) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![("rate".into(), Value::Int(*rate as i128))])
-    }
-
     fn run_point(&self, rate: &u32) -> SaturationRow {
         measure_rate(*rate)
     }

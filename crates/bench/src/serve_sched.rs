@@ -272,6 +272,9 @@ fn shares_table(row: &SchedRow) -> String {
 /// (skew, shards, pack-hold) triple, run serially (points time wall
 /// clock and each point is itself a whole fleet).
 pub struct ServeSchedSweep {
+    /// The store name: each grid has its own, so the full and reduced
+    /// grids never share a store entry.
+    name: &'static str,
     skews: Vec<u32>,
     shards: Vec<usize>,
     holds: Vec<u64>,
@@ -281,6 +284,7 @@ impl ServeSchedSweep {
     /// The full grid: 3 skews × 3 shard counts × 3 holds = 27 points.
     pub fn full() -> ServeSchedSweep {
         ServeSchedSweep {
+            name: "serve_sched",
             skews: vec![1, 2, 3],
             shards: vec![1, 2, 4],
             holds: vec![0, 4, 16],
@@ -292,6 +296,7 @@ impl ServeSchedSweep {
     /// so the same contracts are enforced on the smaller grid.
     pub fn reduced() -> ServeSchedSweep {
         ServeSchedSweep {
+            name: "serve_sched_reduced",
             skews: vec![3],
             shards: vec![1, 2],
             holds: vec![0, 8],
@@ -304,7 +309,7 @@ impl Sweep for ServeSchedSweep {
     type Row = SchedRow;
 
     fn name(&self) -> &'static str {
-        "serve_sched"
+        self.name
     }
 
     fn points(&self) -> Vec<SchedPoint> {
@@ -325,51 +330,6 @@ impl Sweep for ServeSchedSweep {
 
     // Like the saturation sweep, the wall-clock columns are
     // informative-only, so a cached row may carry another run's timing.
-    fn spec(&self) -> serde_json::Value {
-        use serde_json::Value;
-        let wm = sched_watermarks();
-        let ints = |xs: &[i128]| Value::Array(xs.iter().map(|&x| Value::Int(x)).collect());
-        Value::Object(vec![
-            (
-                "skews".into(),
-                ints(&self.skews.iter().map(|&x| x as i128).collect::<Vec<_>>()),
-            ),
-            (
-                "shards".into(),
-                ints(&self.shards.iter().map(|&x| x as i128).collect::<Vec<_>>()),
-            ),
-            (
-                "holds".into(),
-                ints(&self.holds.iter().map(|&x| x as i128).collect::<Vec<_>>()),
-            ),
-            ("scalars".into(), Value::Int(SCALARS as i128)),
-            ("lanes".into(), Value::Int(LANES as i128)),
-            ("scalar_cycles".into(), Value::Int(SCALAR_CYCLES as i128)),
-            ("window".into(), Value::Int(WINDOW as i128)),
-            (
-                "scheduler".into(),
-                Value::Object(vec![
-                    ("queue_depth".into(), Value::Int(wm.queue_depth as i128)),
-                    ("max_active".into(), Value::Int(wm.max_active as i128)),
-                    (
-                        "step_lag_watermark".into(),
-                        Value::Int(wm.step_lag_watermark as i128),
-                    ),
-                    ("quantum".into(), Value::Int(wm.quantum as i128)),
-                ]),
-            ),
-        ])
-    }
-
-    fn point_params(&self, p: &SchedPoint) -> serde_json::Value {
-        use serde_json::Value;
-        Value::Object(vec![
-            ("skew".into(), Value::Int(p.skew as i128)),
-            ("shards".into(), Value::Int(p.shards as i128)),
-            ("hold".into(), Value::Int(p.hold as i128)),
-        ])
-    }
-
     fn run_point(&self, p: &SchedPoint) -> SchedRow {
         measure_point(p)
     }

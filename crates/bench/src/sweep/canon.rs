@@ -1,119 +1,26 @@
-//! Canonical JSON and content hashing for the artifact store (DESIGN.md §17).
+//! Store addresses for sweep rows (DESIGN.md §17).
 //!
-//! A cache key must be the same however the inputs were assembled: the
-//! same parameters serialised from a struct, read back from the store, or
-//! parsed back out of an artifact must hash identically, and any single
-//! changed parameter must hash differently. Two rules buy that:
+//! A stored row is identified by three strings: the sweep's name, the
+//! point key, and the code version. Its address is the SHA-256 of the
+//! three, each prefixed by its byte length, so two different triples
+//! never encode to the same bytes. Everything else a row depends on —
+//! grids, constants, runners — is source code, which the code version
+//! already hashes.
 //!
-//! * **Sorted keys** — object fields are emitted in bytewise-sorted key
-//!   order, recursively, so field declaration order (which `Serialize`
-//!   derives preserve) never leaks into the hash.
-//! * **Fixed number formatting** — integers print as decimal `i128`;
-//!   floats print with Rust's `{:?}` shortest-round-trip formatting,
-//!   the exact formatting the JSON writer and parser already round-trip
-//!   byte-identically (the same property the merge layer's byte-identity
-//!   guarantee rests on). Non-finite floats canonicalise to `null`,
-//!   matching the writer.
-//!
-//! On top sits a small, dependency-free SHA-256 (FIPS 180-4) — the store
+//! The SHA-256 (FIPS 180-4) is vendored here, dependency-free: the store
 //! needs a collision-resistant digest and the build environment has no
-//! registry access, so it is vendored here and pinned by known-answer
-//! tests.
+//! registry access. Known-answer tests pin it.
 
-use serde_json::Value;
-
-/// Render `v` in canonical form: object keys bytewise-sorted at every
-/// nesting level, compact separators, fixed number formatting.
-///
-/// Canonicalisation is *hash input*, not wire output: artifacts and
-/// stored rows keep their field order; only key derivation routes through
-/// here.
-pub fn canonical_json(v: &Value) -> String {
-    let mut out = String::new();
-    write_canonical(&mut out, v);
-    out
-}
-
-fn write_canonical(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` is shortest-round-trip: parse(print(f)) == f
-                // bit-for-bit, and integral floats keep their ".0" so
-                // 1.0 and 1 stay distinct values.
-                out.push_str(&format!("{f:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_canonical(out, item);
-            }
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            let mut order: Vec<usize> = (0..fields.len()).collect();
-            order.sort_by(|&a, &b| fields[a].0.cmp(&fields[b].0));
-            out.push('{');
-            for (i, &idx) in order.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let (k, val) = &fields[idx];
-                write_string(out, k);
-                out.push(':');
-                write_canonical(out, val);
-            }
-            out.push('}');
-        }
+/// The store address of one sweep point's row:
+/// `sha256(len‖sweep, len‖key, len‖code_version)`, each length a
+/// big-endian `u64` byte count.
+pub fn point_cache_key(sweep: &str, key: &str, code_version: &str) -> String {
+    let mut bytes = Vec::with_capacity(24 + sweep.len() + key.len() + code_version.len());
+    for field in [sweep, key, code_version] {
+        bytes.extend_from_slice(&(field.len() as u64).to_be_bytes());
+        bytes.extend_from_slice(field.as_bytes());
     }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Hex SHA-256 of `v`'s canonical form — the store's object address.
-pub fn content_hash(v: &Value) -> String {
-    sha256_hex(canonical_json(v).as_bytes())
-}
-
-/// The cache key of one sweep point: the hash of an envelope binding the
-/// sweep's name, its full spec (so a grid change invalidates every
-/// point), the point's own parameters, and the code version. Field names
-/// exist only inside the envelope; canonicalisation sorts them, so the
-/// construction order here is immaterial.
-pub fn point_cache_key(sweep: &str, spec: &Value, point: &Value, code_version: &str) -> String {
-    content_hash(&Value::Object(vec![
-        ("sweep".to_string(), Value::Str(sweep.to_string())),
-        ("spec".to_string(), spec.clone()),
-        ("point".to_string(), point.clone()),
-        (
-            "code_version".to_string(),
-            Value::Str(code_version.to_string()),
-        ),
-    ]))
+    sha256_hex(&bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -240,56 +147,42 @@ mod tests {
         );
     }
 
-    #[test]
-    fn canonical_sorts_keys_recursively() {
-        let v =
-            serde_json::from_str::<Value>(r#"{"b":{"z":1,"a":2},"a":[{"y":1,"x":2}]}"#).unwrap();
-        assert_eq!(
-            canonical_json(&v),
-            r#"{"a":[{"x":2,"y":1}],"b":{"a":2,"z":1}}"#
-        );
-    }
-
-    #[test]
-    fn canonical_number_formatting_is_fixed() {
-        let v = serde_json::from_str::<Value>(r#"[1, 1.0, 0.1, -0.0, 1e3]"#).unwrap();
-        // Ints stay ints, integral floats keep ".0", floats print
-        // shortest-round-trip — the writer's own formatting.
-        assert_eq!(canonical_json(&v), "[1,1.0,0.1,-0.0,1000.0]");
-        let nonfinite = Value::Array(vec![Value::Float(f64::NAN), Value::Float(f64::INFINITY)]);
-        assert_eq!(canonical_json(&nonfinite), "[null,null]");
-    }
-
-    #[test]
-    fn canonical_escapes_strings() {
-        let v = Value::Str("a\"b\\c\nd\u{1}".to_string());
-        assert_eq!(canonical_json(&v), "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    /// The canonical form is invariant under a JSON round-trip: what the
-    /// writer prints, the parser reads back to the same canonical bytes.
-    #[test]
-    fn canonical_survives_round_trip() {
-        let v =
-            serde_json::from_str::<Value>(r#"{"f":0.30000000000000004,"g":[1.5,-2.25,3],"s":"x"}"#)
-                .unwrap();
-        let reparsed = serde_json::from_str::<Value>(&serde_json::to_string(&v).unwrap()).unwrap();
-        assert_eq!(canonical_json(&v), canonical_json(&reparsed));
-        assert_eq!(content_hash(&v), content_hash(&reparsed));
-    }
-
-    /// Pinned cache-key hash: if this moves, every existing store on
-    /// disk silently invalidates — bump deliberately, never by accident.
+    /// Pinned address: if this moves, every existing store on disk
+    /// silently invalidates — move it only with a `CasStore::SCHEMA` bump.
+    /// The hex is the SHA-256 of the encoding spelled out below, taken
+    /// with an independent implementation.
     #[test]
     fn point_cache_key_is_pinned() {
-        let spec = serde_json::from_str::<Value>(r#"{"grid":[1,2]}"#).unwrap();
-        let point = serde_json::from_str::<Value>(r#"{"x":1}"#).unwrap();
-        let key = point_cache_key("demo", &spec, &point, "0.10.0");
+        let key = point_cache_key("demo", "x1", "0.10.0");
+        let encoded = b"\0\0\0\0\0\0\0\x04demo\0\0\0\0\0\0\0\x02x1\0\0\0\0\0\0\0\x060.10.0";
+        assert_eq!(key, sha256_hex(encoded));
         assert_eq!(
             key,
-            sha256_hex(
-                br#"{"code_version":"0.10.0","point":{"x":1},"spec":{"grid":[1,2]},"sweep":"demo"}"#
-            )
+            "e975cb31215c106dee65000f73d38723509f07ff3583d27f7bb4ede3b986532c"
         );
+    }
+
+    /// Each of the three fields is part of the address.
+    #[test]
+    fn key_moves_with_each_field() {
+        let base = point_cache_key("sweep", "p1", "v1");
+        assert_ne!(base, point_cache_key("sweep2", "p1", "v1"));
+        assert_ne!(base, point_cache_key("sweep", "p2", "v1"));
+        assert_ne!(base, point_cache_key("sweep", "p1", "v2"));
+    }
+
+    /// Length prefixes keep field boundaries: moving a byte from one
+    /// field to its neighbour gives a different address.
+    #[test]
+    fn field_boundaries_are_part_of_the_key() {
+        assert_ne!(
+            point_cache_key("ab", "c", "v"),
+            point_cache_key("a", "bc", "v")
+        );
+        assert_ne!(
+            point_cache_key("s", "ab", "c"),
+            point_cache_key("s", "a", "bc")
+        );
+        assert_ne!(point_cache_key("", "", "x"), point_cache_key("x", "", ""));
     }
 }

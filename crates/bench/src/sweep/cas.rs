@@ -41,9 +41,6 @@ use super::SweepError;
 pub struct CasObject {
     /// Store schema tag, [`CasStore::SCHEMA`].
     pub schema: String,
-    /// Always `"point"` (a sweep row) when written now; older stores may
-    /// also hold other kinds, which `gc` and `explain` still read.
-    pub kind: String,
     /// The sweep that produced this object.
     pub name: String,
     /// The logical key — the sweep's point key. Sanity metadata: the
@@ -52,8 +49,6 @@ pub struct CasObject {
     pub key: String,
     /// Code version baked into the hash.
     pub code_version: String,
-    /// Input hashes: always empty when written now.
-    pub inputs: Vec<String>,
     /// The cached output: a sweep row.
     pub row: Value,
 }
@@ -178,8 +173,9 @@ impl Drop for ClaimGuard {
 
 impl CasStore {
     /// Schema tag written into every object; bump on incompatible layout
-    /// changes.
-    pub const SCHEMA: &'static str = "rsp-cas-v1";
+    /// or key-derivation changes. An object under any other tag is never
+    /// served: loading it quarantines it.
+    pub const SCHEMA: &'static str = "rsp-cas-v2";
     /// Give a live claim this long to publish before computing anyway.
     pub const CLAIM_WAIT: Duration = Duration::from_secs(600);
     /// A claim file untouched for this long is presumed dead and stolen.
@@ -286,11 +282,9 @@ impl CasStore {
     pub fn store(&self, meta: &ObjectMeta, row: &Value) -> Result<(), SweepError> {
         let obj = CasObject {
             schema: Self::SCHEMA.to_string(),
-            kind: "point".to_string(),
             name: meta.name.clone(),
             key: meta.key.clone(),
             code_version: meta.code_version.clone(),
-            inputs: Vec::new(),
             row: row.clone(),
         };
         let text = serde_json::to_string(&obj).map_err(|e| SweepError::Encode {
@@ -544,6 +538,45 @@ mod tests {
         // The republished object now hits.
         let (_, outcome) = store.fetch_or_compute(&m, || unreachable!()).unwrap();
         assert_eq!(outcome, CacheOutcome::Hit);
+    }
+
+    /// An object in the `rsp-cas-v1` envelope (whose address came from
+    /// the old key derivation) is never served: at a looked-up address
+    /// it is quarantined and recomputed, and `gc` removes it wherever it
+    /// sits.
+    #[test]
+    fn v1_envelope_is_never_a_hit_and_gc_removes_it() {
+        let (_dir, store) = fresh_store("v1");
+        let v1 = |key: &str| {
+            format!(
+                r#"{{"schema":"rsp-cas-v1","kind":"point","name":"demo","key":"{key}","code_version":"0","inputs":[],"row":1}}"#
+            )
+        };
+        let plant = |hash: &str, text: String| {
+            let path = store.object_path(hash);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        };
+        let looked_up = crate::sweep::canon::sha256_hex(b"v1-live");
+        let stray = crate::sweep::canon::sha256_hex(b"v1-stray");
+        plant(&looked_up, v1("live"));
+        plant(&stray, v1("stray"));
+
+        let m = meta(&looked_up, "live");
+        let (row, outcome) = store.fetch_or_compute(&m, || Ok(Value::Int(2))).unwrap();
+        assert_eq!((row, outcome), (Value::Int(2), CacheOutcome::Computed));
+        assert_eq!(store.stats().quarantined, 1);
+        assert_eq!(store.stats().hits, 0);
+
+        let live: std::collections::BTreeSet<String> = [looked_up.clone()].into();
+        let summary = store.gc(&live).unwrap();
+        assert_eq!(
+            (summary.kept, summary.removed, summary.quarantine_removed),
+            (1, 1, 2),
+            "the stray v1 object and the quarantined one (json + reason) go"
+        );
+        assert!(!store.contains(&stray));
+        assert_eq!(store.list().unwrap(), [looked_up]);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   cross-point assertions run and the artifact is written.
 //! * **The store is the only persistence** — every row is a
 //!   content-addressed object in a [`cas::CasStore`], keyed by
-//!   [`canon::point_cache_key`] over (sweep name, spec, point params,
-//!   code version). Claim files give exactly-once work across threads,
+//!   [`canon::point_cache_key`] over (sweep name, point key, code
+//!   version). Claim files give exactly-once work across threads,
 //!   shards and hosts; a killed run resumes by running again (its
-//!   finished points are hits); a changed parameter or code version
+//!   finished points are hits); a changed point key or code version
 //!   misses by construction (DESIGN.md §17).
 //! * **Executors** — [`Executor::InProcess`] runs the whole grid in one
 //!   process; [`Executor::Shard`] runs only the points whose key hashes
@@ -162,7 +162,9 @@ pub trait Sweep: Sync {
     /// One grid point's result row.
     type Row: Serialize + Deserialize + Send;
 
-    /// The sweep's name, baked into every point's cache key.
+    /// The sweep's name, baked into every point's cache key. Two sweeps
+    /// (or two grids of one sweep) that share a point key must have
+    /// different names, or their rows share store entries.
     fn name(&self) -> &'static str;
 
     /// The full grid, in canonical (artifact) order. Must be
@@ -177,33 +179,17 @@ pub trait Sweep: Sync {
     fn key(&self, point: &Self::Point) -> String;
 
     /// Run one point. Must be a pure function of the point (plus the
-    /// spec's own immutable configuration): the merge step assumes a
-    /// row is the same whichever process computed it.
+    /// sweep's own immutable configuration): the merge step assumes a
+    /// row is the same whichever process computed it. That
+    /// configuration must be fixed in the source for each [`Sweep::name`],
+    /// since the store key holds only the name, the point key and the
+    /// code version.
     fn run_point(&self, point: &Self::Point) -> Self::Row;
 
     /// False for sweeps that time wall-clock per point (run them
     /// serially so points don't contend for the host CPU).
     fn parallel(&self) -> bool {
         true
-    }
-
-    /// The sweep's immutable configuration as a structured JSON value —
-    /// everything (besides the point's own parameters and the code
-    /// version) that `run_point` depends on. Baked into every point's
-    /// cache key, so a grid or knob change invalidates the whole sweep.
-    /// The default (`null`) is acceptable only for sweeps whose rows
-    /// depend on nothing but the point and the code version.
-    fn spec(&self) -> Value {
-        Value::Null
-    }
-
-    /// One point's parameters as a structured JSON value — the
-    /// cache-key analogue of [`Sweep::key`]. The default reuses the
-    /// stable string key, which is correct exactly because keys are
-    /// already required to be pure functions of the parameters;
-    /// structured impls make `experiments explain` output self-describing.
-    fn point_params(&self, point: &Self::Point) -> Value {
-        Value::Str(self.key(point))
     }
 
     /// Cross-point assertions, re-run on every merged set.
@@ -400,12 +386,9 @@ impl<S: Sweep> SweepRunner for S {
     }
 
     fn point_hashes(&self, cfg: &SweepConfig) -> Result<Vec<String>, SweepError> {
-        let points = self.points();
-        spec_keys(self, &points)?; // reject duplicate keys up front
-        let spec = self.spec();
-        Ok(points
+        Ok(spec_keys(self, &self.points())?
             .iter()
-            .map(|p| point_hash(self, cfg, &spec, p))
+            .map(|key| point_hash(self, cfg, key))
             .collect())
     }
 }
@@ -422,14 +405,10 @@ fn spec_keys<S: Sweep>(sweep: &S, points: &[S::Point]) -> Result<Vec<String>, Sw
     Ok(keys)
 }
 
-/// The store address of `point`'s row under `cfg`'s code version.
-fn point_hash<S: Sweep>(sweep: &S, cfg: &SweepConfig, spec: &Value, point: &S::Point) -> String {
-    canon::point_cache_key(
-        Sweep::name(sweep),
-        spec,
-        &sweep.point_params(point),
-        &cfg.code_version,
-    )
+/// The store address of the row at point `key` under `cfg`'s code
+/// version.
+fn point_hash<S: Sweep>(sweep: &S, cfg: &SweepConfig, key: &str) -> String {
+    canon::point_cache_key(Sweep::name(sweep), key, &cfg.code_version)
 }
 
 /// The store rows go through, if `cfg` names one (`--cache-dir`).
@@ -469,7 +448,6 @@ fn point_values<S: Sweep>(
         .zip(&keys)
         .filter(|(_, k)| shard.owns(k))
         .collect();
-    let spec = sweep.spec();
     let progress = SweepProgress::with_total(todo.len() as u64);
 
     let complete_one = |&(point, key): &(&S::Point, &String)| -> Result<Value, SweepError> {
@@ -482,7 +460,7 @@ fn point_values<S: Sweep>(
         let row = match store {
             Some(store) => {
                 let meta = ObjectMeta {
-                    hash: point_hash(sweep, cfg, &spec, point),
+                    hash: point_hash(sweep, cfg, key),
                     name: Sweep::name(sweep).to_string(),
                     key: key.clone(),
                     code_version: cfg.code_version.clone(),
@@ -523,11 +501,10 @@ fn stored_values<S: Sweep>(
     let store = require_store(sweep, cfg, "merge")?;
     let points = sweep.points();
     let keys = spec_keys(sweep, &points)?;
-    let spec = sweep.spec();
     let mut values = Vec::with_capacity(points.len());
     let mut missing = Vec::new();
-    for (point, key) in points.iter().zip(&keys) {
-        match store.load(&point_hash(sweep, cfg, &spec, point), Some(key))? {
+    for key in &keys {
+        match store.load(&point_hash(sweep, cfg, key), Some(key))? {
             Some(obj) => values.push(obj.row),
             None => missing.push(key.clone()),
         }

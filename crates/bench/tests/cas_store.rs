@@ -19,7 +19,6 @@ use serde::{Deserialize, Serialize};
 use common::ScratchDir;
 use rsp_bench::experiments::faults::FaultSweep;
 use rsp_bench::sweep::{Executor, Sweep, SweepConfig, SweepRunner};
-use serde_json::Value;
 
 fn fresh_base(name: &str) -> ScratchDir {
     ScratchDir::new(&format!("cas-it-{name}"))
@@ -86,12 +85,6 @@ impl Sweep for CountingSweep {
     }
     fn key(&self, p: &u32) -> String {
         format!("c{p}")
-    }
-    fn spec(&self) -> Value {
-        Value::Object(vec![("n".into(), Value::Int(6))])
-    }
-    fn point_params(&self, p: &u32) -> Value {
-        Value::Object(vec![("p".into(), Value::Int(*p as i128))])
     }
     fn run_point(&self, p: &u32) -> CountingRow {
         self.computes.fetch_add(1, Ordering::Relaxed);

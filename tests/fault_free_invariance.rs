@@ -2,7 +2,7 @@
 //! fabric, but with all rates at zero and no dead slots it must be
 //! perfectly inert — consuming no randomness and perturbing no timing —
 //! so `SimReport`s are bit-identical to a build without it. The golden
-//! timing corpus (tests/golden_timings.rs) pins this against history;
+//! report corpus (tests/golden_reports.rs) pins this against history;
 //! this suite pins it against the knobs: a nonzero seed or scrub
 //! interval alone must change nothing.
 

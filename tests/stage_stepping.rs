@@ -1,7 +1,8 @@
 //! `Machine::step_stage` runs one pipeline stage at a time, so a caller
 //! can time or inspect each stage on its own. Driving every stage of
 //! `PipeStage::ALL` in order must be exactly one `step()`: this test runs
-//! the golden timing corpus (tests/golden_timings.rs) both ways and
+//! the golden report corpus's seven base pairs (tests/golden_reports.rs)
+//! both ways and
 //! requires equal reports, with telemetry off and with counting
 //! telemetry, and an equal cycle-by-cycle `finished()` edge.
 
@@ -13,8 +14,8 @@ use rsp::workloads::{kernels, PhasedSpec, SynthSpec, UnitMix};
 
 const BUDGET: u64 = 5_000_000;
 
-/// The golden timing corpus: the same (label, configuration, program)
-/// pairs `tests/golden_timings.rs` pins.
+/// The seven base (label, configuration, program) pairs whose reports
+/// `tests/golden_reports.rs` pins.
 fn corpus() -> Vec<(&'static str, SimConfig, Program)> {
     let phased = || PhasedSpec::int_fp_mem(250, 1, 2024).generate();
     vec![
