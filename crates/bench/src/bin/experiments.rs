@@ -198,7 +198,8 @@ fn gc(cli: &Cli, out: &mut impl Write) -> io::Result<()> {
 }
 
 /// `experiments explain <prefix>`: every stored object whose hash starts
-/// with `prefix`, with its metadata.
+/// with `prefix`, with its metadata, or why the store would not serve
+/// it. Read-only: it moves no object, servable or not.
 fn explain(cli: &Cli, prefix: &str, out: &mut impl Write) -> io::Result<()> {
     let store = open_store(cli);
     let found = store.find(prefix).unwrap_or_else(|e| fail(e));
@@ -206,10 +207,18 @@ fn explain(cli: &Cli, prefix: &str, out: &mut impl Write) -> io::Result<()> {
         eprintln!("no object matches prefix {prefix:?}");
         exit(1);
     }
-    for obj in found {
-        writeln!(out, "{}", obj.key)?;
-        writeln!(out, "  name:         {}", obj.name)?;
-        writeln!(out, "  code_version: {}", obj.code_version)?;
+    for (hash, obj) in found {
+        match obj {
+            Ok(obj) => {
+                writeln!(out, "{}", obj.key)?;
+                writeln!(out, "  name:         {}", obj.name)?;
+                writeln!(out, "  code_version: {}", obj.code_version)?;
+            }
+            Err(reason) => {
+                writeln!(out, "{hash}")?;
+                writeln!(out, "  unservable:   {reason}")?;
+            }
+        }
     }
     Ok(())
 }

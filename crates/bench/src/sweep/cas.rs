@@ -53,6 +53,10 @@ pub struct CasObject {
     pub row: Value,
 }
 
+/// An object file as read: the object, or why the store will not
+/// serve it (it does not parse, or carries another schema tag).
+pub type Stored = Result<CasObject, String>;
+
 /// Everything needed to address + describe a point's object, short of
 /// its row.
 #[derive(Debug, Clone)]
@@ -234,6 +238,24 @@ impl CasStore {
         self.object_path(hash).exists()
     }
 
+    /// Read the object at `hash` without moving anything (`Ok(None)` if
+    /// it is missing).
+    fn read(&self, hash: &str) -> Result<Option<Stored>, SweepError> {
+        let path = self.object_path(hash);
+        let text = match fs::read_to_string(&path) {
+            Ok(t) => t,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(SweepError::io(&path, e)),
+        };
+        Ok(Some(match serde_json::from_str::<CasObject>(&text) {
+            Err(e) => Err(format!("unparseable: {e}")),
+            Ok(obj) if obj.schema != Self::SCHEMA => {
+                Err(format!("schema {:?}, want {:?}", obj.schema, Self::SCHEMA))
+            }
+            Ok(obj) => Ok(obj),
+        }))
+    }
+
     /// Load the object at `hash`. A missing object is `Ok(None)`. A
     /// present-but-corrupt object — unparseable, wrong schema, or a
     /// recorded key that disagrees with `expected_key` — is moved to
@@ -244,26 +266,17 @@ impl CasStore {
         hash: &str,
         expected_key: Option<&str>,
     ) -> Result<Option<CasObject>, SweepError> {
-        let path = self.object_path(hash);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(SweepError::io(&path, e)),
-        };
-        let parsed: Result<CasObject, _> = serde_json::from_str(&text);
-        let reason = match parsed {
-            Err(e) => Some(format!("unparseable: {e}")),
-            Ok(obj) if obj.schema != Self::SCHEMA => {
-                Some(format!("schema {:?}, want {:?}", obj.schema, Self::SCHEMA))
-            }
-            Ok(obj) => match expected_key {
+        let reason = match self.read(hash)? {
+            None => return Ok(None),
+            Some(Err(reason)) => reason,
+            Some(Ok(obj)) => match expected_key {
                 Some(want) if obj.key != want => {
-                    Some(format!("recorded key {:?}, expected {:?}", obj.key, want))
+                    format!("recorded key {:?}, expected {:?}", obj.key, want)
                 }
                 _ => return Ok(Some(obj)),
             },
         };
-        self.quarantine(hash, &path, reason.as_deref().unwrap_or("corrupt"))?;
+        self.quarantine(hash, &self.object_path(hash), &reason)?;
         Ok(None)
     }
 
@@ -426,14 +439,16 @@ impl CasStore {
         Ok(hashes)
     }
 
-    /// Load every object whose hash starts with `prefix` (the
-    /// `experiments explain <key>` lookup; pass a full hash for an exact hit).
-    pub fn find(&self, prefix: &str) -> Result<Vec<CasObject>, SweepError> {
+    /// Every object whose hash starts with `prefix`, as `(hash, object
+    /// or why it cannot be served)` (the `experiments explain <key>`
+    /// lookup; pass a full hash for an exact hit). Read-only: unlike
+    /// [`CasStore::load`] it quarantines nothing.
+    pub fn find(&self, prefix: &str) -> Result<Vec<(String, Stored)>, SweepError> {
         let mut found = Vec::new();
         for hash in self.list()? {
             if hash.starts_with(prefix) {
-                if let Some(obj) = self.load(&hash, None)? {
-                    found.push(obj);
+                if let Some(obj) = self.read(&hash)? {
+                    found.push((hash, obj));
                 }
             }
         }
@@ -579,6 +594,40 @@ mod tests {
         assert_eq!(store.list().unwrap(), [looked_up]);
     }
 
+    /// An object nested one level past the JSON reader's cap is
+    /// quarantined with the reason, not parsed into a stack overflow.
+    #[test]
+    fn too_deep_object_is_quarantined_with_the_reason() {
+        let (_dir, store) = fresh_store("too-deep");
+        let hash = crate::sweep::canon::sha256_hex(b"deep");
+        // The envelope is one level; its row nests the other MAX_DEPTH.
+        let depth = serde_json::MAX_DEPTH;
+        let row = "[".repeat(depth) + &"]".repeat(depth);
+        let path = store.object_path(&hash);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(
+            &path,
+            format!(
+                r#"{{"schema":"{}","name":"demo","key":"k","code_version":"0","row":{row}}}"#,
+                CasStore::SCHEMA
+            ),
+        )
+        .unwrap();
+        assert!(store.load(&hash, Some("k")).unwrap().is_none());
+        assert_eq!(store.stats().quarantined, 1);
+        let reason = fs::read_to_string(
+            store
+                .root()
+                .join("quarantine")
+                .join(format!("{hash}.reason")),
+        )
+        .unwrap();
+        assert!(
+            reason.starts_with("unparseable: nesting deeper than 128 levels"),
+            "{reason}"
+        );
+    }
+
     #[test]
     fn key_mismatch_is_treated_as_corruption() {
         let (_dir, store) = fresh_store("key-mismatch");
@@ -704,6 +753,44 @@ mod tests {
         assert_eq!(store.list().unwrap(), want);
         let found = store.find(&h1[..12]).unwrap();
         assert_eq!(found.len(), 1);
-        assert_eq!(found[0].key, "one");
+        assert_eq!(found[0].0, h1);
+        assert_eq!(found[0].1.as_ref().unwrap().key, "one");
+    }
+
+    /// `find` (behind `experiments explain`) reports an object it cannot
+    /// serve with the reason, and leaves it where it is.
+    #[test]
+    fn find_reports_unservable_objects_and_moves_nothing() {
+        let (_dir, store) = fresh_store("find-read-only");
+        let v1 = crate::sweep::canon::sha256_hex(b"find-v1");
+        let torn = crate::sweep::canon::sha256_hex(b"find-torn");
+        let plant = |hash: &str, text: &str| {
+            let path = store.object_path(hash);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        };
+        plant(
+            &v1,
+            r#"{"schema":"rsp-cas-v1","kind":"point","name":"demo","key":"k","code_version":"0","inputs":[],"row":1}"#,
+        );
+        plant(&torn, r#"{"schema":"rsp-cas-v2","na"#);
+        for (hash, want) in [
+            (&v1, r#"schema "rsp-cas-v1", want "rsp-cas-v2""#),
+            (&torn, "unparseable: "),
+        ] {
+            let found = store.find(&hash[..12]).unwrap();
+            assert_eq!(found.len(), 1);
+            assert_eq!(&found[0].0, hash);
+            let reason = found[0].1.as_ref().unwrap_err();
+            assert!(reason.starts_with(want), "{reason}");
+            assert!(store.contains(hash), "find moved {hash}");
+        }
+        assert_eq!(store.stats().quarantined, 0);
+        assert_eq!(
+            fs::read_dir(store.root().join("quarantine"))
+                .unwrap()
+                .count(),
+            0
+        );
     }
 }

@@ -794,6 +794,26 @@ mod tests {
         assert!(parse_jsonl("\n\n").unwrap().is_empty());
     }
 
+    /// A log line nested one level past the JSON reader's cap is a
+    /// `ParseError` for that line, not a stack overflow.
+    #[test]
+    fn too_deep_line_is_a_parse_error() {
+        let good = serde_json::to_string(&ev(1, Event::ScrubPass { detected: 0 })).unwrap();
+        // `{"cycle":2,"event":...}` is one level; `event` nests the rest.
+        let depth = serde_json::MAX_DEPTH;
+        let deep = format!(
+            r#"{{"cycle":2,"event":{}{}}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let err = parse_jsonl(&format!("{good}\n{deep}\n")).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message.starts_with("nesting deeper than 128 levels"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn capacity_events_feed_the_report() {
         let u = UnitType::Lsu;

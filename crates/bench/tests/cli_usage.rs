@@ -192,6 +192,38 @@ fn explain_of_an_absent_prefix_exits_1() {
     assert_failure(&out, "no object matches");
 }
 
+/// `explain` is read-only: an object in the old `rsp-cas-v1` envelope is
+/// reported as unservable, with the reason, and stays under `objects/`.
+#[test]
+fn explain_reports_a_foreign_schema_object_and_moves_nothing() {
+    let dir = scratch("explain-v1");
+    let cas = dir.join("cas");
+    let hash = format!("ab{}", "0".repeat(62));
+    let obj = cas
+        .join("objects")
+        .join("ab")
+        .join(format!("{}.json", &hash[2..]));
+    std::fs::create_dir_all(obj.parent().unwrap()).unwrap();
+    std::fs::write(
+        &obj,
+        r#"{"schema":"rsp-cas-v1","kind":"point","name":"demo","key":"k","code_version":"0","inputs":[],"row":1}"#,
+    )
+    .unwrap();
+    let out = experiments(&["explain", "ab00", "--cache-dir", cas.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert_eq!(
+        stdout,
+        format!("{hash}\n  unservable:   schema \"rsp-cas-v1\", want \"rsp-cas-v2\"\n")
+    );
+    assert!(obj.exists(), "explain moved the object");
+    assert_eq!(
+        std::fs::read_dir(cas.join("quarantine")).unwrap().count(),
+        0,
+        "explain quarantined the object"
+    );
+}
+
 /// `gc` keeps what the current code version reaches and removes exactly
 /// the objects another version wrote.
 #[test]

@@ -366,6 +366,25 @@ mod tests {
         assert!(parse_fleet_jsonl("not json\n").is_err());
     }
 
+    /// A dump line nested one level past the JSON reader's cap is an
+    /// error naming the line, not a stack overflow.
+    #[test]
+    fn too_deep_dump_line_is_an_error() {
+        let good = serde_json::to_string(&shed(1)).unwrap();
+        // `{"tick":0,"tenant":...}` is one level; `tenant` nests the rest.
+        let depth = serde_json::MAX_DEPTH;
+        let deep = format!(
+            r#"{{"tick":0,"tenant":{}{}}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let err = parse_fleet_jsonl(&format!("{good}\n{deep}\n")).unwrap_err();
+        assert!(
+            err.starts_with("flight dump line 2: nesting deeper than 128 levels"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn clear_resets_storm_state() {
         let mut r = FlightRecorder::new(8);

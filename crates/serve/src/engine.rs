@@ -51,19 +51,19 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Lanes per lane group — one bit-plane word of the lane kernel.
 pub const LANES_PER_GROUP: usize = 64;
 
-/// Granted cycles a tick needs before its scalar step phase fans out to
-/// worker threads: 16 base quanta of the default scheduler (16 × 256 =
-/// 4096 cycles), about 1 ms of stepping at the scalar machine's
-/// ~4.2 M cycles/s. That pays for a scoped spawn and join many times
-/// over, while an open-loop tick with 1–3 tenants stays inline and its
-/// latency never waits on a spawn. In a [`ShardedEngine`](crate::ShardedEngine)
-/// the threshold applies to the total grants of the whole fleet, whose
-/// shards share one step phase, not to each shard's.
-const FAN_OUT_MIN_CYCLES: u64 = 16 * 256;
+/// Granted cycles each step-phase worker must get before the phase
+/// fans out to it: two base quanta of the default scheduler (2 × 256 =
+/// 512 cycles), about 120 µs of stepping at the scalar machine's
+/// ~4.2 M cycles/s. That pays more than twice for the 35–55 µs a scoped
+/// spawn and join costs on a 2-vCPU host, while an open-loop tick with
+/// 1–3 tenants (at most 768 cycles) stays inline and its latency never
+/// waits on a spawn. See [`step_workers`].
+const MIN_WORKER_CYCLES: u64 = 2 * 256;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -319,44 +319,50 @@ fn drr_grant(deficit: &mut u64, credit: u64, burst: u64) -> u64 {
 }
 
 /// A run of scalar tenants lent to the step phase, with their grants:
-/// one engine's whole `scalars` list, or a piece of one cut at a chunk
-/// boundary. `quanta[i]` is `tenants[i]`'s grant in cycles.
-#[derive(Default)]
+/// one engine's whole `scalars` list. `quanta[i]` is `tenants[i]`'s
+/// grant in cycles.
 pub(crate) struct StepRun<'a> {
     tenants: &'a mut [ScalarTenant],
     quanta: &'a mut [u64],
 }
 
-impl<'a> StepRun<'a> {
-    /// Step each tenant up to its grant, then overwrite the grant with
-    /// the cycles it actually stepped. It touches nothing but the
-    /// tenants' own machines — the zero-alloc hot loop — so any thread
-    /// may run it.
-    fn step(&mut self) {
-        for (s, q) in self.tenants.iter_mut().zip(self.quanta.iter_mut()) {
-            let mut stepped = 0;
-            while stepped < *q && !s.machine.finished() && s.machine.cycle() < s.budget {
-                s.machine.step();
-                stepped += 1;
-            }
-            *q = stepped;
-        }
-    }
-
-    /// Cut off the first `n` tenants, leaving the rest in `self`.
-    fn split_off_head(&mut self, n: usize) -> StepRun<'a> {
-        let (tenants, tail_t) = std::mem::take(&mut self.tenants).split_at_mut(n);
-        let (quanta, tail_q) = std::mem::take(&mut self.quanta).split_at_mut(n);
-        (self.tenants, self.quanta) = (tail_t, tail_q);
-        StepRun { tenants, quanta }
+impl StepRun<'_> {
+    /// Every tenant of the run with its grant, in visit order.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (&mut ScalarTenant, &mut u64)> + Send {
+        self.tenants.iter_mut().zip(self.quanta.iter_mut())
     }
 }
 
-/// The step phase: [`StepRun::step`] over every run on up to `workers`
-/// threads, the caller's included, in contiguous chunks balanced by
-/// granted cycles. A chunk may span runs, so a fleet's shards share one
-/// fan-out. Steps inline when one worker is available or the runs'
-/// grants total less than [`FAN_OUT_MIN_CYCLES`].
+/// Step `s` up to its grant `q`, then overwrite the grant with the
+/// cycles it actually stepped. It touches nothing but the tenant's own
+/// machine — the zero-alloc hot loop — so any thread may run it.
+fn step_tenant((s, q): (&mut ScalarTenant, &mut u64)) {
+    let mut stepped = 0;
+    while stepped < *q && !s.machine.finished() && s.machine.cycle() < s.budget {
+        s.machine.step();
+        stepped += 1;
+    }
+    *q = stepped;
+}
+
+/// Threads a step phase with `total` granted cycles over `scalars`
+/// tenants uses, out of `workers` available (the caller's included):
+/// one per [`MIN_WORKER_CYCLES`] of work, never more than there are
+/// tenants or workers. At most 1 means step inline. In a
+/// [`ShardedEngine`](crate::ShardedEngine) `total` and `scalars` are the
+/// whole fleet's, whose shards share one step phase.
+fn step_workers(workers: usize, scalars: usize, total: u128) -> usize {
+    let by_work = total / u128::from(MIN_WORKER_CYCLES);
+    workers
+        .min(scalars)
+        .min(usize::try_from(by_work).unwrap_or(usize::MAX))
+}
+
+/// The step phase: [`step_tenant`] over every run's tenants on
+/// [`step_workers`] threads, the caller's included. The threads take
+/// tenants one at a time, in visit order, off one shared queue, so a
+/// fleet's shards share one fan-out and a thread the host deschedules
+/// holds up only the tenant it is stepping.
 pub(crate) fn step_fan_out(runs: &mut [StepRun<'_>], workers: usize) {
     // `u128`: grants are budget-clamped, and budgets may be near `u64::MAX`.
     let total: u128 = runs
@@ -364,50 +370,31 @@ pub(crate) fn step_fan_out(runs: &mut [StepRun<'_>], workers: usize) {
         .flat_map(|r| r.quanta.iter())
         .map(|&q| u128::from(q))
         .sum();
-    let workers = workers.min(runs.iter().map(|r| r.tenants.len()).sum());
-    if workers <= 1 || total < u128::from(FAN_OUT_MIN_CYCLES) {
-        return runs.iter_mut().for_each(StepRun::step);
+    let scalars = runs.iter().map(|r| r.tenants.len()).sum();
+    let workers = step_workers(workers, scalars, total);
+    let queue = runs.iter_mut().flat_map(StepRun::iter_mut);
+    if workers <= 1 {
+        return queue.for_each(step_tenant);
     }
-    // Cut the runs into pieces: chunk `w` ends once the cycles handed
-    // out reach `w / workers` of the total, and `ends[w - 1]` counts the
-    // pieces of chunks 0..w. The last chunk takes whatever is left.
-    let mut pieces = Vec::with_capacity(runs.len() + workers);
-    let mut ends = Vec::with_capacity(workers);
-    let mut handed = 0;
-    for run in runs.iter_mut() {
-        let mut rest = std::mem::take(run);
-        while ends.len() + 1 < workers {
-            let target = total * (ends.len() + 1) as u128 / workers as u128;
-            let mut n = 0;
-            while n < rest.quanta.len() && handed < target {
-                handed += u128::from(rest.quanta[n]);
-                n += 1;
-            }
-            if n == rest.tenants.len() {
-                break;
-            }
-            if n > 0 {
-                pieces.push(rest.split_off_head(n));
-            }
-            ends.push(pieces.len());
+    let queue = Mutex::new(queue);
+    // The lock is held only to take the next tenant, never while
+    // stepping it. Workers run only the step loop, so they allocate
+    // nothing (`zero_alloc_step_workers`).
+    let work = || loop {
+        let next = queue
+            .lock()
+            .expect("no thread panics holding the queue")
+            .next();
+        match next {
+            Some(tenant) => step_tenant(tenant),
+            None => break,
         }
-        if !rest.tenants.is_empty() {
-            pieces.push(rest);
-        }
-    }
+    };
     std::thread::scope(|scope| {
-        // Workers only borrow their pieces: the step loop is all they
-        // run, so they allocate nothing (`zero_alloc_step_workers`).
-        let mut rest = &mut pieces[..];
-        let mut start = 0;
-        for end in ends {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
-            (rest, start) = (tail, end);
-            if !chunk.is_empty() {
-                scope.spawn(move || chunk.iter_mut().for_each(StepRun::step));
-            }
+        for _ in 1..workers {
+            scope.spawn(work);
         }
-        rest.iter_mut().for_each(StepRun::step);
+        work();
     });
 }
 
@@ -644,7 +631,7 @@ impl ServeEngine {
     /// scalar tenant's deficit-round-robin grant into `quanta`. Grants
     /// are per-tenant state, so the order they are taken in does not
     /// matter; clamping to the budget left only sharpens the step
-    /// phase's chunk balance (stepping stops there anyway).
+    /// phase's worker count (stepping stops there anyway).
     pub(crate) fn prepare_tick(&mut self) {
         self.tick += 1;
         self.stats.ticks += 1;
@@ -1108,6 +1095,36 @@ mod tests {
     fn drained(engine: &mut ServeEngine) -> EngineStats {
         assert!(engine.run_until_idle(10_000), "engine did not drain");
         engine.stats()
+    }
+
+    #[test]
+    fn step_workers_follow_work_per_worker() {
+        const Q: u128 = 256;
+        // (available workers, scalar tenants, granted cycles, expected);
+        // 0 or 1 steps inline.
+        let cases = [
+            (2, 1, Q, 0),
+            (2, 2, 2 * Q, 1),
+            (2, 3, 3 * Q, 1),
+            (16, 3, 3 * Q, 1),
+            (2, 4, 4 * Q, 2),
+            (16, 4, 4 * Q, 2),
+            (2, 8, 2_048, 2),
+            (16, 8, 2_048, 4),
+            (16, 16, 16 * Q, 8),
+            (2, 32, 32 * Q, 2),
+            (16, 3, 100 * Q, 3),
+            (1, 32, 32 * Q, 1),
+            (16, 1, u128::from(u64::MAX), 1),
+            (16, 64, u128::from(u64::MAX) * 64, 16),
+            (16, 8, 0, 0),
+            (16, 0, 0, 0),
+        ];
+        for (workers, scalars, total, want) in cases {
+            let got = step_workers(workers, scalars, total);
+            assert_eq!(got, want, "step_workers({workers}, {scalars}, {total})");
+            assert!(got <= workers && got <= scalars);
+        }
     }
 
     #[test]

@@ -28,10 +28,11 @@
 //! prepare in shard order, then **one** step phase that fans all
 //! shards' scalar tenants out over worker threads, then every shard's
 //! serial finish in shard order. Shards share no state, so each sees
-//! the same sequence of operations as when ticked alone, and the fan-out
-//! balances and gates on the fleet's total grants rather than each
-//! shard's. A thread per shard was measured and left out: it grew peak
-//! RSS through glibc's per-thread malloc arenas.
+//! the same sequence of operations as when ticked alone; the fan-out
+//! sizes its worker count (one per 512 granted cycles) on the fleet's
+//! total grants rather than each shard's, and a worker may step tenants
+//! of several shards. A thread per shard was measured and left out: it
+//! grew peak RSS through glibc's per-thread malloc arenas.
 //!
 //! The server runs a `ShardedEngine` at every shard count. One shard
 //! is a plain [`ServeEngine`] behind the id table: sheds burn no id,
@@ -234,8 +235,8 @@ impl ShardedEngine {
     /// One lockstep tick of every shard: each shard's serial prepare in
     /// shard order, one step phase over every shard's scalar tenants,
     /// then each shard's serial finish in shard order — the phases of
-    /// [`ServeEngine::tick`], with the fan-out threshold and chunk
-    /// balance taken over the whole fleet's grants.
+    /// [`ServeEngine::tick`], with the step-worker count taken over the
+    /// whole fleet's grants and one tenant queue for all shards.
     pub fn tick(&mut self) {
         for s in &mut self.shards {
             s.prepare_tick();

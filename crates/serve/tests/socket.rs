@@ -2,13 +2,13 @@
 //! tenants through the wire on one and two shards, clean shutdown,
 //! replay bit-identity across the transport boundary, telemetry export
 //! under fleet-global ids, the SLO metrics frame and its Prometheus
-//! exposition, flight-recorder dumps on a shed storm, and clients that
-//! stall inside a frame.
+//! exposition, flight-recorder dumps on a shed storm, clients that
+//! stall inside a frame, and a frame nested past the JSON reader's cap.
 
 use rsp_obs::{parse_fleet_jsonl, FleetEvent, PromDump, TriggerKind};
 use rsp_serve::{
-    replay, ServeClient, Server, ServerConfig, TenantPhase, TenantRequest, WatermarkScheduler,
-    SLO_HISTO_NAMES,
+    protocol, replay, Response, ServeClient, Server, ServerConfig, TenantPhase, TenantRequest,
+    WatermarkScheduler, SLO_HISTO_NAMES,
 };
 use rsp_sim::SimConfig;
 use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
@@ -380,4 +380,45 @@ fn stalled_half_frames_block_neither_service_nor_shutdown() {
     assert_eq!(stats.completed, 4);
     assert_eq!(stats.shed_total(), 0);
     drop((mid_body, mid_header));
+}
+
+/// A frame nested one level past the JSON reader's cap gets an error
+/// reply naming the cap instead of overflowing the connection thread's
+/// stack, which would abort the whole server; another client is then
+/// served as usual.
+#[test]
+fn too_deep_frame_is_refused_and_the_server_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    // The `{"Submit": ...}` object is one level; its payload the rest.
+    let depth = serde_json::MAX_DEPTH;
+    let body = format!(r#"{{"Submit":{}{}}}"#, "[".repeat(depth), "]".repeat(depth));
+    let mut hostile = std::net::TcpStream::connect(&addr).unwrap();
+    hostile
+        .write_all(&(body.len() as u32).to_be_bytes())
+        .unwrap();
+    hostile.write_all(body.as_bytes()).unwrap();
+    let reply = protocol::read_frame(&mut hostile)
+        .unwrap()
+        .expect("the server replies before hanging up");
+    match protocol::decode::<Response>(&reply).unwrap() {
+        Response::Error { msg } => {
+            assert!(msg.starts_with("nesting deeper than 128 levels"), "{msg}")
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+
+    let mut client = ServeClient::connect(&addr).unwrap();
+    let id = client.submit(scalar_req(0)).unwrap().expect("admitted");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while client.status(id).unwrap().expect("known tenant").phase != TenantPhase::Done {
+        assert!(Instant::now() < deadline, "tenant {id} did not finish");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    client.shutdown().unwrap();
+    let stats = handle.join().unwrap().unwrap();
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
+    drop(hostile);
 }

@@ -7,15 +7,15 @@
 //! it, and every shared structure (stats, SLO slabs, flight ring,
 //! router, pool) is written afterwards by the serial bookkeeping pass in
 //! visit order. The cohort keeps 32 scalars active at weights 3:1, so
-//! nearly every tick grants far more than the fan-out threshold and the
+//! nearly every tick grants enough cycles for every worker and the
 //! threaded path runs; 7 workers on a small host also oversubscribes
-//! the cores, shuffling which chunk finishes first.
+//! the cores, shuffling which worker takes which tenant.
 //!
 //! A `ShardedEngine` runs one step phase over all its shards' scalar
-//! tenants, with chunks that may span shards. The fleet case serves the
-//! same cohort on 2 and 4 shards where no shard alone grants enough
-//! cycles to fan out but the fleet does, so only that fleet-wide
-//! fan-out can make the threads differ.
+//! tenants, and a worker may step tenants of several shards. The fleet
+//! case serves the same cohort on 2 and 4 shards where no shard alone
+//! grants enough cycles to fan out but the fleet does, so only that
+//! fleet-wide fan-out can make the threads differ.
 
 use rsp_serve::{
     EngineConfig, EngineStats, MetricsFrame, ServeEngine, TenantRequest, WatermarkScheduler,
@@ -142,14 +142,16 @@ fn step_worker_count_does_not_change_any_output() {
     }
 }
 
-/// The engine's fan-out threshold (`FAN_OUT_MIN_CYCLES`): 16 base
-/// quanta of the default scheduler.
-const FAN_OUT_MIN_CYCLES: u64 = 16 * 256;
+/// Granted cycles the engine needs per step worker
+/// (`MIN_WORKER_CYCLES`): two base quanta of the default scheduler. A
+/// step phase fans out once it grants two workers' worth.
+const MIN_WORKER_CYCLES: u64 = 2 * 256;
 
-/// Scalar tenants a fleet keeps active in total, split evenly over its
-/// shards: 24 × 256 = 6144 granted cycles per tick, above the fan-out
-/// threshold, while no shard grants more than 12 × 256 = 3072.
-const FLEET_ACTIVE: usize = 24;
+/// Tenants each shard keeps active: 3 × 256 = 768 granted cycles per
+/// tick, under two workers' worth, so a shard alone steps inline, while
+/// a fleet of 2 or 4 full shards grants 1536 or 3072 cycles and fans
+/// out.
+const SHARD_ACTIVE: usize = 3;
 
 /// Tenant `i` of the fleet cohort: [`cohort_req`]'s mix with scalar
 /// streams about ten times longer, so most ticks keep every shard full.
@@ -170,10 +172,9 @@ fn fleet_req(i: u64) -> TenantRequest {
 /// Serve the fleet cohort closed-loop on a `shards`-shard fleet with
 /// `workers` step workers. Every grant is one 256-cycle quantum
 /// (`max_weight` 1 clamps the cohort's 3:1 weights, which still key the
-/// lane groups), and each shard activates at most `FLEET_ACTIVE /
-/// shards` tenants, so no shard reaches the fan-out threshold on its
-/// own while the fleet's total does: only the fleet-wide step phase
-/// fans out. The flight rings are read back from one final dump per
+/// lane groups), and each shard activates at most [`SHARD_ACTIVE`]
+/// tenants, so no shard grants two workers' worth on its own while the
+/// fleet's total does: only the fleet-wide step phase fans out. The flight rings are read back from one final dump per
 /// shard under `flight_dir`.
 fn serve_cohort_on_fleet(shards: usize, workers: usize) -> Observed {
     let dir = std::env::temp_dir().join(format!(
@@ -187,13 +188,13 @@ fn serve_cohort_on_fleet(shards: usize, workers: usize) -> Observed {
         ..EngineConfig::default()
     };
     let sched = WatermarkScheduler {
-        max_active: FLEET_ACTIVE / shards,
+        max_active: SHARD_ACTIVE,
         step_lag_watermark: u64::MAX,
         ..WatermarkScheduler::default()
     };
     assert!(
-        sched.max_active as u64 * sched.burst() < FAN_OUT_MIN_CYCLES,
-        "a shard alone must stay under the fan-out threshold"
+        sched.max_active as u64 * sched.burst() < 2 * MIN_WORKER_CYCLES,
+        "a shard alone must step inline"
     );
     let mut fleet = ShardedEngine::new(cfg, sched, shards);
     fleet.set_step_workers(workers);
@@ -215,13 +216,13 @@ fn serve_cohort_on_fleet(shards: usize, workers: usize) -> Observed {
         // its budget in it, so it stepped its whole 256-cycle grant.
         let s = fleet.stats();
         let scalars = s.active - s.lane_tenants - s.lane_pending;
-        if scalars as u64 * 256 >= FAN_OUT_MIN_CYCLES {
+        if scalars as u64 * 256 >= 2 * MIN_WORKER_CYCLES {
             fleet_fan_outs += 1;
         }
     }
     assert!(
         fleet_fan_outs * 2 > ticks,
-        "only {fleet_fan_outs} of {ticks} ticks granted the fleet past the threshold"
+        "only {fleet_fan_outs} of {ticks} ticks granted the fleet two workers' worth"
     );
     let stats = fleet.stats();
     assert_eq!(stats.completed, TENANTS);

@@ -79,7 +79,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Scalar tenants per fleet: 20 × 256 = 5120 granted cycles a tick,
-/// past the engine's 4096-cycle fan-out threshold at every shard count.
+/// ten times the engine's 512 granted cycles per step worker, so every
+/// tick fans out to all 3 workers the test sets, at every shard count.
 const TENANTS: u64 = 20;
 
 /// Ticks of warm-up: 10,240 cycles per machine.

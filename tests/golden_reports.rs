@@ -1,14 +1,16 @@
-//! Golden report corpus: where `golden_timings` pins only `(cycles,
-//! retired)`, this pins the *whole* [`SimReport`] — stall counters,
-//! loader and fabric statistics, fault counters — of every entry, once
+//! Golden report corpus: this pins the *whole* [`SimReport`] — cycles
+//! and retired instructions, stall counters, loader and fabric
+//! statistics, fault counters — of every entry, once
 //! with telemetry off and once under [`Telemetry::counting`] so the
 //! metrics snapshot (event counters and latency histograms) is pinned
 //! too. A change that keeps timing but miscounts a stall, a skipped load
 //! or a histogram sample fails here.
 //!
-//! Corpus: the golden timing corpus, plus one fault-aware run under live
-//! faults (failing loads, upsets, scrub and a dead slot) and one run of
-//! the EWMA-smoothed paper policy.
+//! Corpus: three kernels, the phased program under the paper, static
+//! and oracle policies, and an FP-heavy synthetic program, all
+//! fault-free, plus one fault-aware run under live faults
+//! (failing loads, upsets, scrub and a dead slot) and one run of the
+//! EWMA-smoothed paper policy.
 //!
 //! To bless intentional report changes:
 //! `BLESS_REPORTS=1 cargo test --test golden_reports` rewrites the corpus
