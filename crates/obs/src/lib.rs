@@ -199,6 +199,12 @@ impl Telemetry {
         self.ring_sink().map(RingSink::to_jsonl)
     }
 
+    /// The event log in chronological order, if this handle logs
+    /// events, handed over without a copy ([`RingSink::into_events`]).
+    pub fn into_events(self) -> Option<Vec<Stamped>> {
+        self.sink.map(RingSink::into_events)
+    }
+
     /// Clear counters, histograms, the event log and the cycle stamp,
     /// keeping the enabled flag and ring capacity (for `Machine::reset`).
     pub fn reset(&mut self) {
@@ -263,6 +269,8 @@ mod tests {
         assert_eq!(log[0].cycle, 3);
         assert_eq!(log[1].cycle, 9);
         assert_eq!(t.to_jsonl().unwrap().lines().count(), 2);
+        assert_eq!(t.into_events(), Some(log));
+        assert_eq!(Telemetry::counting().into_events(), None);
     }
 
     #[test]

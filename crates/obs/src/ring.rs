@@ -53,6 +53,13 @@ impl<T: Copy> Ring<T> {
         self.buf[self.next..].iter().chain(&self.buf[..self.next])
     }
 
+    /// The held entries, oldest first, as the ring's own buffer rotated
+    /// in place: nothing is copied into a new allocation.
+    pub(crate) fn into_vec(mut self) -> Vec<T> {
+        self.buf.rotate_left(self.next);
+        self.buf
+    }
+
     /// Discard every entry and zero the drop count.
     pub(crate) fn clear(&mut self) {
         self.buf.clear();

@@ -53,6 +53,13 @@ impl RingSink {
         self.ring.iter().copied().collect()
     }
 
+    /// The held events in chronological order, handed over without a
+    /// copy: the ring's buffer is rotated in place and returned, so its
+    /// allocation (`capacity` events) moves to the caller.
+    pub fn into_events(self) -> Vec<Stamped> {
+        self.ring.into_vec()
+    }
+
     /// Append the held events to `out` as JSON Lines (one event per
     /// line, chronological order), walking the ring in place. Each line
     /// is byte-identical to `serde_json::to_string` of the event (see
@@ -154,6 +161,20 @@ mod tests {
         let mut appended = String::from("kept\n");
         r.write_jsonl(&mut appended);
         assert_eq!(appended, format!("kept\n{want}"));
+    }
+
+    #[test]
+    fn into_events_is_chronological_and_keeps_the_buffer() {
+        for recorded in [0u64, 3, 4, 7, 9] {
+            let mut r = RingSink::new(4);
+            for c in 0..recorded {
+                r.record(ev(c));
+            }
+            let want = r.events();
+            let events = r.into_events();
+            assert_eq!(events, want, "{recorded} recorded");
+            assert_eq!(events.capacity(), 4, "the ring's own buffer");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * **Scalar tenants** (program streams) lease a `Machine` from the
 //!   [`MachinePool`]; each tick they step up to one scheduler quantum
-//!   of cycles, and on completion their telemetry ring is drained into
-//!   the tenant's log and the machine returns to the pool.
+//!   of cycles, and on completion their telemetry ring moves, unrendered,
+//!   into the tenant router and the machine returns to the pool.
 //! * **Lane tenants** (demand-trace streams whose config fits the
 //!   [`LaneParams::from_config`] envelope) are packed 64-per-word onto
 //!   a shared [`LaneBatch`]: activated tenants with an identical
@@ -32,7 +32,8 @@
 //! sharded fleet runs the same three tick phases — serial prepare, step
 //! phase, serial finish — with one step phase for all its shards.
 
-use crate::route::TenantRouter;
+use crate::protocol::RefusedFrames;
+use crate::route::{LaneRecord, TenantLog, TenantRouter};
 use crate::scheduler::{LoadSnapshot, ShedReason, SpecNote, WatermarkScheduler};
 use crate::slo::{MetricsFrame, SloRegistry, TenantMetrics};
 use crate::tenant::{tenant_key, TenantPhase, TenantRequest, TenantStatus};
@@ -48,7 +49,6 @@ use rsp_sim::{LaneStimulus, Processor, SimConfig};
 use rsp_workloads::QueueRow;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -156,6 +156,10 @@ pub struct EngineStats {
     pub lane_groups_formed: u64,
     /// Machine-pool lease/reuse counters.
     pub pool: PoolStats,
+    /// Frames the server refused, by class. Counted by the server
+    /// around its engine; an engine driven in process counts none.
+    #[serde(default)]
+    pub refused: RefusedFrames,
 }
 
 impl EngineStats {
@@ -188,9 +192,9 @@ struct ScalarTenant {
 
 struct LaneTenant {
     id: u64,
-    /// `tenant_key(id)`, rendered once at admission for the per-cycle
-    /// transition lines.
-    key: String,
+    /// The transitions stepped so far, handed to the router when the
+    /// tenant completes.
+    records: Vec<LaneRecord>,
     rows: Vec<QueueRow>,
     budget: u64,
     done: bool,
@@ -251,8 +255,6 @@ pub struct ServeEngine {
     /// stimulus is dead between its ticks, and per-group buffers would
     /// keep tens of KiB alive for every live group.
     stim: LaneStimulus,
-    /// Lane transition-line buffer, reused across lines and ticks.
-    line: String,
 }
 
 /// The tenant's effective machine config: base + policy override.
@@ -281,26 +283,6 @@ fn set_stim_row(stim: &mut LaneStimulus, lane: usize, cycle: usize, row: &QueueR
         *u = UnitType::ALL[t as usize];
     }
     stim.set_row(lane, cycle, &units[..len]);
-}
-
-/// Append the sparse per-cycle transition record of a lane tenant to
-/// `out`, if this cycle produced one (a selection change or a load
-/// start); true iff a line was appended. Shared by the serving path and
-/// [`replay`] so both emit identical bytes, into a buffer the caller
-/// reuses so no line allocates.
-pub fn lane_transition_line(batch: &LaneBatch, lane: usize, cycle: u64, out: &mut String) -> bool {
-    let changed = batch.lane_changed(lane);
-    let started = batch.lane_started(lane);
-    if !changed && !started {
-        return false;
-    }
-    let choice = batch.lane_choice(lane).map_or(-1i16, |c| c as i16);
-    // Writing into a `String` cannot fail.
-    let _ = write!(
-        out,
-        "{{\"cycle\":{cycle},\"choice\":{choice},\"changed\":{changed},\"started\":{started}}}"
-    );
-    true
 }
 
 /// A `BadSpec` shed with the detail rendered into an inline
@@ -455,7 +437,6 @@ impl ServeEngine {
             workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             quanta: Vec::new(),
             stim: LaneStimulus::new(LANES_PER_GROUP, 1, 1, 1),
-            line: String::new(),
         }
     }
 
@@ -579,7 +560,7 @@ impl ServeEngine {
                 since_tick: self.tick,
                 tenant: LaneTenant {
                     id: q.id,
-                    key: tenant_key(q.id),
+                    records: Vec::new(),
                     rows,
                     budget,
                     done: false,
@@ -668,9 +649,9 @@ impl ServeEngine {
     }
 
     /// The serial last phase of a tick: the scalar bookkeeping in visit
-    /// order, then the lane groups' stepping (their per-cycle telemetry
-    /// lines allocate, so it stays off the step phase), then the SLO
-    /// tick's close.
+    /// order, then the lane groups' stepping (their transition records
+    /// allocate, so it stays off the step phase), then the SLO tick's
+    /// close.
     pub(crate) fn finish_tick(&mut self) {
         self.record_scalar_steps();
         self.step_groups();
@@ -734,7 +715,8 @@ impl ServeEngine {
     /// Record what the step phase did, serially in visit order
     /// (DESIGN.md §14): stats, SLO quanta, flight entries and statuses
     /// for every scalar tenant, then completion for the finished ones —
-    /// telemetry, machine release and replay audit.
+    /// the event ring moved to the router, machine release and replay
+    /// audit.
     fn record_scalar_steps(&mut self) {
         let tick = self.tick;
         let mut audits: Vec<(u64, TenantRequest)> = Vec::new();
@@ -767,9 +749,11 @@ impl ServeEngine {
                 st.cycles = s.machine.cycle();
             }
             if finished {
-                let s = scalars.swap_remove(i);
+                let mut s = scalars.swap_remove(i);
                 quanta.swap_remove(i);
-                router.collect(&tenant_key(s.id), s.machine.telemetry());
+                if let Some(events) = s.machine.take_telemetry().into_events() {
+                    router.keep(&tenant_key(s.id), TenantLog::events(events));
+                }
                 if let Some(st) = statuses.get_mut(&s.id) {
                     st.phase = TenantPhase::Done;
                     st.halted = s.machine.finished();
@@ -799,7 +783,8 @@ impl ServeEngine {
     /// Completion-time replay audit: re-derive the tenant's telemetry
     /// offline and trip a `ReplayMismatch` flight dump on divergence.
     fn audit_replay(&mut self, id: u64, req: &TenantRequest) {
-        let served = self.router.jsonl(&tenant_key(id)).unwrap_or_default();
+        let mut served = String::new();
+        self.router.write_jsonl(&tenant_key(id), &mut served);
         match replay(&self.cfg.base, req) {
             Ok(offline) if offline == served => {}
             _ => self.flight_trigger(TriggerKind::ReplayMismatch),
@@ -817,7 +802,6 @@ impl ServeEngine {
             slo,
             flight,
             stim,
-            line,
             ..
         } = self;
         let burst = scheduler.burst();
@@ -850,13 +834,10 @@ impl ServeEngine {
             for k in 0..steps {
                 g.batch.step(stim, k);
                 let cycle = g.cursor + k as u64;
-                for (lane, t) in g.tenants.iter().enumerate() {
+                for (lane, t) in g.tenants.iter_mut().enumerate() {
                     if !t.done && cycle < t.budget {
                         stats.stepped_cycles += 1;
-                        line.clear();
-                        if lane_transition_line(&g.batch, lane, cycle, line) {
-                            router.append_line(&t.key, line);
-                        }
+                        t.records.extend(LaneRecord::of(&g.batch, lane, cycle));
                     }
                 }
             }
@@ -879,6 +860,8 @@ impl ServeEngine {
                 }
                 if !t.done && g.cursor >= t.budget {
                     t.done = true;
+                    let records = std::mem::take(&mut t.records);
+                    router.keep(&tenant_key(t.id), TenantLog::lanes(records));
                     if let Some(st) = statuses.get_mut(&t.id) {
                         st.phase = TenantPhase::Done;
                         st.halted = true;
@@ -927,9 +910,19 @@ impl ServeEngine {
         self.statuses.values()
     }
 
-    /// A tenant's routed telemetry (JSONL), if any was produced.
+    /// A completed tenant's telemetry (JSONL), if it recorded any: the
+    /// log is rendered on the first read and the text kept for later
+    /// ones. A running tenant has none yet; its log is handed over when
+    /// it completes.
     pub fn telemetry(&self, id: u64) -> Option<&str> {
         self.router.jsonl(&tenant_key(id))
+    }
+
+    /// Append a completed tenant's telemetry (JSONL) to `out` without
+    /// keeping the rendered text, for readers that read each log once;
+    /// false (and `out` untouched) if it recorded none.
+    pub fn write_telemetry(&self, id: u64, out: &mut String) -> bool {
+        self.router.write_jsonl(&tenant_key(id), out)
     }
 
     /// Counter snapshot (queue/active/pool/lane occupancy filled in
@@ -1016,7 +1009,8 @@ impl ServeEngine {
         self.dump_seq
     }
 
-    /// Export per-tenant telemetry as `<dir>/t<id>.jsonl`.
+    /// Export per-tenant telemetry as `<dir>/t<id>.jsonl`, rendered
+    /// through one reused buffer (no rendered text is kept).
     pub fn export_telemetry(&self, dir: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
         self.router.export_dir(dir)
     }
@@ -1027,8 +1021,7 @@ impl ServeEngine {
 pub fn replay(base: &SimConfig, req: &TenantRequest) -> Result<String, ShedReason> {
     check_request(base, req)?;
     let cfg = effective_cfg(base, req);
-    let mut router = TenantRouter::default();
-    if req.spec.is_lane() {
+    let log = if req.spec.is_lane() {
         let trace = req.spec.lane_trace().map_err(bad_spec)?;
         let rows = trace.generate_lane(0);
         let budget = req.spec.max_cycles.min(rows.len() as u64) as usize;
@@ -1039,14 +1032,12 @@ pub fn replay(base: &SimConfig, req: &TenantRequest) -> Result<String, ShedReaso
         for (c, row) in rows.iter().take(budget).enumerate() {
             set_stim_row(&mut stim, 0, c, row);
         }
-        let mut line = String::new();
+        let mut records = Vec::new();
         for c in 0..budget {
             batch.step(&stim, c);
-            line.clear();
-            if lane_transition_line(&batch, 0, c as u64, &mut line) {
-                router.append_line("t", &line);
-            }
+            records.extend(LaneRecord::of(&batch, 0, c as u64));
         }
+        TenantLog::lanes(records)
     } else {
         let program = req.spec.program().map_err(bad_spec)?;
         let mut machine = Processor::try_new(cfg)
@@ -1057,9 +1048,11 @@ pub fn replay(base: &SimConfig, req: &TenantRequest) -> Result<String, ShedReaso
         while !machine.finished() && machine.cycle() < req.spec.max_cycles {
             machine.step();
         }
-        router.collect("t", machine.telemetry());
-    }
-    Ok(router.jsonl("t").unwrap_or_default().to_string())
+        TenantLog::events(machine.take_telemetry().into_events().unwrap_or_default())
+    };
+    let mut jsonl = String::new();
+    log.write_jsonl(&mut jsonl);
+    Ok(jsonl)
 }
 
 #[cfg(test)]

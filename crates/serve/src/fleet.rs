@@ -91,6 +91,7 @@ pub fn merge_stats(parts: impl IntoIterator<Item = EngineStats>) -> EngineStats 
         m.pool.dropped += s.pool.dropped;
         m.pool.in_use += s.pool.in_use;
         m.pool.peak_in_use += s.pool.peak_in_use;
+        m.refused.add(s.refused);
     }
     m
 }
@@ -281,10 +282,19 @@ impl ShardedEngine {
         (0..self.routes.len() as u64).filter_map(|g| self.status(g))
     }
 
-    /// A tenant's routed telemetry (JSONL), if any was produced.
+    /// A completed tenant's telemetry (JSONL), if it recorded any,
+    /// rendered on the first read and kept ([`ServeEngine::telemetry`]).
     pub fn telemetry(&self, global: u64) -> Option<&str> {
         let (shard, local) = self.locate(global)?;
         self.shards[shard].telemetry(local)
+    }
+
+    /// Append a completed tenant's telemetry (JSONL) to `out` without
+    /// keeping the text ([`ServeEngine::write_telemetry`]); false if it
+    /// recorded none.
+    pub fn write_telemetry(&self, global: u64, out: &mut String) -> bool {
+        self.locate(global)
+            .is_some_and(|(shard, local)| self.shards[shard].write_telemetry(local, out))
     }
 
     /// Merged fleet counters ([`merge_stats`] over the shards).
@@ -307,14 +317,17 @@ impl ShardedEngine {
         }
     }
 
-    /// Export per-tenant telemetry as `<dir>/t<global>.jsonl`.
+    /// Export per-tenant telemetry as `<dir>/t<global>.jsonl`, rendered
+    /// through one reused buffer (no rendered text is kept).
     pub fn export_telemetry(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         std::fs::create_dir_all(dir)?;
         let mut out = Vec::new();
+        let mut jsonl = String::new();
         for g in 0..self.routes.len() as u64 {
-            if let Some(jsonl) = self.telemetry(g) {
+            jsonl.clear();
+            if self.write_telemetry(g, &mut jsonl) {
                 let path = dir.join(format!("{}.jsonl", tenant_key(g)));
-                std::fs::write(&path, jsonl)?;
+                std::fs::write(&path, &jsonl)?;
                 out.push(path);
             }
         }

@@ -52,13 +52,12 @@ mod transport;
 
 pub use client::ServeClient;
 pub use engine::{
-    check_request, effective_cfg, lane_transition_line, replay, EngineConfig, EngineStats,
-    ServeEngine, LANES_PER_GROUP,
+    check_request, effective_cfg, replay, EngineConfig, EngineStats, ServeEngine, LANES_PER_GROUP,
 };
 pub use fleet::{
     merge_frames, merge_snapshots, merge_stats, shard_of, PanicFlightGuard, ShardedEngine,
 };
-pub use protocol::{Request, Response, MAX_FRAME};
+pub use protocol::{RefusedFrames, Request, Response, MAX_FRAME};
 pub use scheduler::{LoadSnapshot, ShedReason, SpecNote, WatermarkScheduler, SPEC_NOTE_CAP};
 pub use server::{Server, ServerConfig};
 pub use slo::{MetricsFrame, SloRegistry, TenantMetrics, SLO_HISTO_NAMES};

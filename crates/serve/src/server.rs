@@ -26,7 +26,7 @@
 
 use crate::engine::{EngineConfig, EngineStats};
 use crate::fleet::{PanicFlightGuard, ShardedEngine};
-use crate::protocol::{self, Request, Response};
+use crate::protocol::{self, RefusedClass, RefusedFrames, Request, Response};
 use crate::scheduler::WatermarkScheduler;
 use crate::transport::{Listener, Stream};
 use std::io;
@@ -76,9 +76,13 @@ pub struct Server {
     cfg: ServerConfig,
 }
 
-struct Command {
-    req: Request,
-    reply: mpsc::Sender<Response>,
+/// What a connection thread sends the engine thread.
+enum Command {
+    /// A decoded request, and where its reply goes.
+    Request(Request, mpsc::Sender<Response>),
+    /// A frame the connection refused. Counted on the engine thread, so
+    /// a later `Stats` from the same client always sees it.
+    Refused(RefusedClass),
 }
 
 impl Server {
@@ -113,12 +117,15 @@ impl Server {
         let engine_shutdown = shutdown.clone();
         let engine_thread = std::thread::spawn(move || {
             let mut engine = ShardedEngine::new(cfg.engine, cfg.scheduler, cfg.shards);
-            run_engine(&mut engine, rx);
+            let refused = run_engine(&mut engine, rx);
             engine_shutdown.store(true, Ordering::SeqCst);
             if let Some(dir) = cfg.telemetry_dir {
                 let _ = engine.export_telemetry(&dir);
             }
-            engine.stats()
+            EngineStats {
+                refused,
+                ..engine.stats()
+            }
         });
 
         listener.set_nonblocking(true)?;
@@ -163,14 +170,26 @@ impl Server {
 
 /// One connection: read frames, forward to the engine, write replies.
 /// Ends at EOF (the peer hung up, or shutdown closed the read half), on
-/// a torn or malformed frame, or after replying `Bye`, and then shuts
-/// the socket down so the peer sees the hangup at once.
+/// a torn frame, or after replying `Bye`, and then shuts the socket down
+/// so the peer sees the hangup at once. A frame that fails to decode is
+/// answered with `Response::Error`; it and a torn frame are counted as
+/// refused by class.
 fn conn_loop(mut stream: Stream, tx: mpsc::Sender<Command>) {
-    while let Ok(Some(text)) = protocol::read_frame(&mut stream) {
+    loop {
+        let text = match protocol::read_frame(&mut stream) {
+            Ok(Some(text)) => text,
+            Ok(None) => break,
+            Err(e) => {
+                if let Some(class) = RefusedClass::of_read(&e) {
+                    let _ = tx.send(Command::Refused(class));
+                }
+                break;
+            }
+        };
         let response = match protocol::decode::<Request>(&text) {
             Ok(req) => {
                 let (rtx, rrx) = mpsc::channel();
-                if tx.send(Command { req, reply: rtx }).is_err() {
+                if tx.send(Command::Request(req, rtx)).is_err() {
                     Response::Error {
                         msg: "server shutting down".into(),
                     }
@@ -180,7 +199,10 @@ fn conn_loop(mut stream: Stream, tx: mpsc::Sender<Command>) {
                     })
                 }
             }
-            Err(e) => Response::Error { msg: e.to_string() },
+            Err(e) => {
+                let _ = tx.send(Command::Refused(RefusedClass::of_decode(&e)));
+                Response::Error { msg: e.to_string() }
+            }
         };
         let bye = matches!(response, Response::Bye);
         if protocol::write_frame(&mut stream, &response).is_err() || bye {
@@ -190,7 +212,30 @@ fn conn_loop(mut stream: Stream, tx: mpsc::Sender<Command>) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn handle(engine: &mut ShardedEngine, req: Request, bye: &mut bool) -> Response {
+/// The engine thread's state beside its engine.
+#[derive(Default)]
+struct EngineThread {
+    /// Frames the connections refused.
+    refused: RefusedFrames,
+    /// The one telemetry buffer: a `Telemetry` reply renders into it
+    /// and is copied out, so the engine keeps no rendered text for a
+    /// log a client reads once.
+    render: String,
+    /// A `Shutdown` was answered.
+    bye: bool,
+}
+
+/// Apply one command: count a refused frame, or answer a request.
+fn command(engine: &mut ShardedEngine, cmd: Command, state: &mut EngineThread) {
+    match cmd {
+        Command::Refused(class) => state.refused.count(class),
+        Command::Request(req, reply) => {
+            let _ = reply.send(handle(engine, req, state));
+        }
+    }
+}
+
+fn handle(engine: &mut ShardedEngine, req: Request, state: &mut EngineThread) -> Response {
     match req {
         Request::Submit(r) => match engine.submit(r) {
             Ok(id) => Response::Admitted { id },
@@ -204,47 +249,60 @@ fn handle(engine: &mut ShardedEngine, req: Request, bye: &mut bool) -> Response 
             if engine.status(id).is_none() {
                 Response::NotFound { id }
             } else {
+                let render = &mut state.render;
+                render.clear();
+                engine.write_telemetry(id, render);
                 Response::Telemetry {
                     id,
-                    jsonl: engine.telemetry(id).unwrap_or_default().to_string(),
+                    jsonl: render.as_str().to_owned(),
                 }
             }
         }
-        Request::Stats => Response::Stats(engine.stats()),
-        Request::Metrics => Response::Metrics(engine.metrics()),
+        Request::Stats => Response::Stats(EngineStats {
+            refused: state.refused,
+            ..engine.stats()
+        }),
+        Request::Metrics => Response::Metrics(metrics(engine, state)),
         Request::Exposition => Response::Exposition {
-            text: engine.metrics().to_prometheus(),
+            text: metrics(engine, state).to_prometheus(),
         },
         Request::Shutdown => {
-            *bye = true;
+            state.bye = true;
             Response::Bye
         }
     }
+}
+
+/// The fleet's metrics frame, with the refused-frame counts.
+fn metrics(engine: &ShardedEngine, state: &EngineThread) -> crate::MetricsFrame {
+    let mut frame = engine.metrics();
+    frame.stats.refused = state.refused;
+    frame
 }
 
 /// The engine's serve loop, driven through a [`PanicFlightGuard`]: if
 /// the loop panics, the guard's `Drop` dumps every shard's flight ring
 /// (with an `EnginePanic` trigger entry) before the thread unwinds.
 /// Idle, it blocks until a command arrives or every sender is gone.
-fn run_engine(engine: &mut ShardedEngine, rx: mpsc::Receiver<Command>) {
+/// Returns the refused-frame counts.
+fn run_engine(engine: &mut ShardedEngine, rx: mpsc::Receiver<Command>) -> RefusedFrames {
     let guard = PanicFlightGuard::new(engine);
-    let mut bye = false;
+    let mut state = EngineThread::default();
     loop {
         while let Ok(cmd) = rx.try_recv() {
-            let resp = handle(&mut *guard.engine, cmd.req, &mut bye);
-            let _ = cmd.reply.send(resp);
+            command(&mut *guard.engine, cmd, &mut state);
         }
-        if bye {
+        if state.bye {
             break;
         }
         if guard.engine.is_idle() {
             let Ok(cmd) = rx.recv() else { break };
-            let resp = handle(&mut *guard.engine, cmd.req, &mut bye);
-            let _ = cmd.reply.send(resp);
+            command(&mut *guard.engine, cmd, &mut state);
         } else {
             guard.engine.tick();
         }
     }
+    state.refused
 }
 
 #[cfg(test)]

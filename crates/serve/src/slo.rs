@@ -20,6 +20,7 @@
 //! `tenant="t<id>"`, sheds labeled by reason).
 
 use crate::engine::EngineStats;
+use crate::protocol::RefusedClass;
 use crate::tenant::{tenant_key, TenantPhase};
 use rsp_obs::{
     CounterValue, CycleHistogram, HistogramSnapshot, MetricsSnapshot, PromWriter, ShedKind,
@@ -257,7 +258,9 @@ pub struct MetricsFrame {
 impl MetricsFrame {
     /// Render the frame as a Prometheus-style text exposition. Family
     /// names are stable: engine counters under `rsp_serve_*`, sheds as
-    /// `rsp_serve_shed_total{reason=...}`, aggregate SLO histograms
+    /// `rsp_serve_shed_total{reason=...}`, refused frames as
+    /// `rsp_serve_refused_frames_total{class=...}` (every class, zero
+    /// included), aggregate SLO histograms
     /// under `rsp_serve_<histo>`, and per-tenant families under
     /// `rsp_serve_tenant_<histo>{tenant="t<id>"}`.
     pub fn to_prometheus(&self) -> String {
@@ -276,6 +279,14 @@ impl MetricsFrame {
             (ShedKind::BadSpec, s.shed_bad_spec),
         ] {
             w.counter("rsp_serve_shed", &[("reason", kind.name())], count);
+        }
+        for class in RefusedClass::ALL {
+            let count = s.refused.get(class);
+            w.counter(
+                "rsp_serve_refused_frames",
+                &[("class", class.name())],
+                count,
+            );
         }
         w.gauge("rsp_serve_queued", &[], s.queued as u64);
         w.gauge("rsp_serve_active", &[], s.active as u64);
@@ -391,6 +402,10 @@ mod tests {
                 submitted: 2,
                 admitted: 1,
                 shed_step_lag: 1,
+                refused: crate::RefusedFrames {
+                    depth: 3,
+                    ..Default::default()
+                },
                 ..EngineStats::default()
             },
             aggregate: r.aggregate_snapshot(),
@@ -409,6 +424,10 @@ mod tests {
             dump.value_u64("rsp_serve_shed_total", &[("reason", "step_lag")]),
             Some(1)
         );
+        for (class, want) in [("syntax", 0), ("depth", 3)] {
+            let got = dump.value_u64("rsp_serve_refused_frames_total", &[("class", class)]);
+            assert_eq!(got, Some(want), "{class}: exposed even at zero");
+        }
         let agg = dump.histogram("rsp_serve_quantum_cycles", &[]).unwrap();
         let ten = dump
             .histogram("rsp_serve_tenant_quantum_cycles", &[("tenant", "t0")])

@@ -1,8 +1,9 @@
 //! A hostile or merely finished client must not cost the server memory
 //! it keeps: a frame header alone reserves no more than a small buffer,
 //! a spec naming an oversized workload is shed before anything is
-//! generated for it, and a connection that has ended leaves no thread
-//! stack behind.
+//! generated for it, a connection that has ended leaves no thread
+//! stack behind, and a completed tenant's unread log is kept as the
+//! events its ring recorded, not rendered on the tick it completes.
 //!
 //! These tests share a binary with a counting global allocator and no
 //! other servers, so `/proc/self/maps` moves only with what they do.
@@ -13,19 +14,25 @@ use std::cell::Cell;
 use rsp_serve::protocol::read_frame;
 use rsp_serve::MAX_FRAME;
 
-/// Counts the bytes every allocation and reallocation asks for, per
+/// Counts the bytes every allocation and reallocation asks for, and
+/// the bytes every deallocation and reallocation gives back, per
 /// thread, so the harness's own threads do not count against the code
 /// under test.
 struct CountingAlloc;
 
 thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREED: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn
     // down at thread exit.
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+fn count_freed(bytes: usize) {
+    let _ = FREED.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -41,10 +48,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        count_freed(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_freed(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -54,6 +63,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn bytes_allocated() -> u64 {
     BYTES.with(Cell::get)
+}
+
+/// Bytes this thread holds: allocated and not yet given back.
+fn bytes_live() -> i64 {
+    BYTES.with(Cell::get) as i64 - FREED.with(Cell::get) as i64
 }
 
 #[test]
@@ -156,5 +170,115 @@ fn finished_connections_release_their_threads() {
     assert!(
         grown < 100,
         "200 finished connections grew /proc/self/maps by {grown} lines"
+    );
+}
+
+/// Scalar tenants per telemetry cohort.
+const COHORT: u64 = 8;
+
+/// A cohort tenant: a looped program long enough to record well over
+/// 1024 events, so every ring below wraps.
+fn ring_tenant(i: u64, capacity: usize) -> rsp_serve::TenantRequest {
+    use rsp_workloads::{StreamSpec, SynthSpec, UnitMix};
+    let spec = StreamSpec::synth(
+        format!("ring-{i}"),
+        SynthSpec {
+            body_len: 120,
+            iterations: 16,
+            ..SynthSpec::new("ring", UnitMix::BALANCED, 40 + i)
+        },
+        8_000,
+    );
+    rsp_serve::TenantRequest {
+        telemetry_capacity: capacity,
+        ..rsp_serve::TenantRequest::new(spec)
+    }
+}
+
+/// An engine that steps inline, so every allocation it makes counts on
+/// this thread.
+fn inline_engine(pool_capacity: usize) -> rsp_serve::ServeEngine {
+    use rsp_serve::{EngineConfig, ServeEngine};
+    let mut engine = ServeEngine::with_defaults(EngineConfig {
+        pool_capacity,
+        ..EngineConfig::default()
+    });
+    engine.set_step_workers(1);
+    engine
+}
+
+/// Run a cohort with `capacity`-event rings to completion; return the
+/// bytes allocated by the ticks in which tenants completed, and the
+/// engine. Everything is submitted before the first tick, so nothing
+/// activates on a completing tick.
+fn completing_tick_bytes(capacity: usize) -> (u64, rsp_serve::ServeEngine) {
+    let mut engine = inline_engine(32);
+    for i in 0..COHORT {
+        engine.submit(ring_tenant(i, capacity)).expect("admitted");
+    }
+    let mut completing = 0;
+    let mut ticks = 0;
+    while !engine.is_idle() {
+        ticks += 1;
+        assert!(ticks < 10_000, "cohort did not drain");
+        let stats = engine.stats();
+        let before = bytes_allocated();
+        engine.tick();
+        let allocated = bytes_allocated() - before;
+        if engine.stats().completed > stats.completed {
+            assert_eq!(engine.stats().queued, 0, "nothing activates now");
+            completing += allocated;
+        }
+    }
+    assert_eq!(engine.stats().completed, COHORT);
+    (completing, engine)
+}
+
+/// A completing scalar tenant hands its event ring to the router as it
+/// is: the ticks in which a cohort completes allocate the same with
+/// 16- and 1024-event rings. Rendering the rings there allocated about
+/// 109 bytes per event, some 880 KB more for the larger cohort.
+#[test]
+fn completing_ticks_allocate_nothing_per_recorded_event() {
+    let (small, _) = completing_tick_bytes(16);
+    let (large, engine) = completing_tick_bytes(1024);
+    for id in 0..COHORT {
+        let lines = engine.telemetry(id).expect("a log").lines().count();
+        assert_eq!(lines, 1024, "tenant {id}'s ring wrapped");
+    }
+    assert!(
+        large <= small + 1024,
+        "completing ticks allocated {large} bytes with 1024-event rings, \
+         {small} with 16-event rings"
+    );
+}
+
+/// A completed tenant whose log has not been read keeps at most its
+/// ring's events (`capacity` × `size_of::<Stamped>()`) plus a fixed
+/// overhead: the tenant's key and its slot in the router's map. The
+/// baseline is the same cohort with no ring, which keeps the same
+/// statuses and SLO slabs; the pool keeps no machine.
+#[test]
+fn unread_logs_retain_at_most_their_ring() {
+    const CAPACITY: usize = 1024;
+    const PER_TENANT_OVERHEAD: i64 = 512;
+    let retained = |capacity: usize| {
+        let mut engine = inline_engine(0);
+        let before = bytes_live();
+        for i in 0..COHORT {
+            engine.submit(ring_tenant(i, capacity)).expect("admitted");
+        }
+        assert!(engine.run_until_idle(10_000), "cohort did not drain");
+        let retained = bytes_live() - before;
+        (retained, engine)
+    };
+    let (base, _) = retained(0);
+    let (ringed, engine) = retained(CAPACITY);
+    assert!(engine.telemetry(0).is_some(), "the cohort recorded logs");
+    let per_tenant = (ringed - base) / COHORT as i64;
+    let bound = (CAPACITY * std::mem::size_of::<rsp_obs::Stamped>()) as i64 + PER_TENANT_OVERHEAD;
+    assert!(
+        per_tenant <= bound,
+        "a completed tenant keeps {per_tenant} bytes; bound {bound}"
     );
 }

@@ -3,7 +3,8 @@
 //! replay bit-identity across the transport boundary, telemetry export
 //! under fleet-global ids, the SLO metrics frame and its Prometheus
 //! exposition, flight-recorder dumps on a shed storm, clients that
-//! stall inside a frame, and a frame nested past the JSON reader's cap.
+//! stall inside a frame, a frame nested past the JSON reader's cap, and
+//! refused frames counted by class.
 
 use rsp_obs::{parse_fleet_jsonl, FleetEvent, PromDump, TriggerKind};
 use rsp_serve::{
@@ -421,4 +422,68 @@ fn too_deep_frame_is_refused_and_the_server_keeps_serving() {
     let stats = handle.join().unwrap().unwrap();
     assert_eq!((stats.submitted, stats.completed), (1, 1));
     drop(hostile);
+}
+
+/// Every frame the server refuses is counted by class, in the `Stats`
+/// and `Metrics` replies and the exposition: a malformed payload, one of
+/// the wrong shape and one nested past the cap are answered with an
+/// error on a connection that stays open, and a frame longer than
+/// `MAX_FRAME` drops its connection. A good tenant is served throughout.
+#[test]
+fn refused_frames_are_counted_by_class() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    let send = |stream: &mut std::net::TcpStream, body: &str| {
+        stream
+            .write_all(&(body.len() as u32).to_be_bytes())
+            .unwrap();
+        stream.write_all(body.as_bytes()).unwrap();
+    };
+    let depth = serde_json::MAX_DEPTH;
+    let too_deep = format!(r#"{{"Submit":{}{}}}"#, "[".repeat(depth), "]".repeat(depth));
+    let mut hostile = std::net::TcpStream::connect(&addr).unwrap();
+    for body in [r#"{"Submit":"#, too_deep.as_str(), r#"{"Bogus":1}"#] {
+        send(&mut hostile, body);
+        let reply = protocol::read_frame(&mut hostile).unwrap().unwrap();
+        assert!(
+            matches!(protocol::decode(&reply).unwrap(), Response::Error { .. }),
+            "{reply}"
+        );
+    }
+    let mut oversized = std::net::TcpStream::connect(&addr).unwrap();
+    oversized
+        .write_all(&(rsp_serve::MAX_FRAME as u32 + 1).to_be_bytes())
+        .unwrap();
+    assert!(
+        protocol::read_frame(&mut oversized).unwrap().is_none(),
+        "the server hangs up without a reply"
+    );
+
+    let mut client = ServeClient::connect(&addr).unwrap();
+    let id = client.submit(scalar_req(0)).unwrap().expect("admitted");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while client.status(id).unwrap().expect("known tenant").phase != TenantPhase::Done {
+        assert!(Instant::now() < deadline, "tenant {id} did not finish");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let want = rsp_serve::RefusedFrames {
+        syntax: 1,
+        data: 1,
+        depth: 1,
+        framing: 1,
+    };
+    assert_eq!(client.stats().unwrap().refused, want);
+    assert_eq!(client.metrics().unwrap().stats.refused, want);
+    let dump = PromDump::parse(&client.exposition().unwrap()).unwrap();
+    for class in ["syntax", "data", "depth", "framing"] {
+        let got = dump.value_u64("rsp_serve_refused_frames_total", &[("class", class)]);
+        assert_eq!(got, Some(1), "{class}");
+    }
+    client.shutdown().unwrap();
+    let stats = handle.join().unwrap().unwrap();
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
+    assert_eq!(stats.refused, want);
+    drop((hostile, oversized));
 }

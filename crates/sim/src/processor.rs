@@ -436,6 +436,14 @@ impl Machine {
         &self.telemetry
     }
 
+    /// Take the telemetry bus out of the machine, leaving
+    /// [`Telemetry::off`] in its place: a finished run hands its event
+    /// ring on without copying it, and the next run installs its own
+    /// bus through [`Machine::set_telemetry`].
+    pub fn take_telemetry(&mut self) -> Telemetry {
+        std::mem::take(&mut self.telemetry)
+    }
+
     /// Start recording a [`SteerRecord`] per cycle — the stimulus the
     /// bit-sliced lane kernel ([`crate::lanes`]) replays to prove
     /// bit-identical steering. Cheap (one busy-mask fold and a push per
