@@ -37,7 +37,7 @@ fn workloads() -> Vec<Program> {
 /// referenced by their stable labels (the key is built from nothing
 /// else).
 #[derive(Debug, Clone)]
-pub struct E1Point {
+pub(crate) struct E1Point {
     /// Workload label.
     pub workload: String,
     /// Policy label ([`PolicySpec::label`]).
@@ -47,14 +47,14 @@ pub struct E1Point {
 /// E1 — IPC of steering vs static configurations vs FFU floor vs oracle,
 /// across the workload battery — as a [`Sweep`] (shardable, cacheable,
 /// artifact `BENCH_e1_ipc.json`).
-pub struct E1Sweep {
+pub(crate) struct E1Sweep {
     programs: Vec<Program>,
     specs: Vec<PolicySpec>,
 }
 
 impl E1Sweep {
     /// The full E1 grid: workload battery × standard policy set.
-    pub fn new() -> E1Sweep {
+    pub(crate) fn new() -> E1Sweep {
         E1Sweep {
             programs: workloads(),
             specs: policies(),
@@ -156,7 +156,7 @@ impl Sweep for E1Sweep {
 
 /// E2 — partial reconfiguration vs full reload: reconfiguration work and
 /// IPC on phased workloads.
-pub fn e2_partial() -> String {
+pub(crate) fn e2_partial() -> String {
     let programs: Vec<Program> = (0..4)
         .map(|seed| PhasedSpec::int_fp_mem(400, 2, seed).generate())
         .collect();
@@ -208,7 +208,7 @@ pub fn e2_partial() -> String {
 
 /// E3 — the favor-current stability rule: steering churn and IPC with
 /// and without it.
-pub fn e3_stability() -> String {
+pub(crate) fn e3_stability() -> String {
     let mut programs = vec![
         SynthSpec {
             body_len: 2000,
@@ -259,7 +259,7 @@ pub fn e3_stability() -> String {
 }
 
 /// E4 — IPC vs per-slot reconfiguration latency.
-pub fn e4_latency() -> String {
+pub(crate) fn e4_latency() -> String {
     let p = PhasedSpec::int_fp_mem(500, 2, 59).generate();
     let latencies: Vec<u64> = vec![0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
     let mut s =
@@ -310,7 +310,7 @@ pub fn e4_latency() -> String {
 
 /// E5 — barrel-shifter vs exact-divider CEM: selection agreement (static
 /// sweep) and end-to-end IPC.
-pub fn e5_divider() -> String {
+pub(crate) fn e5_divider() -> String {
     let mut s = String::from("# E5 — CEM division: barrel shifter vs exact divider\n\n");
     // End-to-end IPC across the battery.
     let programs = workloads();
@@ -347,7 +347,7 @@ pub fn e5_divider() -> String {
 }
 
 /// E6 — steering-basis search (paper §5 future work).
-pub fn e6_basis() -> String {
+pub(crate) fn e6_basis() -> String {
     use rsp_core::basis::{basis_score, exhaustive_basis, greedy_basis, maximal_shapes};
     use rsp_core::cem::CemUnit;
     let ffu = TypeCounts::new([1, 1, 1, 1, 1]);
@@ -388,7 +388,7 @@ pub fn e6_basis() -> String {
 
 /// E7 — steering without predefined configurations: paper steering vs
 /// the demand-driven allocator at realistic reconfiguration latency.
-pub fn e7_demand() -> String {
+pub(crate) fn e7_demand() -> String {
     let programs = workloads();
     let mut s = String::from(
         "# E7 — predefined-configuration steering vs demand-driven steering\n(same fabric, same 32-cycle/slot latency)\n\n",
@@ -428,7 +428,7 @@ pub fn e7_demand() -> String {
 /// E8 — the FFU guarantee: everything terminates with reconfiguration
 /// effectively disabled; the FFU-only floor quantifies what the fabric
 /// adds.
-pub fn e8_ffu() -> String {
+pub(crate) fn e8_ffu() -> String {
     let mut s = String::from("# E8 — FFU forward-progress guarantee\n\n");
     let _ = writeln!(
         s,
@@ -468,7 +468,7 @@ pub fn e8_ffu() -> String {
 }
 
 /// E9 — scaling: IPC vs queue depth and vs RFU slot count.
-pub fn e9_scaling() -> String {
+pub(crate) fn e9_scaling() -> String {
     let p = PhasedSpec::int_fp_mem(500, 2, 61).generate();
     let mut s = String::from("# E9 — scaling the 7-entry queue and the 8-slot fabric\n\n");
 
@@ -535,7 +535,7 @@ pub fn e9_scaling() -> String {
 /// unit inspects instructions "ready to be executed", §3.2 says
 /// instructions "that have not been scheduled". Both readings are
 /// implemented; this experiment measures whether the difference matters.
-pub fn e10_demand_mode() -> String {
+pub(crate) fn e10_demand_mode() -> String {
     use rsp_sim::DemandMode;
     let programs = workloads();
     let mut s =
@@ -576,7 +576,7 @@ pub fn e10_demand_mode() -> String {
 
 /// E11 — demand smoothing (our extension, motivated by the churn E1/E10
 /// exposed): EWMA-filter the demand with α = 2^-k and sweep k.
-pub fn e11_smoothing() -> String {
+pub(crate) fn e11_smoothing() -> String {
     let programs = workloads();
     let shifts = [0u32, 1, 2, 3, 4, 5];
     let mut s = String::from(
@@ -628,7 +628,7 @@ pub fn e11_smoothing() -> String {
 /// of Brown/Stark/Patt, whose point is removing the select logic from the
 /// critical path at the price of occasional collisions. Measure that
 /// price in this machine.
-pub fn e12_selectfree() -> String {
+pub(crate) fn e12_selectfree() -> String {
     use rsp_sim::SelectMode;
     let programs = workloads();
     let penalties = [1u32, 2, 4];
@@ -672,7 +672,7 @@ pub fn e12_selectfree() -> String {
 /// E13 — hardware cost of the selection unit: the paper's
 /// complexity/latency argument for the barrel shifter, as first-order
 /// gate estimates (see `rsp_core::hwcost` for the model's conventions).
-pub fn e13_hwcost() -> String {
+pub(crate) fn e13_hwcost() -> String {
     use rsp_core::hwcost::{report, selection_unit_cost};
     let mut s = String::from("# E13 — selection-unit hardware cost (first-order gate model)\n\n");
     let _ = writeln!(
@@ -696,7 +696,7 @@ pub fn e13_hwcost() -> String {
 /// E14 — front-end sensitivity: does steering's benefit survive a better
 /// branch predictor? (A sharper front end feeds the queue faster, raising
 /// both demand pressure and the value of a well-matched fabric.)
-pub fn e14_predictor() -> String {
+pub(crate) fn e14_predictor() -> String {
     use rsp_sim::BranchPrediction;
     let programs = workloads();
     let mut s = String::from("# E14 — not-taken vs bimodal branch prediction\n\n");

@@ -38,7 +38,7 @@ pub fn table1() -> String {
 
 /// F1 — Fig. 1: construct the full architecture and dump its components,
 /// then smoke-run a program through it.
-pub fn fig1() -> String {
+pub(crate) fn fig1() -> String {
     let cfg = SimConfig::default();
     let mut s = String::new();
     let _ = writeln!(
@@ -151,7 +151,7 @@ fn demo_queues() -> Vec<(&'static str, Vec<Instruction>)> {
 
 /// F2 — Fig. 2: stage-by-stage trace of the configuration selection unit
 /// on representative queues.
-pub fn fig2() -> String {
+pub(crate) fn fig2() -> String {
     let set = SteeringSet::paper_default();
     let mut s = String::new();
     let _ = writeln!(
@@ -204,7 +204,7 @@ pub fn fig2() -> String {
 
 /// F3 — Fig. 3: CEM tables and the shifter-vs-exact-divider comparison
 /// over the complete requirement-signature space.
-pub fn fig3() -> String {
+pub(crate) fn fig3() -> String {
     let set = SteeringSet::paper_default();
     let mut s = String::new();
     let _ = writeln!(s, "# Fig. 3 — configuration error metric generation\n");
@@ -314,7 +314,7 @@ pub fn fig4() -> String {
 }
 
 /// F5 — Fig. 5: the wake-up array bit matrix for the Fig. 4 program.
-pub fn fig5() -> String {
+pub(crate) fn fig5() -> String {
     let entries = paper_example::entries();
     let g = DepGraph::build(&entries);
     let mut w = WakeupArray::paper();
@@ -329,7 +329,7 @@ pub fn fig5() -> String {
 
 /// F6 — Fig. 6: cycle-by-cycle request/grant/timer trace of the example
 /// on the full machine.
-pub fn fig6() -> String {
+pub(crate) fn fig6() -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -374,7 +374,7 @@ pub fn fig6() -> String {
 /// F7 — Fig. 7 / Eq. 1: the availability circuit, exercised over a
 /// hybrid allocation with every busy-mask corner, plus the gate-level vs
 /// behavioural cross-check.
-pub fn fig7() -> String {
+pub(crate) fn fig7() -> String {
     let mut s = String::new();
     let _ = writeln!(s, "# Fig. 7 / Eq. 1 — resource availability computation\n");
     // A hybrid allocation: LSU | FP-ALU(3) | Int-MDU(2) | LSU | empty.

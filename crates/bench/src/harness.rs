@@ -63,7 +63,7 @@ pub fn paper_policy(tie: TieBreak, cem: CemKind, partial: bool) -> SimConfig {
 
 /// Run one program under one configuration; panics if the cycle budget
 /// is hit (experiments must run to completion).
-pub fn run_one(cfg: SimConfig, program: &Program) -> SimReport {
+pub(crate) fn run_one(cfg: SimConfig, program: &Program) -> SimReport {
     let r = Processor::new(cfg)
         .run(program, CYCLE_BUDGET)
         .expect("valid program");
@@ -106,7 +106,7 @@ impl Row {
 
 /// Render a pivot table: rows = workloads, columns = policy labels,
 /// cells = `select(report)`.
-pub fn pivot_table<T: std::fmt::Display>(
+pub(crate) fn pivot_table<T: std::fmt::Display>(
     title: &str,
     workloads: &[String],
     columns: &[String],
@@ -135,7 +135,7 @@ pub fn pivot_table<T: std::fmt::Display>(
 /// `(workload, column)` rendered by `cell` (blank when absent). This is
 /// the find-the-matching-row plumbing `evals` and `faults` each used to
 /// hand-roll around [`pivot_table`].
-pub fn pivot_rows<R, T: std::fmt::Display>(
+pub(crate) fn pivot_rows<R, T: std::fmt::Display>(
     title: &str,
     rows: &[R],
     workloads: &[String],

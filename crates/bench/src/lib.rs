@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod experiments;
 pub mod harness;
@@ -29,8 +30,7 @@ pub mod sweep;
 pub mod throughput;
 pub mod timeline;
 
-pub use harness::{policies, run_one, PolicySpec, Row};
-pub use scaled::scaled_paper_set;
+pub use harness::{policies, PolicySpec, Row};
 pub use sweep::{
     write_artifact, CacheSnapshot, CasStore, Executor, Shard, Sweep, SweepConfig, SweepError,
     SweepRunner,

@@ -61,7 +61,7 @@ fn scale_direction(dir: &[u8; 5], slots: usize) -> TypeCounts {
 
 /// A steering set analogous to Table 1 for a fabric of `slots` RFU
 /// slots (`slots == 8` reproduces the paper's set exactly).
-pub fn scaled_paper_set(slots: usize) -> SteeringSet {
+pub(crate) fn scaled_paper_set(slots: usize) -> SteeringSet {
     if slots == 8 {
         return SteeringSet::paper_default();
     }

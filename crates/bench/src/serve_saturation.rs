@@ -16,26 +16,25 @@
 //! per-tick rate as at the knee. The verified throughput metric is
 //! **cycles per engine tick**, which is a pure function of the grid
 //! point (no wall clock), so the contract holds deterministically on
-//! any host. Wall-clock cycles/sec is also recorded, per the other
-//! bench artifacts, as an informative host-speed number.
+//! any host. Every stored column is such a function: wall-clock
+//! serving speed is measured by the `perf` benchmark, not stored here.
 
 use rsp_serve::{EngineConfig, ServeEngine, TenantRequest, WatermarkScheduler};
 use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 use crate::sweep::Sweep;
 
 /// Offered load per grid point: tenants submitted per engine tick.
-pub const RATES: [u32; 8] = [1, 2, 3, 4, 6, 8, 12, 16];
+pub(crate) const RATES: [u32; 8] = [1, 2, 3, 4, 6, 8, 12, 16];
 
 /// Ticks during which tenants arrive (the drain phase follows).
-pub const ARRIVAL_TICKS: u32 = 48;
+pub(crate) const ARRIVAL_TICKS: u32 = 48;
 
 /// Per-tenant cycle budget. Tenant programs are generated long enough
 /// that every tenant runs exactly this many cycles, so service demand
 /// is uniform and the capacity knee is sharp.
-pub const TENANT_CYCLES: u64 = 1024;
+pub(crate) const TENANT_CYCLES: u64 = 1024;
 
 /// Drain bound: far above the worst case (all admitted tenants still
 /// queued when arrivals stop), so hitting it means a stuck engine, not
@@ -43,7 +42,7 @@ pub const TENANT_CYCLES: u64 = 1024;
 const MAX_DRAIN_TICKS: u64 = 100_000;
 
 /// The fixed admission policy every point runs under.
-pub fn saturation_scheduler() -> WatermarkScheduler {
+pub(crate) fn saturation_scheduler() -> WatermarkScheduler {
     WatermarkScheduler {
         queue_depth: 16,
         max_active: 8,
@@ -56,7 +55,7 @@ pub fn saturation_scheduler() -> WatermarkScheduler {
 /// The `n`-th arriving tenant's request. Deterministic in `n`; every
 /// eighth tenant is a lane tenant (packed onto the bit-sliced kernel),
 /// the rest rotate the named synthetic mixes on scalar machines. All
-/// tenants demand exactly [`TENANT_CYCLES`] cycles.
+/// tenants demand exactly `TENANT_CYCLES` cycles.
 pub fn arrival(n: u64) -> TenantRequest {
     if n % 8 == 7 {
         return TenantRequest::new(StreamSpec::lane(
@@ -75,7 +74,7 @@ pub fn arrival(n: u64) -> TenantRequest {
 
 /// One offered-load level's measurements.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SaturationRow {
+pub(crate) struct SaturationRow {
     /// Tenants offered per tick.
     pub rate: u32,
     /// Tenants offered over the arrival window.
@@ -111,17 +110,11 @@ pub struct SaturationRow {
     /// ticks.
     #[serde(default)]
     pub admit_to_first_step_p99: u64,
-    /// Wall-clock seconds for the whole point.
-    pub wall_seconds: f64,
-    /// Aggregate tenant-cycles per wall-second (informative; host-
-    /// dependent, not verified beyond being finite and positive).
-    pub cycles_per_sec: f64,
 }
 
 /// Run one offered-load level to completion and measure it.
-pub fn measure_rate(rate: u32) -> SaturationRow {
+pub(crate) fn measure_rate(rate: u32) -> SaturationRow {
     let mut engine = ServeEngine::new(EngineConfig::default(), saturation_scheduler());
-    let started = Instant::now();
     let mut n = 0u64;
     for _ in 0..ARRIVAL_TICKS {
         for _ in 0..rate {
@@ -133,7 +126,6 @@ pub fn measure_rate(rate: u32) -> SaturationRow {
         engine.tick();
     }
     let drained = engine.run_until_idle(MAX_DRAIN_TICKS);
-    let wall = started.elapsed().as_secs_f64();
     let stats = engine.stats();
     let slo = engine.metrics().aggregate;
     let quantiles = |name: &str| -> (u64, u64) {
@@ -157,16 +149,13 @@ pub fn measure_rate(rate: u32) -> SaturationRow {
         queue_residency_p50: res_p50,
         queue_residency_p99: res_p99,
         admit_to_first_step_p99: admit_p99,
-        wall_seconds: wall,
-        cycles_per_sec: stats.stepped_cycles as f64 / wall,
     }
 }
 
 /// The saturation experiment as a [`Sweep`]: one point per offered-load
-/// level, keyed by rate, run serially (points time wall clock for the
-/// informative cycles/sec column). Every *verified* field is a pure
-/// function of the key.
-pub struct ServeSaturationSweep;
+/// level, keyed by rate. Every field of a row is a pure function of
+/// the key.
+pub(crate) struct ServeSaturationSweep;
 
 impl Sweep for ServeSaturationSweep {
     type Point = u32;
@@ -184,15 +173,8 @@ impl Sweep for ServeSaturationSweep {
         format!("rate{rate:03}")
     }
 
-    // Wall-clock fields (`wall_seconds`, `cycles_per_sec`) are
-    // informative-only (verified only finite and positive), so a cached
-    // row may carry another run's timing.
     fn run_point(&self, rate: &u32) -> SaturationRow {
         measure_rate(*rate)
-    }
-
-    fn parallel(&self) -> bool {
-        false
     }
 
     fn verify(&self, rows: &[SaturationRow]) -> Result<(), String> {
@@ -208,9 +190,6 @@ impl Sweep for ServeSaturationSweep {
                     "rate {}: {} admitted but {} completed",
                     r.rate, r.admitted, r.completed
                 ));
-            }
-            if !(r.cycles_per_sec > 0.0 && r.cycles_per_sec.is_finite()) {
-                return Err(format!("rate {}: bogus wall-clock rate", r.rate));
             }
             if r.queue_residency_p50 > r.queue_residency_p99 {
                 return Err(format!(
@@ -280,7 +259,7 @@ impl Sweep for ServeSaturationSweep {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "{:>5} {:>8} {:>9} {:>6} {:>10} {:>7} {:>13} {:>15} {:>9} {:>9}",
+            "{:>5} {:>8} {:>9} {:>6} {:>10} {:>7} {:>13} {:>9} {:>9}",
             "rate",
             "offered",
             "admitted",
@@ -288,14 +267,13 @@ impl Sweep for ServeSaturationSweep {
             "shed-rate",
             "ticks",
             "cycles/tick",
-            "cycles/sec",
             "res-p50",
             "res-p99"
         );
         for r in rows {
             let _ = writeln!(
                 s,
-                "{:>5} {:>8} {:>9} {:>6} {:>10.3} {:>7} {:>13.0} {:>15.0} {:>9} {:>9}",
+                "{:>5} {:>8} {:>9} {:>6} {:>10.3} {:>7} {:>13.0} {:>9} {:>9}",
                 r.rate,
                 r.offered,
                 r.admitted,
@@ -303,7 +281,6 @@ impl Sweep for ServeSaturationSweep {
                 r.shed_rate,
                 r.ticks,
                 r.cycles_per_tick,
-                r.cycles_per_sec,
                 r.queue_residency_p50,
                 r.queue_residency_p99
             );

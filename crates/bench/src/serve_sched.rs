@@ -30,7 +30,6 @@
 use rsp_serve::{EngineConfig, ShardedEngine, TenantRequest, WatermarkScheduler};
 use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 use crate::sweep::Sweep;
 
@@ -42,17 +41,17 @@ pub const LANES: u64 = 8;
 
 /// Per-scalar cycle budget. Far above what the fairness window can
 /// serve, so the window measures grants, not completions.
-pub const SCALAR_CYCLES: u64 = 32_768;
+pub(crate) const SCALAR_CYCLES: u64 = 32_768;
 
 /// Fairness measurement window, in engine ticks.
-pub const WINDOW: u64 = 32;
+pub(crate) const WINDOW: u64 = 32;
 
 /// Drain bound: hitting it means a stuck fleet, not a slow one.
 const MAX_DRAIN_TICKS: u64 = 200_000;
 
 /// The fixed admission policy every point runs under: 8 active
 /// tenants per shard, queue deep enough that this grid never sheds.
-pub fn sched_watermarks() -> WatermarkScheduler {
+pub(crate) fn sched_watermarks() -> WatermarkScheduler {
     WatermarkScheduler {
         queue_depth: 32,
         max_active: 8,
@@ -65,7 +64,7 @@ pub fn sched_watermarks() -> WatermarkScheduler {
 /// One grid point: weight skew between the heavy and light scalar
 /// classes × engine shard count × lane pack-hold ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedPoint {
+pub(crate) struct SchedPoint {
     /// Heavy-class weight (light class is always weight 1).
     pub skew: u32,
     /// Engine shards serving the fleet.
@@ -106,7 +105,7 @@ fn lane(n: u64) -> TenantRequest {
 
 /// One scalar tenant's share of the fairness window.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TenantShare {
+pub(crate) struct TenantShare {
     /// Fleet-global tenant id.
     pub id: u64,
     /// Configured weight.
@@ -117,7 +116,7 @@ pub struct TenantShare {
 
 /// One grid point's measurements.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SchedRow {
+pub(crate) struct SchedRow {
     /// Heavy-class weight.
     pub skew: u32,
     /// Engine shards.
@@ -152,12 +151,10 @@ pub struct SchedRow {
     pub lane_groups_formed: u64,
     /// The fleet drained to idle within the bound.
     pub drained: bool,
-    /// Wall-clock seconds for the whole point (informative).
-    pub wall_seconds: f64,
 }
 
 /// Run one grid point to completion and measure it.
-pub fn measure_point(p: &SchedPoint) -> SchedRow {
+pub(crate) fn measure_point(p: &SchedPoint) -> SchedRow {
     let cfg = EngineConfig {
         pack_hold_ticks: p.hold,
         ..EngineConfig::default()
@@ -166,7 +163,6 @@ pub fn measure_point(p: &SchedPoint) -> SchedRow {
         max_weight: 8,
         ..sched_watermarks()
     };
-    let started = Instant::now();
     let mut fleet = ShardedEngine::new(cfg, scheduler, p.shards);
 
     let mut scalars = Vec::new();
@@ -226,7 +222,6 @@ pub fn measure_point(p: &SchedPoint) -> SchedRow {
     let light_mean = class_mean(false);
 
     let drained = fleet.run_until_idle(MAX_DRAIN_TICKS);
-    let wall = started.elapsed().as_secs_f64();
     let stats = fleet.stats();
     let final_frame = fleet.metrics();
     let admit_p99 = final_frame
@@ -255,7 +250,6 @@ pub fn measure_point(p: &SchedPoint) -> SchedRow {
         admit_to_first_step_p99: admit_p99,
         lane_groups_formed: stats.lane_groups_formed,
         drained,
-        wall_seconds: wall,
     }
 }
 
@@ -269,9 +263,9 @@ fn shares_table(row: &SchedRow) -> String {
 }
 
 /// The serving-structure experiment as a [`Sweep`]: one point per
-/// (skew, shards, pack-hold) triple, run serially (points time wall
-/// clock and each point is itself a whole fleet).
-pub struct ServeSchedSweep {
+/// (skew, shards, pack-hold) triple. Every field of a row is a pure
+/// function of the key.
+pub(crate) struct ServeSchedSweep {
     /// The store name: each grid has its own, so the full and reduced
     /// grids never share a store entry.
     name: &'static str,
@@ -282,7 +276,7 @@ pub struct ServeSchedSweep {
 
 impl ServeSchedSweep {
     /// The full grid: 3 skews × 3 shard counts × 3 holds = 27 points.
-    pub fn full() -> ServeSchedSweep {
+    pub(crate) fn full() -> ServeSchedSweep {
         ServeSchedSweep {
             name: "serve_sched",
             skews: vec![1, 2, 3],
@@ -294,7 +288,8 @@ impl ServeSchedSweep {
     /// A reduced grid for engine tests and quick CI: one skew, two
     /// shard counts, two holds. The verifiers are grid-shape-agnostic,
     /// so the same contracts are enforced on the smaller grid.
-    pub fn reduced() -> ServeSchedSweep {
+    #[cfg(test)]
+    pub(crate) fn reduced() -> ServeSchedSweep {
         ServeSchedSweep {
             name: "serve_sched_reduced",
             skews: vec![3],
@@ -328,14 +323,8 @@ impl Sweep for ServeSchedSweep {
         format!("w{}s{}h{:02}", p.skew, p.shards, p.hold)
     }
 
-    // Like the saturation sweep, the wall-clock columns are
-    // informative-only, so a cached row may carry another run's timing.
     fn run_point(&self, p: &SchedPoint) -> SchedRow {
         measure_point(p)
-    }
-
-    fn parallel(&self) -> bool {
-        false
     }
 
     fn verify(&self, rows: &[SchedRow]) -> Result<(), String> {

@@ -14,7 +14,7 @@
 /// The store address of one sweep point's row:
 /// `sha256(len‖sweep, len‖key, len‖code_version)`, each length a
 /// big-endian `u64` byte count.
-pub fn point_cache_key(sweep: &str, key: &str, code_version: &str) -> String {
+pub(crate) fn point_cache_key(sweep: &str, key: &str, code_version: &str) -> String {
     let mut bytes = Vec::with_capacity(24 + sweep.len() + key.len() + code_version.len());
     for field in [sweep, key, code_version] {
         bytes.extend_from_slice(&(field.len() as u64).to_be_bytes());
@@ -39,7 +39,7 @@ const K: [u32; 64] = [
 ];
 
 /// Hex-encoded SHA-256 digest of `data`.
-pub fn sha256_hex(data: &[u8]) -> String {
+pub(crate) fn sha256_hex(data: &[u8]) -> String {
     let digest = sha256(data);
     let mut out = String::with_capacity(64);
     for byte in digest {

@@ -2,7 +2,7 @@
 //!
 //! Every cached result — one sweep point's row — lives as one JSON
 //! object file addressed by the hash of its *inputs*
-//! ([`super::canon::point_cache_key`]): `objects/ab/cdef....json` under the store root, where `abcdef...` is
+//! (`super::canon::point_cache_key`): `objects/ab/cdef....json` under the store root, where `abcdef...` is
 //! the 64-hex-digit key. Input addressing (not output addressing) is
 //! what makes the store a cache: the key is computable before the work
 //! runs, so a lookup can short-circuit the computation.
@@ -16,9 +16,9 @@
 //!   `claims/<hash>.claim` with `O_EXCL` (`create_new`). Exactly one
 //!   worker wins; the others poll for the object instead of duplicating
 //!   the work. Claims are released on drop (including unwind), and a
-//!   claim whose file is older than [`CasStore::STALE_CLAIM`] is
+//!   claim whose file is older than `CasStore::STALE_CLAIM` is
 //!   presumed dead and stolen. If the object still hasn't appeared by
-//!   [`CasStore::CLAIM_WAIT`], the waiter computes anyway — duplicated
+//!   `CasStore::CLAIM_WAIT`, the waiter computes anyway — duplicated
 //!   work, never a deadlock, and the rename-over publish keeps the
 //!   store consistent.
 //! * **Quarantine** — an object that fails to parse, or whose recorded
@@ -39,7 +39,7 @@ use super::SweepError;
 /// `experiments explain <key>` without re-deriving anything.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CasObject {
-    /// Store schema tag, [`CasStore::SCHEMA`].
+    /// Store schema tag, `CasStore::SCHEMA`.
     pub schema: String,
     /// The sweep that produced this object.
     pub name: String,
@@ -55,7 +55,7 @@ pub struct CasObject {
 
 /// An object file as read: the object, or why the store will not
 /// serve it (it does not parse, or carries another schema tag).
-pub type Stored = Result<CasObject, String>;
+pub(crate) type Stored = Result<CasObject, String>;
 
 /// Everything needed to address + describe a point's object, short of
 /// its row.
@@ -71,16 +71,16 @@ pub struct ObjectMeta {
     pub code_version: String,
 }
 
-/// Monotone cache counters, shared across rayon workers.
+/// Monotone cache counters.
 #[derive(Debug, Default)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     hits: AtomicU64,
     misses: AtomicU64,
     claim_waits: AtomicU64,
     quarantined: AtomicU64,
 }
 
-/// A point-in-time copy of [`CacheStats`], cheap to pass around and
+/// A point-in-time copy of `CacheStats`, cheap to pass around and
 /// render.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
@@ -132,7 +132,7 @@ impl CacheStats {
 
 /// How a single `fetch_or_compute` resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
+pub(crate) enum CacheOutcome {
     /// Object already present.
     Hit,
     /// This worker computed and published it.
@@ -179,11 +179,11 @@ impl CasStore {
     /// Schema tag written into every object; bump on incompatible layout
     /// or key-derivation changes. An object under any other tag is never
     /// served: loading it quarantines it.
-    pub const SCHEMA: &'static str = "rsp-cas-v2";
+    pub(crate) const SCHEMA: &'static str = "rsp-cas-v2";
     /// Give a live claim this long to publish before computing anyway.
-    pub const CLAIM_WAIT: Duration = Duration::from_secs(600);
+    pub(crate) const CLAIM_WAIT: Duration = Duration::from_secs(600);
     /// A claim file untouched for this long is presumed dead and stolen.
-    pub const STALE_CLAIM: Duration = Duration::from_secs(300);
+    pub(crate) const STALE_CLAIM: Duration = Duration::from_secs(300);
 
     /// Open (creating if needed) a store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> Result<CasStore, SweepError> {
@@ -203,8 +203,13 @@ impl CasStore {
 
     /// Shrink the claim timings (tests exercise the stale-steal and
     /// wait-out paths without waiting minutes).
-    #[doc(hidden)]
-    pub fn with_claim_timing(mut self, wait: Duration, poll: Duration, stale: Duration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_claim_timing(
+        mut self,
+        wait: Duration,
+        poll: Duration,
+        stale: Duration,
+    ) -> Self {
         self.claim_wait = wait;
         self.claim_poll = poll;
         self.stale_claim = stale;
@@ -350,7 +355,7 @@ impl CasStore {
     /// publishing it only if no other worker already has (or is about
     /// to). `compute` runs at most once per call, and across all
     /// workers sharing a healthy store, at most once per hash.
-    pub fn fetch_or_compute(
+    pub(crate) fn fetch_or_compute(
         &self,
         meta: &ObjectMeta,
         compute: impl FnOnce() -> Result<Value, SweepError>,

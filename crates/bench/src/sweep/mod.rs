@@ -11,13 +11,13 @@
 //!   plus the per-point runner, the cross-point verifier, and the
 //!   artifact renderer.
 //! * **One row path** — each point yields its row as a JSON value: from
-//!   [`CasStore::fetch_or_compute`] when a store is configured
+//!   `CasStore::fetch_or_compute` when a store is configured
 //!   ([`SweepConfig::cache_dir`]), otherwise encoded from `run_point`
 //!   directly. The values decode in spec order, then the sweep's
 //!   cross-point assertions run and the artifact is written.
 //! * **The store is the only persistence** — every row is a
 //!   content-addressed object in a [`cas::CasStore`], keyed by
-//!   [`canon::point_cache_key`] over (sweep name, point key, code
+//!   `canon::point_cache_key` over (sweep name, point key, code
 //!   version). Claim files give exactly-once work across threads,
 //!   shards and hosts; a killed run resumes by running again (its
 //!   finished points are hits); a changed point key or code version
@@ -47,7 +47,6 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rayon::prelude::*;
 use rsp_obs::{ProgressSnapshot, SweepProgress};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -186,12 +185,6 @@ pub trait Sweep: Sync {
     /// code version.
     fn run_point(&self, point: &Self::Point) -> Self::Row;
 
-    /// False for sweeps that time wall-clock per point (run them
-    /// serially so points don't contend for the host CPU).
-    fn parallel(&self) -> bool {
-        true
-    }
-
     /// Cross-point assertions, re-run on every merged set.
     fn verify(&self, _rows: &[Self::Row]) -> Result<(), String> {
         Ok(())
@@ -219,8 +212,7 @@ pub trait Sweep: Sync {
 /// How to execute a sweep run.
 #[derive(Debug, Clone)]
 pub enum Executor {
-    /// The whole grid in this process (rayon fan-out unless the sweep
-    /// asks for serial execution).
+    /// The whole grid in this process, one point after another.
     InProcess,
     /// Only the points of one shard, in this process, published into
     /// the store.
@@ -252,7 +244,7 @@ pub struct SweepConfig {
     /// run can merge.
     pub cache_dir: Option<PathBuf>,
     /// Code version baked into every cache key. Defaults to
-    /// [`default_code_version`], so any source change invalidates the
+    /// `default_code_version`, so any source change invalidates the
     /// whole store; `--code-version` overrides it (CI uses this to pin
     /// invalidation behavior).
     pub code_version: String,
@@ -260,7 +252,7 @@ pub struct SweepConfig {
 
 /// The default cache-key code version: the crate version plus a hash of
 /// every workspace source file, taken at build time (`build.rs`).
-pub fn default_code_version() -> String {
+pub(crate) fn default_code_version() -> String {
     env!("RSP_CODE_VERSION").to_string()
 }
 
@@ -475,11 +467,7 @@ fn point_values<S: Sweep>(
         }
         Ok(row)
     };
-    let values: Result<Vec<Value>, SweepError> = if sweep.parallel() {
-        todo.par_iter().map(complete_one).collect()
-    } else {
-        todo.iter().map(complete_one).collect()
-    };
+    let values: Result<Vec<Value>, SweepError> = todo.iter().map(complete_one).collect();
     if values.is_err() {
         progress.point_failed();
     }
@@ -838,9 +826,6 @@ mod tests {
             }
             fn run_point(&self, p: &u32) -> PoisonRow {
                 PoisonRow { id: *p }
-            }
-            fn parallel(&self) -> bool {
-                false // deterministic store contents up to the failure
             }
             fn report(&self, rows: &[PoisonRow]) -> String {
                 format!("{} rows", rows.len())

@@ -28,7 +28,7 @@ pub struct Shard {
 
 impl Shard {
     /// The whole grid as a single shard.
-    pub const WHOLE: Shard = Shard { index: 0, count: 1 };
+    pub(crate) const WHOLE: Shard = Shard { index: 0, count: 1 };
 
     /// Build a shard, validating `index < count` and `count > 0`.
     pub fn new(index: u32, count: u32) -> Result<Shard, SweepError> {
@@ -65,7 +65,7 @@ impl std::fmt::Display for Shard {
 /// `cache_dir`; callers merge from it afterwards. Any worker exiting
 /// non-zero fails the whole fan-out (the rows it did publish stay in
 /// the store, so a rerun computes only the rest).
-pub fn spawn_shard_workers(
+pub(crate) fn spawn_shard_workers(
     exe: &Path,
     args: &[String],
     count: u32,

@@ -41,13 +41,13 @@ pub struct FaultEpisode {
 impl FaultEpisode {
     /// Inject-to-detect latency in cycles, when detected (0 when the log
     /// runs backwards, as a concatenation of runs does).
-    pub fn detect_latency(&self) -> Option<u64> {
+    pub(crate) fn detect_latency(&self) -> Option<u64> {
         self.detected_at.map(|d| d.saturating_sub(self.injected_at))
     }
 
     /// Inject-to-recover latency in cycles, when recovered (0 when the
     /// log runs backwards).
-    pub fn recover_latency(&self) -> Option<u64> {
+    pub(crate) fn recover_latency(&self) -> Option<u64> {
         self.recovered_at
             .map(|r| r.saturating_sub(self.injected_at))
     }

@@ -21,12 +21,10 @@
 //!   keep the search tractable).
 
 use crate::cem::CemUnit;
-use crate::loader::achievable_rfu_counts;
-use rsp_fabric::config::Configuration;
 use rsp_isa::units::{TypeCounts, UnitType};
 
 /// Enumerate every unit-count shape that fits in `slots` RFU slots.
-pub fn enumerate_shapes(slots: usize) -> Vec<TypeCounts> {
+pub(crate) fn enumerate_shapes(slots: usize) -> Vec<TypeCounts> {
     let mut out = Vec::new();
     let max = |t: UnitType| (slots / t.slot_cost()) as u8;
     for a in 0..=max(UnitType::IntAlu) {
@@ -79,44 +77,6 @@ pub fn basis_score(
         })
         .sum();
     total as f64 / samples.len() as f64
-}
-
-/// The shape `counts` can actually deliver on a `slots`-wide fabric with
-/// stuck-at-dead slots, after the fault-aware loader's greedy
-/// re-placement pass (DESIGN.md §11): the canonical placement is
-/// computed, displaced units are re-placed first-fit into healthy
-/// capacity, and whatever remains homeless is dropped. Shapes that do
-/// not fit the fabric at all deliver nothing.
-pub fn achievable_shape(
-    counts: TypeCounts,
-    slots: usize,
-    dead: impl Fn(usize) -> bool,
-) -> TypeCounts {
-    match Configuration::place("achievable", counts, slots) {
-        Ok(c) => achievable_rfu_counts(&c, slots, dead),
-        Err(_) => TypeCounts::ZERO,
-    }
-}
-
-/// [`basis_score`] on a degraded fabric: every basis member is first
-/// reduced to its [`achievable_shape`], so candidates are ranked by the
-/// capacity they can still deliver rather than the capacity they
-/// nominally promise — the same substitution the fault-aware selection
-/// unit applies at steering time. With no dead slots this is exactly
-/// `basis_score`.
-pub fn degraded_basis_score(
-    basis: &[TypeCounts],
-    ffu: &TypeCounts,
-    samples: &[TypeCounts],
-    cem: CemUnit,
-    slots: usize,
-    dead: impl Fn(usize) -> bool,
-) -> f64 {
-    let reduced: Vec<TypeCounts> = basis
-        .iter()
-        .map(|&b| achievable_shape(b, slots, &dead))
-        .collect();
-    basis_score(&reduced, ffu, samples, cem)
 }
 
 /// Greedy basis construction: start empty, repeatedly add the candidate
@@ -251,56 +211,6 @@ mod tests {
         let s = basis_score(&[], &FFU, &samples, CemUnit::PAPER);
         // 2 ALUs required, 1 available → 2>>0 = 2 (scaled).
         assert_eq!(s, 2.0 * crate::cem::ERROR_SCALE as f64);
-    }
-
-    #[test]
-    fn achievable_shape_reduces_with_dead_slots() {
-        let config3 = TypeCounts::new([0, 0, 2, 1, 1]);
-        // Healthy fabric: the full shape survives.
-        assert_eq!(achievable_shape(config3, 8, |_| false), config3);
-        // Dead {0, 5}: one Lsu re-places, the FpMdu is homeless
-        // (mirrors the DESIGN.md §11 worked example).
-        let dead = |s: usize| s == 0 || s == 5;
-        assert_eq!(
-            achievable_shape(config3, 8, dead),
-            TypeCounts::new([0, 0, 2, 1, 0])
-        );
-        // All dead, or a shape that never fit: nothing.
-        assert_eq!(achievable_shape(config3, 8, |_| true), TypeCounts::ZERO);
-        assert_eq!(
-            achievable_shape(TypeCounts::new([4, 1, 0, 0, 0]), 8, |_| false),
-            TypeCounts::ZERO,
-            "10-slot shape cannot be placed at all"
-        );
-    }
-
-    #[test]
-    fn degraded_score_never_beats_healthy_score() {
-        let basis = [
-            TypeCounts::new([2, 1, 2, 0, 0]),
-            TypeCounts::new([0, 0, 2, 1, 1]),
-        ];
-        let samples = vec![
-            TypeCounts::new([2, 0, 2, 0, 0]),
-            TypeCounts::new([0, 0, 1, 1, 1]),
-        ];
-        let healthy = degraded_basis_score(&basis, &FFU, &samples, CemUnit::PAPER, 8, |_| false);
-        assert_eq!(
-            healthy,
-            basis_score(&basis, &FFU, &samples, CemUnit::PAPER),
-            "no dead slots: degraded scoring is plain scoring"
-        );
-        let degraded = degraded_basis_score(&basis, &FFU, &samples, CemUnit::PAPER, 8, |s| {
-            s == 0 || s == 5
-        });
-        assert!(
-            degraded >= healthy,
-            "losing capacity cannot reduce expected CEM error: {degraded} < {healthy}"
-        );
-        // An all-dead fabric scores exactly like the empty basis (only
-        // the FFUs remain).
-        let floor = degraded_basis_score(&basis, &FFU, &samples, CemUnit::PAPER, 8, |_| true);
-        assert_eq!(floor, basis_score(&[], &FFU, &samples, CemUnit::PAPER));
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!
 //! Because the queue holds at most seven instructions, the five shifted
 //! terms sum to at most 7, so the paper's 3-bit adder tree suffices;
-//! [`CemUnit::raw_error`] reproduces that 3-bit arithmetic exactly, and a
-//! test asserts the width claim.
+//! the tests' reference `CemUnit::raw_error` reproduces that 3-bit
+//! arithmetic exactly and asserts the width claim.
 
 use rsp_isa::units::{TypeCounts, UnitType};
 use serde::{Deserialize, Serialize};
@@ -40,7 +40,7 @@ pub const ERROR_SCALE: u32 = 840;
 /// Fig. 3(c): shift amount for a 3-bit available-unit quantity — its
 /// upper two bits, interpreted as "divide by 4, 2, or 1".
 #[inline]
-pub fn shift_for_quantity(avail: u8) -> u32 {
+pub(crate) fn shift_for_quantity(avail: u8) -> u32 {
     let q = avail.min(7); // 3-bit hardware quantity
     if q & 0b100 != 0 {
         2
@@ -53,7 +53,7 @@ pub fn shift_for_quantity(avail: u8) -> u32 {
 
 /// The divisor the shifter realises for a given availability.
 #[inline]
-pub fn shifter_divisor(avail: u8) -> u32 {
+pub(crate) fn shifter_divisor(avail: u8) -> u32 {
     1 << shift_for_quantity(avail)
 }
 
@@ -125,7 +125,8 @@ impl CemUnit {
     /// Panics in debug builds if a term or the sum exceeds 7 while total
     /// demand is within the 7-entry queue bound — that would falsify the
     /// paper's "three-bit adders are sufficient" claim.
-    pub fn raw_error(&self, required: &TypeCounts, available: &TypeCounts) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn raw_error(&self, required: &TypeCounts, available: &TypeCounts) -> u8 {
         let mut sum: u8 = 0;
         for &t in &UnitType::ALL {
             let r = required.get(t).min(7);
@@ -165,7 +166,7 @@ impl CemUnit {
 /// [`CemUnit::term`] cross-checks against this in debug builds; the
 /// bit-sliced lane kernel's differential tests compare against it
 /// directly, not against CEM internals.
-pub fn cem_term_spec(required: u8, available: u8) -> u32 {
+pub(crate) fn cem_term_spec(required: u8, available: u8) -> u32 {
     // 3-bit hardware quantities; Fig. 3(c) wires the shift select from
     // the upper two availability bits.
     let r = required.min(7);
@@ -187,7 +188,8 @@ pub fn cem_term_spec(required: u8, available: u8) -> u32 {
 /// `CemUnit::PAPER.error(..)` for every input (a proptest pins this),
 /// and to `ERROR_SCALE ×` [`CemUnit::raw_error`] whenever total demand
 /// fits the paper's 7-entry queue.
-pub fn cem_error_spec(required: &TypeCounts, available: &TypeCounts) -> u32 {
+#[cfg(test)]
+pub(crate) fn cem_error_spec(required: &TypeCounts, available: &TypeCounts) -> u32 {
     UnitType::ALL
         .iter()
         .map(|&t| cem_term_spec(required.get(t), available.get(t)))

@@ -8,7 +8,7 @@
 //! Bit order follows Fig. 2: bit 0 = Int-ALU, bit 1 = Int-MDU,
 //! bit 2 = LSU, bit 3 = FP-ALU, bit 4 = FP-MDU.
 
-use rsp_isa::units::{UnitType, NUM_UNIT_TYPES};
+use rsp_isa::units::UnitType;
 use rsp_isa::{Instruction, Opcode};
 use serde::{Deserialize, Serialize};
 
@@ -59,9 +59,6 @@ pub fn unit_decoder(opcode: Opcode) -> OneHot {
 pub fn decode_queue(instrs: &[Instruction]) -> Vec<OneHot> {
     instrs.iter().map(|i| unit_decoder(i.opcode)).collect()
 }
-
-/// Number of decoder output bits — for width assertions in tests.
-pub const ONE_HOT_WIDTH: usize = NUM_UNIT_TYPES;
 
 #[cfg(test)]
 mod tests {

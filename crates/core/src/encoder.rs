@@ -40,7 +40,7 @@ impl RequirementEncoder {
     }
 
     /// Convenience: decode + encode a queue snapshot in one step.
-    pub fn encode_instructions(&self, instrs: &[Instruction]) -> TypeCounts {
+    pub(crate) fn encode_instructions(&self, instrs: &[Instruction]) -> TypeCounts {
         let mut counts = TypeCounts::ZERO;
         for i in instrs {
             counts.add(i.unit_type(), 1);
@@ -75,7 +75,7 @@ impl RequirementEncoder {
 /// hardware counter. [`RequirementEncoder`] is cross-checked against
 /// this in debug builds; the bit-sliced lane kernel's differential tests
 /// compare against it directly, not against encoder internals.
-pub fn requirement_counts_spec(raw: TypeCounts, saturate_at: Option<u8>) -> TypeCounts {
+pub(crate) fn requirement_counts_spec(raw: TypeCounts, saturate_at: Option<u8>) -> TypeCounts {
     let mut out = TypeCounts::ZERO;
     for &t in &UnitType::ALL {
         let c = raw.get(t);
@@ -94,7 +94,8 @@ pub fn requirement_counts_spec(raw: TypeCounts, saturate_at: Option<u8>) -> Type
 /// types — exactly the view the lane kernel's stage-1 decoders see (one
 /// 3-bit type code per occupied entry). The paper's 3-bit width is
 /// hard-wired here, matching [`RequirementEncoder::PAPER`].
-pub fn requirement_counts_spec_types(entries: &[UnitType]) -> TypeCounts {
+#[cfg(test)]
+pub(crate) fn requirement_counts_spec_types(entries: &[UnitType]) -> TypeCounts {
     let mut raw = TypeCounts::ZERO;
     for &t in entries {
         raw.add(t, 1);

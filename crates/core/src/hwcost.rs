@@ -71,7 +71,7 @@ fn width(n: u64) -> u32 {
 
 /// One unit decoder: `opcode_bits`-wide opcode to a `types`-wide one-hot
 /// (an AND plane, one product term per type).
-pub fn unit_decoder_cost(opcode_bits: u32, types: u32) -> BlockCost {
+pub(crate) fn unit_decoder_cost(opcode_bits: u32, types: u32) -> BlockCost {
     // Each one-hot output: an (opcode_bits)-input AND tree of 2-input
     // gates ≈ opcode_bits-1 gates, depth ⌈log2(opcode_bits)⌉. Realistic
     // decoders share terms; we charge the worst case.
@@ -83,7 +83,7 @@ pub fn unit_decoder_cost(opcode_bits: u32, types: u32) -> BlockCost {
 
 /// One resource requirement encoder: population count of `queue` request
 /// bits into a `width(queue)`-bit count, as a carry-save adder tree.
-pub fn popcount_cost(queue: u32) -> BlockCost {
+pub(crate) fn popcount_cost(queue: u32) -> BlockCost {
     // A popcount of n bits needs ~n-⌈log2(n+1)⌉ full adders plus change;
     // we charge one FA per eliminated bit and HAs at tree edges.
     let n = queue as u64;
@@ -95,7 +95,7 @@ pub fn popcount_cost(queue: u32) -> BlockCost {
 }
 
 /// A `bits`-wide ripple-carry adder.
-pub fn adder_cost(bits: u32) -> BlockCost {
+pub(crate) fn adder_cost(bits: u32) -> BlockCost {
     BlockCost {
         gates: bits as u64 * FA.gates,
         depth: bits * FA.depth,
@@ -106,13 +106,13 @@ pub fn adder_cost(bits: u32) -> BlockCost {
 /// 0/1/2 (two mux stages) — the current configuration's shifter
 /// (Fig. 3c). Predefined configurations' shifters are hard-wired: zero
 /// gates.
-pub fn controllable_shifter_cost(bits: u32) -> BlockCost {
+pub(crate) fn controllable_shifter_cost(bits: u32) -> BlockCost {
     MUX2.times(bits as u64).seq(MUX2.times(bits as u64))
 }
 
 /// A `bits`-quotient restoring divider (the paper's rejected "more
 /// accurate divider"): `bits` iterations of subtract + restore mux.
-pub fn restoring_divider_cost(bits: u32) -> BlockCost {
+pub(crate) fn restoring_divider_cost(bits: u32) -> BlockCost {
     let iter = adder_cost(bits).seq(MUX2.times(bits as u64));
     BlockCost {
         gates: iter.gates * bits as u64,
@@ -121,14 +121,14 @@ pub fn restoring_divider_cost(bits: u32) -> BlockCost {
 }
 
 /// A `bits`-wide magnitude comparator (A < B).
-pub fn comparator_cost(bits: u32) -> BlockCost {
+pub(crate) fn comparator_cost(bits: u32) -> BlockCost {
     // Subtract-based: one adder plus sign pick.
     adder_cost(bits).seq(BlockCost { gates: 1, depth: 1 })
 }
 
 /// Full cost of one CEM generator over `types` unit types with counts up
 /// to `queue` (errors fit `width(queue)` bits).
-pub fn cem_cost(types: u32, queue: u32, exact_divider: bool, hard_wired: bool) -> BlockCost {
+pub(crate) fn cem_cost(types: u32, queue: u32, exact_divider: bool, hard_wired: bool) -> BlockCost {
     let bits = width(queue as u64);
     let per_type = if exact_divider {
         restoring_divider_cost(bits)

@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod basis;
 pub mod cem;
@@ -46,9 +47,9 @@ pub mod policy;
 pub mod select;
 pub mod smooth;
 
-pub use cem::{cem_error_spec, cem_term_spec, CemKind, CemUnit, ERROR_SCALE};
+pub use cem::{CemKind, CemUnit, ERROR_SCALE};
 pub use decode::{unit_decoder, OneHot};
-pub use encoder::{requirement_counts_spec, requirement_counts_spec_types, RequirementEncoder};
+pub use encoder::RequirementEncoder;
 pub use loader::{ConfigurationLoader, LoaderStats};
 pub use policy::{DemandDriven, PaperSteering, PolicyOutcome, StaticPolicy, SteeringPolicy};
 pub use select::{ConfigChoice, MinimalErrorSelector, SelectionResult, SelectionUnit, TieBreak};

@@ -190,13 +190,6 @@ impl PaperSteering {
         }
     }
 
-    /// True while the selection unit is scoring against the effective
-    /// (post-fault) capacity view.
-    #[inline]
-    pub fn effective_view(&self) -> bool {
-        self.effective_view
-    }
-
     /// Fill the per-candidate achievable-counts cache from the fabric's
     /// (boot-static) dead-slot mask.
     fn cache_candidate_counts(&mut self, fabric: &Fabric) {
@@ -407,7 +400,7 @@ impl DemandDriven {
     ///
     /// `ffu` is the fixed baseline (already provided for free); `slots`
     /// the fabric capacity.
-    pub fn desired_mix(demand: &TypeCounts, ffu: &TypeCounts, slots: usize) -> TypeCounts {
+    pub(crate) fn desired_mix(demand: &TypeCounts, ffu: &TypeCounts, slots: usize) -> TypeCounts {
         let mut mix = TypeCounts::ZERO;
         let mut used = 0usize;
         loop {
@@ -622,7 +615,7 @@ mod tests {
             f_aware.tick();
             assert_eq!(f_plain, f_aware, "cycle {cycle}");
         }
-        assert!(!aware.effective_view());
+        assert!(!aware.effective_view);
     }
 
     #[test]
@@ -646,7 +639,7 @@ mod tests {
         for cycle in 0..40 {
             p.tick(&demand, &mut f);
             f.tick();
-            let engaged = p.effective_view();
+            let engaged = p.effective_view;
             let past = cycle + 1 >= DEFAULT_CAPACITY_HYSTERESIS as usize;
             assert_eq!(engaged, past, "cycle {cycle}");
         }

@@ -116,7 +116,12 @@ impl MinimalErrorSelector {
     }
 
     /// Choose among candidates with an explicit tie-break rule.
-    pub fn select_with(&self, errors: &[u32], reconfig_cost: &[usize], tie: TieBreak) -> usize {
+    pub(crate) fn select_with(
+        &self,
+        errors: &[u32],
+        reconfig_cost: &[usize],
+        tie: TieBreak,
+    ) -> usize {
         assert_eq!(errors.len(), reconfig_cost.len());
         assert!(!errors.is_empty());
         let mut best = 0usize;
@@ -218,7 +223,7 @@ impl SelectionUnit {
     }
 
     /// Stages 3–4 only, for callers that already hold the stage-2 counts.
-    pub fn select_from_counts(
+    pub(crate) fn select_from_counts(
         &self,
         required: TypeCounts,
         current_counts: TypeCounts,
@@ -260,7 +265,7 @@ impl SelectionUnit {
 
     /// Allocation-free fast path for per-cycle use: stages 3–4 only,
     /// returning the choice and its error. Semantically identical to
-    /// [`SelectionUnit::select_from_counts`] (a test pins this).
+    /// `SelectionUnit::select_from_counts` (a test pins this).
     pub fn choose(
         &self,
         required: TypeCounts,

@@ -196,21 +196,12 @@ impl AllocationVector {
     }
 
     /// Clear every slot of the unit that covers `slot` (no-op on empty).
-    pub fn clear_unit_at(&mut self, slot: usize) {
+    pub(crate) fn clear_unit_at(&mut self, slot: usize) {
         if let Some(pu) = self.unit_at(slot) {
             for j in pu.span() {
                 self.slots[j] = SlotEncoding::EMPTY;
             }
         }
-    }
-
-    /// The slot indices at which this vector differs from `other` — the
-    /// paper's XOR of chosen-vs-current configurations (§3.2).
-    pub fn diff_slots(&self, other: &AllocationVector) -> Vec<usize> {
-        assert_eq!(self.len(), other.len(), "vectors must be the same width");
-        (0..self.len())
-            .filter(|&i| self.slots[i] != other.slots[i])
-            .collect()
     }
 
     /// Number of differing slots — the loader's "amount of
@@ -335,9 +326,8 @@ mod tests {
     fn diff_is_xor_like() {
         let a = vector_of(&[UnitType::IntAlu, UnitType::Lsu], 8); // ALU@0-1, LSU@2
         let b = vector_of(&[UnitType::IntAlu, UnitType::IntMdu], 8); // ALU@0-1, MDU@2-3
-        assert_eq!(a.diff_slots(&b), vec![2, 3]);
         assert_eq!(a.diff_count(&b), 2);
-        assert_eq!(a.diff_slots(&a), Vec::<usize>::new());
+        assert_eq!(a.diff_count(&a), 0);
     }
 
     #[test]
@@ -411,7 +401,7 @@ mod tests {
 
         #[test]
         fn prop_diff_symmetric_and_zero_on_self(a in arb_vector(8), b in arb_vector(8)) {
-            prop_assert_eq!(a.diff_slots(&b), b.diff_slots(&a));
+            prop_assert_eq!(a.diff_count(&b), b.diff_count(&a));
             prop_assert_eq!(a.diff_count(&a), 0);
         }
     }

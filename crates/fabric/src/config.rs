@@ -11,12 +11,8 @@ use crate::alloc::AllocationVector;
 use rsp_isa::units::{TypeCounts, UnitType};
 use serde::{Deserialize, Serialize};
 
-/// Number of predefined steering configurations (Configs 1–3 of Table 1;
-/// Config 0 is the live current configuration).
-pub const NUM_PREDEFINED: usize = 3;
-
 /// Default number of RFU slots in the architecture (paper §2).
-pub const DEFAULT_RFU_SLOTS: usize = 8;
+pub(crate) const DEFAULT_RFU_SLOTS: usize = 8;
 
 /// A configuration shape: named per-type unit counts plus their placement.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -220,7 +216,7 @@ mod tests {
     #[test]
     fn paper_defaults_fill_fabric_exactly() {
         let set = SteeringSet::paper_default();
-        assert_eq!(set.predefined.len(), NUM_PREDEFINED);
+        assert_eq!(set.predefined.len(), 3, "Configs 1-3 of Table 1");
         for c in &set.predefined {
             assert_eq!(
                 c.slot_cost(),
@@ -278,14 +274,21 @@ mod tests {
     #[test]
     fn shared_prefixes_overlap_in_placement() {
         // Config 1 and Config 2 both start with an Int-ALU at slot 0-1;
-        // partial reconfiguration between them must not touch those slots.
+        // the loader walks the target's placed units and skips one that
+        // is already in place, so partial reconfiguration between them
+        // must not touch those slots.
         let set = SteeringSet::paper_default();
-        let d = set.predefined[0]
-            .placement
-            .diff_slots(&set.predefined[1].placement);
+        let shared = set.predefined[0].placement.unit_at(0);
+        assert_eq!(
+            shared.map(|pu| (pu.head, pu.unit)),
+            Some((0, UnitType::IntAlu))
+        );
         assert!(
-            !d.contains(&0) && !d.contains(&1),
-            "shared Int-ALU prefix, diff={d:?}"
+            set.predefined[1]
+                .placement
+                .units()
+                .any(|pu| Some(pu) == shared),
+            "Config 2 does not place Config 1's Int-ALU at slot 0"
         );
     }
 

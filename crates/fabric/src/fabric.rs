@@ -572,7 +572,7 @@ impl Fabric {
 
     /// True iff a reconfiguration port is free this cycle.
     #[inline]
-    pub fn port_free(&self) -> bool {
+    pub(crate) fn port_free(&self) -> bool {
         self.loads.len() < self.params.reconfig_ports
     }
 

@@ -154,7 +154,7 @@ pub enum FaultEvent {
 /// same (cycle, slot).
 pub mod stream {
     /// Readback verdict of a load started at (cycle, head).
-    pub const LOAD_FAILURE: u64 = 0x4C4F_4144;
+    pub(crate) const LOAD_FAILURE: u64 = 0x4C4F_4144;
     /// Whether an SEU strikes the configuration memory this cycle.
     pub const UPSET_STRIKE: u64 = 0x5345_5531;
     /// Which slot the SEU strikes.
@@ -186,7 +186,7 @@ pub fn keyed_chance_ppm(seed: u64, stream: u64, a: u64, b: u64, ppm: u32) -> boo
 
 /// Live fault-model state, owned by the fabric.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     /// Static parameters.
     pub params: FaultParams,
     /// Fabric ticks elapsed — the time coordinate of [`keyed_draw`].
@@ -206,7 +206,7 @@ pub struct FaultState {
 
 impl FaultState {
     /// Fresh state for a fabric of `slots` RFU slots.
-    pub fn new(params: FaultParams, slots: usize) -> FaultState {
+    pub(crate) fn new(params: FaultParams, slots: usize) -> FaultState {
         let mut dead = vec![false; slots];
         for &s in &params.dead_slots {
             if s < slots {
@@ -226,7 +226,7 @@ impl FaultState {
 
     /// True iff any fault mechanism can fire.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.params.enabled()
     }
 }

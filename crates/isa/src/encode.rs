@@ -8,10 +8,10 @@
 //! ```
 //!
 //! * `a`/`b`/`c` are 5-bit register fields holding `dest`/`src1`/`src2`
-//!   (whichever the opcode's [`OperandSpec`](crate::opcode::OperandSpec)
+//!   (whichever the opcode's `OperandSpec`
 //!   defines; unused fields encode as 0).
 //! * Opcodes with a 21-bit immediate (`lui`, `jal` — see
-//!   [`Opcode::imm_bits`]) use bits `20..0` for the immediate instead of
+//!   `Opcode::imm_bits`) use bits `20..0` for the immediate instead of
 //!   `b`/`c`/`imm11`.
 //!
 //! Legacy-binary compatibility is the paper's stated motivation for the

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// A decoded instruction.
 ///
-/// Operand fields are populated according to [`Opcode::operand_spec`];
+/// Operand fields are populated according to `Opcode::operand_spec`;
 /// [`Instruction::validate`] checks conformance. Immediates are also used
 /// as branch displacements, measured in instructions relative to the
 /// branch itself.
@@ -28,7 +28,7 @@ pub struct Instruction {
     /// Second source register.
     pub src2: Option<AnyReg>,
     /// Immediate operand / branch displacement (signed; width per
-    /// [`Opcode::imm_bits`]).
+    /// `Opcode::imm_bits`).
     pub imm: i32,
 }
 
@@ -111,7 +111,8 @@ impl Instruction {
     }
 
     /// `lui rd, imm`.
-    pub fn lui(rd: IReg, imm: i32) -> Instruction {
+    #[cfg(test)]
+    pub(crate) fn lui(rd: IReg, imm: i32) -> Instruction {
         Instruction {
             opcode: Opcode::Lui,
             dest: Some(AnyReg::Int(rd)),
@@ -210,7 +211,8 @@ impl Instruction {
     }
 
     /// FP two-register instruction: `op fd, fs1` (fabs/fneg/fsqrt).
-    pub fn ff(opcode: Opcode, fd: FReg, fs1: FReg) -> Instruction {
+    #[cfg(test)]
+    pub(crate) fn ff(opcode: Opcode, fd: FReg, fs1: FReg) -> Instruction {
         Instruction {
             opcode,
             dest: Some(AnyReg::Fp(fd)),
@@ -221,7 +223,8 @@ impl Instruction {
     }
 
     /// FP comparison writing an integer flag: `op rd, fs1, fs2`.
-    pub fn fcmp(opcode: Opcode, rd: IReg, fs1: FReg, fs2: FReg) -> Instruction {
+    #[cfg(test)]
+    pub(crate) fn fcmp(opcode: Opcode, rd: IReg, fs1: FReg, fs2: FReg) -> Instruction {
         Instruction {
             opcode,
             dest: Some(AnyReg::Int(rd)),
@@ -243,7 +246,8 @@ impl Instruction {
     }
 
     /// `fcvt.f.i rd, fs1` — convert float to integer (truncating).
-    pub fn fcvt_fi(rd: IReg, fs1: FReg) -> Instruction {
+    #[cfg(test)]
+    pub(crate) fn fcvt_fi(rd: IReg, fs1: FReg) -> Instruction {
         Instruction {
             opcode: Opcode::Fcvtfi,
             dest: Some(AnyReg::Int(rd)),
@@ -277,7 +281,7 @@ impl Instruction {
     }
 
     /// Check that operand fields conform to the opcode's
-    /// [`Opcode::operand_spec`] and that the immediate is encodable.
+    /// `Opcode::operand_spec` and that the immediate is encodable.
     pub fn validate(&self) -> Result<(), InstrError> {
         let s = self.opcode.operand_spec();
         check_operand("dest", self.dest, s.dest)?;

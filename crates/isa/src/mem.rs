@@ -31,14 +31,6 @@ impl DataMemory {
         }
     }
 
-    /// Create a memory initialised from `init`, zero-extended to `words`
-    /// cells if `init` is shorter.
-    pub fn with_contents(words: usize, init: &[u64]) -> DataMemory {
-        let mut m = DataMemory::new(words.max(init.len()));
-        m.cells[..init.len()].copy_from_slice(init);
-        m
-    }
-
     /// Number of 64-bit cells.
     #[inline]
     pub fn len(&self) -> usize {
@@ -131,15 +123,6 @@ mod tests {
         m.store_int(-1, 2); // wraps to 7
         assert_eq!(m.load_int(7), 2);
         assert_eq!(m.wrap(i64::MIN), (i64::MIN).rem_euclid(8) as usize);
-    }
-
-    #[test]
-    fn with_contents_zero_extends() {
-        let m = DataMemory::with_contents(8, &[5, 6]);
-        assert_eq!(m.cells(), &[5, 6, 0, 0, 0, 0, 0, 0]);
-        // init longer than requested size wins.
-        let m = DataMemory::with_contents(1, &[1, 2, 3]);
-        assert_eq!(m.len(), 3);
     }
 
     #[test]

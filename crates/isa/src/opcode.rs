@@ -84,7 +84,7 @@ pub enum LatencyClass {
 
 /// Which register file (if any) each operand field of an opcode uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegFile {
+pub(crate) enum RegFile {
     /// No operand in this position.
     None,
     /// Integer register file.
@@ -96,7 +96,7 @@ pub enum RegFile {
 /// Operand specification of an opcode: register files for `dest`, `src1`,
 /// `src2` and whether an immediate is used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OperandSpec {
+pub(crate) struct OperandSpec {
     /// Destination register file.
     pub dest: RegFile,
     /// First source register file.
@@ -201,7 +201,7 @@ impl Opcode {
     }
 
     /// Operand specification of this opcode.
-    pub const fn operand_spec(self) -> OperandSpec {
+    pub(crate) const fn operand_spec(self) -> OperandSpec {
         use Opcode::*;
         use RegFile::*;
         match self {
@@ -231,7 +231,7 @@ impl Opcode {
     /// destination and an immediate (`lui`, `jal`) get the wide 21-bit
     /// field; all other immediate-carrying opcodes get 11 bits.
     #[inline]
-    pub const fn imm_bits(self) -> u32 {
+    pub(crate) const fn imm_bits(self) -> u32 {
         match self {
             Opcode::Lui | Opcode::Jal => 21,
             _ => 11,
@@ -240,7 +240,7 @@ impl Opcode {
 
     /// Inclusive range of encodable immediates for this opcode.
     #[inline]
-    pub const fn imm_range(self) -> (i32, i32) {
+    pub(crate) const fn imm_range(self) -> (i32, i32) {
         let b = self.imm_bits();
         (-(1 << (b - 1)), (1 << (b - 1)) - 1)
     }
@@ -269,7 +269,7 @@ impl Opcode {
 
     /// True for stores (memory writes).
     #[inline]
-    pub const fn is_store(self) -> bool {
+    pub(crate) const fn is_store(self) -> bool {
         matches!(self, Opcode::Sw | Opcode::Fsw)
     }
 
@@ -287,7 +287,7 @@ impl Opcode {
     }
 
     /// Assembly mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         use Opcode::*;
         match self {
             Nop => "nop",
@@ -338,7 +338,7 @@ impl Opcode {
     }
 
     /// Inverse of [`Opcode::mnemonic`].
-    pub fn from_mnemonic(s: &str) -> Option<Opcode> {
+    pub(crate) fn from_mnemonic(s: &str) -> Option<Opcode> {
         Opcode::ALL.iter().copied().find(|o| o.mnemonic() == s)
     }
 }

@@ -6,7 +6,7 @@
 //!   value-in/value-out functions used by the cycle simulator's execution
 //!   units, which operate on operand values captured from the register
 //!   update unit (with forwarding), not on architectural state.
-//! * **[`step_arch`] / [`ReferenceInterpreter`]** — an in-order
+//! * **`step_arch` / [`ReferenceInterpreter`]** — an in-order
 //!   golden model built on the same helpers. The simulator's differential
 //!   tests check that out-of-order execution retires the exact
 //!   architectural state this interpreter produces.
@@ -360,7 +360,11 @@ impl ReferenceInterpreter {
 
 /// Execute one instruction against architectural state: the shared
 /// building block of the interpreter. Updates `state.pc`.
-pub fn step_arch(state: &mut ArchState, mem: &mut DataMemory, instr: &Instruction) -> ExecOutcome {
+pub(crate) fn step_arch(
+    state: &mut ArchState,
+    mem: &mut DataMemory,
+    instr: &Instruction,
+) -> ExecOutcome {
     let pc = state.pc;
     if instr.opcode.is_memory() {
         let base = state.read(instr.src1.expect("memory op needs base"));

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 /// Escape a label value for the exposition format: backslash, double
 /// quote and newline get backslash escapes.
-pub fn escape_label(v: &str) -> String {
+pub(crate) fn escape_label(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod event;
 mod expo;
@@ -46,7 +47,7 @@ mod ring;
 mod sink;
 
 pub use event::{Event, StallCause, Stamped, MAX_CANDIDATES};
-pub use expo::{escape_label, PromDump, PromSample, PromWriter};
+pub use expo::{PromDump, PromSample, PromWriter};
 pub use hash::stable_key_hash;
 pub use metrics::{
     Counter, CounterValue, CycleHistogram, Histo, HistogramSnapshot, MetricsRegistry,

@@ -186,7 +186,7 @@ impl CycleHistogram {
 
     /// Inclusive lower bound of bucket `i`, and its inclusive upper
     /// bound (`None` for the unbounded last bucket).
-    pub fn bucket_bounds(i: usize) -> (u64, Option<u64>) {
+    pub(crate) fn bucket_bounds(i: usize) -> (u64, Option<u64>) {
         assert!(i < HIST_BUCKETS);
         if i == 0 {
             (0, Some(0))
@@ -200,7 +200,7 @@ impl CycleHistogram {
     /// Inclusive upper bounds of every bounded bucket, in order. The
     /// last (unbounded) bucket has no entry; snapshots embed this so
     /// consumers never have to assume the log2 layout.
-    pub fn upper_bounds() -> Vec<u64> {
+    pub(crate) fn upper_bounds() -> Vec<u64> {
         (0..HIST_BUCKETS - 1)
             .map(|i| CycleHistogram::bucket_bounds(i).1.expect("bounded bucket"))
             .collect()

@@ -61,13 +61,6 @@ pub struct ProgressSnapshot {
     pub failed: u64,
 }
 
-impl ProgressSnapshot {
-    /// True once every point is accounted for and none failed.
-    pub fn is_complete(&self) -> bool {
-        self.failed == 0 && self.completed >= self.total
-    }
-}
-
 impl std::fmt::Display for ProgressSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}/{}", self.completed, self.total)?;
@@ -86,11 +79,10 @@ mod tests {
     fn counts_accumulate_and_complete() {
         let p = SweepProgress::with_total(3);
         p.point_completed();
-        assert!(!p.snapshot().is_complete());
+        assert_eq!(p.snapshot().completed, 1);
         p.point_completed();
         let snap = p.point_completed();
         assert_eq!(snap.completed, 3);
-        assert!(snap.is_complete());
         assert_eq!(snap.to_string(), "[3/3]");
     }
 
@@ -100,7 +92,7 @@ mod tests {
         p.point_completed();
         p.point_failed();
         let snap = p.snapshot();
-        assert!(!snap.is_complete());
+        assert_eq!((snap.completed, snap.failed), (1, 1));
         assert_eq!(snap.to_string(), "[1/1, 1 FAILED]");
     }
 

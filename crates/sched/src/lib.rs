@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod arbiter;
 pub mod depgraph;

@@ -65,7 +65,7 @@ pub struct Entry {
 impl Entry {
     /// The entry's result-available line.
     #[inline]
-    pub fn result_available(&self) -> bool {
+    pub(crate) fn result_available(&self) -> bool {
         self.timer == Some(0)
     }
 

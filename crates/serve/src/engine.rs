@@ -36,7 +36,7 @@ use crate::protocol::RefusedFrames;
 use crate::route::{LaneRecord, TenantLog, TenantRouter};
 use crate::scheduler::{LoadSnapshot, ShedReason, SpecNote, WatermarkScheduler};
 use crate::slo::{MetricsFrame, SloRegistry, TenantMetrics};
-use crate::tenant::{tenant_key, TenantPhase, TenantRequest, TenantStatus};
+use crate::tenant::{tenant_key, TenantPhase, TenantRequest, TenantStatus, MAX_TELEMETRY_CAPACITY};
 use rsp_isa::units::UnitType;
 use rsp_obs::{
     FleetEntry, FleetEvent, FlightRecorder, Telemetry, TriggerKind, DEFAULT_FLIGHT_CAPACITY,
@@ -50,7 +50,7 @@ use rsp_workloads::QueueRow;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::num::NonZeroUsize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// Lanes per lane group — one bit-plane word of the lane kernel.
@@ -241,7 +241,6 @@ pub struct ServeEngine {
     stats: EngineStats,
     slo: SloRegistry,
     flight: FlightRecorder,
-    flight_dumps: Vec<PathBuf>,
     dump_seq: u64,
     /// Step-phase worker threads, the caller's included
     /// ([`std::thread::available_parallelism`], read once: on Linux it
@@ -258,7 +257,7 @@ pub struct ServeEngine {
 }
 
 /// The tenant's effective machine config: base + policy override.
-pub fn effective_cfg(base: &SimConfig, req: &TenantRequest) -> SimConfig {
+pub(crate) fn effective_cfg(base: &SimConfig, req: &TenantRequest) -> SimConfig {
     let mut cfg = base.clone();
     if let Some(p) = req.policy {
         cfg.policy = p;
@@ -382,7 +381,13 @@ pub(crate) fn step_fan_out(runs: &mut [StepRun<'_>], workers: usize) {
 
 /// Validate a request against the engine's base config; the error is
 /// the `BadSpec` shed reason.
-pub fn check_request(base: &SimConfig, req: &TenantRequest) -> Result<(), ShedReason> {
+pub(crate) fn check_request(base: &SimConfig, req: &TenantRequest) -> Result<(), ShedReason> {
+    if req.telemetry_capacity > MAX_TELEMETRY_CAPACITY {
+        return Err(bad_spec(format_args!(
+            "telemetry_capacity {} exceeds the cap of {MAX_TELEMETRY_CAPACITY} events",
+            req.telemetry_capacity
+        )));
+    }
     req.spec.validate().map_err(bad_spec)?;
     let cfg = effective_cfg(base, req);
     cfg.validate().map_err(bad_spec)?;
@@ -432,7 +437,6 @@ impl ServeEngine {
             stats: EngineStats::default(),
             slo,
             flight,
-            flight_dumps: Vec::new(),
             dump_seq: 0,
             workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             quanta: Vec::new(),
@@ -921,7 +925,7 @@ impl ServeEngine {
     /// Append a completed tenant's telemetry (JSONL) to `out` without
     /// keeping the rendered text, for readers that read each log once;
     /// false (and `out` untouched) if it recorded none.
-    pub fn write_telemetry(&self, id: u64, out: &mut String) -> bool {
+    pub(crate) fn write_telemetry(&self, id: u64, out: &mut String) -> bool {
         self.router.write_jsonl(&tenant_key(id), out)
     }
 
@@ -984,10 +988,8 @@ impl ServeEngine {
         self.dump_seq += 1;
         if let Some(dir) = &self.cfg.flight_dir {
             let path = dir.join(format!("flight-{seq}-{}.jsonl", kind.name()));
-            if std::fs::create_dir_all(dir).is_ok()
-                && std::fs::write(&path, self.flight.to_jsonl()).is_ok()
-            {
-                self.flight_dumps.push(path);
+            if std::fs::create_dir_all(dir).is_ok() {
+                let _ = std::fs::write(&path, self.flight.to_jsonl());
             }
         }
     }
@@ -998,21 +1000,9 @@ impl ServeEngine {
         self.flight.to_jsonl()
     }
 
-    /// Flight-dump files written so far (anomaly triggers with a
-    /// configured `flight_dir`).
-    pub fn flight_dumps(&self) -> &[PathBuf] {
-        &self.flight_dumps
-    }
-
     /// Anomaly triggers recorded so far (dumped or in-memory only).
     pub fn flight_triggers(&self) -> u64 {
         self.dump_seq
-    }
-
-    /// Export per-tenant telemetry as `<dir>/t<id>.jsonl`, rendered
-    /// through one reused buffer (no rendered text is kept).
-    pub fn export_telemetry(&self, dir: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-        self.router.export_dir(dir)
     }
 }
 
@@ -1303,6 +1293,16 @@ mod tests {
         // The same scalar tenant is still servable under faults.
         faulted.submit(scalar_req(1, 10_000)).unwrap();
         assert_eq!(faulted.stats().shed_bad_spec, 1);
+        // A telemetry ring past the cap is shed; one at the cap is served.
+        let mut over = scalar_req(2, 1000);
+        over.telemetry_capacity = MAX_TELEMETRY_CAPACITY + 1;
+        assert!(matches!(engine.submit(over), Err(ShedReason::BadSpec(_))));
+        let mut at_cap = scalar_req(3, 1000);
+        at_cap.telemetry_capacity = MAX_TELEMETRY_CAPACITY;
+        engine.submit(at_cap).unwrap();
+        assert!(engine.run_until_idle(10_000));
+        assert_eq!(engine.stats().completed, 1);
+        assert_eq!(engine.stats().shed_bad_spec, 2);
     }
 
     #[test]
@@ -1472,7 +1472,11 @@ mod tests {
         for s in 1..=2 {
             let _ = engine.submit(scalar_req(s, 1000));
         }
-        let dumps = engine.flight_dumps().to_vec();
+        assert_eq!(engine.flight_triggers(), 1);
+        let dumps: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
         assert_eq!(dumps.len(), 1);
         let text = std::fs::read_to_string(&dumps[0]).unwrap();
         let entries = rsp_obs::parse_fleet_jsonl(&text).unwrap();

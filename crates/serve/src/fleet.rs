@@ -16,8 +16,8 @@
 //! shard counts 1/2/4.
 //!
 //! Aggregation: every read-side view merges per-shard parts with the
-//! helpers in this module ([`merge_stats`], [`merge_snapshots`],
-//! [`merge_frames`]). Counters and histogram buckets add; ticks take
+//! helpers in this module (`merge_stats`, `merge_snapshots`,
+//! `merge_frames`). Counters and histogram buckets add; ticks take
 //! the max (shards tick in lockstep). Because each shard's aggregate
 //! slab already equals the sum of its tenant slabs *by construction*,
 //! the merged aggregate equals the sum of all tenant slabs — the SLO
@@ -65,7 +65,7 @@ pub fn shard_of(global_id: u64, shards: usize) -> usize {
 /// Sum per-shard engine counters into a fleet view. Monotonic counters
 /// and occupancy gauges add; `ticks` takes the max because shards tick
 /// in lockstep (wall progress, not work).
-pub fn merge_stats(parts: impl IntoIterator<Item = EngineStats>) -> EngineStats {
+pub(crate) fn merge_stats(parts: impl IntoIterator<Item = EngineStats>) -> EngineStats {
     let mut parts = parts.into_iter();
     let mut m = parts.next().unwrap_or_default();
     for s in parts {
@@ -122,7 +122,7 @@ fn merge_histograms(into: &mut Vec<HistogramSnapshot>, part: Vec<HistogramSnapsh
 /// add count/sum/buckets and take the max of maxes. The first shard's
 /// snapshot is the base, so names keep its order and a merged snapshot
 /// has the same shape as a single engine's.
-pub fn merge_snapshots(parts: impl IntoIterator<Item = MetricsSnapshot>) -> MetricsSnapshot {
+pub(crate) fn merge_snapshots(parts: impl IntoIterator<Item = MetricsSnapshot>) -> MetricsSnapshot {
     let mut parts = parts.into_iter();
     let mut m = parts.next().unwrap_or_default();
     for p in parts {
@@ -142,7 +142,7 @@ pub fn merge_snapshots(parts: impl IntoIterator<Item = MetricsSnapshot>) -> Metr
 /// fleet-global id; per-tenant entries are moved, rewritten and
 /// re-sorted so the merged frame is indistinguishable from a single
 /// engine's.
-pub fn merge_frames(
+pub(crate) fn merge_frames(
     parts: impl IntoIterator<Item = MetricsFrame>,
     globals: &[Vec<u64>],
 ) -> MetricsFrame {
@@ -292,18 +292,18 @@ impl ShardedEngine {
     /// Append a completed tenant's telemetry (JSONL) to `out` without
     /// keeping the text ([`ServeEngine::write_telemetry`]); false if it
     /// recorded none.
-    pub fn write_telemetry(&self, global: u64, out: &mut String) -> bool {
+    pub(crate) fn write_telemetry(&self, global: u64, out: &mut String) -> bool {
         self.locate(global)
             .is_some_and(|(shard, local)| self.shards[shard].write_telemetry(local, out))
     }
 
-    /// Merged fleet counters ([`merge_stats`] over the shards).
+    /// Merged fleet counters (`merge_stats` over the shards).
     pub fn stats(&self) -> EngineStats {
         merge_stats(self.shards.iter().map(ServeEngine::stats))
     }
 
     /// The merged SLO metrics frame, per-tenant entries under their
-    /// fleet-global ids ([`merge_frames`] over the shards).
+    /// fleet-global ids (`merge_frames` over the shards).
     pub fn metrics(&self) -> MetricsFrame {
         merge_frames(self.shards.iter().map(ServeEngine::metrics), &self.globals)
     }
@@ -319,7 +319,7 @@ impl ShardedEngine {
 
     /// Export per-tenant telemetry as `<dir>/t<global>.jsonl`, rendered
     /// through one reused buffer (no rendered text is kept).
-    pub fn export_telemetry(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    pub(crate) fn export_telemetry(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         std::fs::create_dir_all(dir)?;
         let mut out = Vec::new();
         let mut jsonl = String::new();

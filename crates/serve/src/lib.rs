@@ -38,6 +38,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod client;
 pub mod engine;
@@ -51,14 +52,10 @@ pub mod tenant;
 mod transport;
 
 pub use client::ServeClient;
-pub use engine::{
-    check_request, effective_cfg, replay, EngineConfig, EngineStats, ServeEngine, LANES_PER_GROUP,
-};
-pub use fleet::{
-    merge_frames, merge_snapshots, merge_stats, shard_of, PanicFlightGuard, ShardedEngine,
-};
+pub use engine::{replay, EngineConfig, EngineStats, ServeEngine, LANES_PER_GROUP};
+pub use fleet::{shard_of, PanicFlightGuard, ShardedEngine};
 pub use protocol::{RefusedFrames, Request, Response, MAX_FRAME};
 pub use scheduler::{LoadSnapshot, ShedReason, SpecNote, WatermarkScheduler, SPEC_NOTE_CAP};
 pub use server::{Server, ServerConfig};
 pub use slo::{MetricsFrame, SloRegistry, TenantMetrics, SLO_HISTO_NAMES};
-pub use tenant::{tenant_key, TenantPhase, TenantRequest, TenantStatus};
+pub use tenant::{TenantPhase, TenantRequest, TenantStatus, MAX_TELEMETRY_CAPACITY};

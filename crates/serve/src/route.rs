@@ -23,8 +23,6 @@ use rsp_obs::Stamped;
 use rsp_sim::lanes::LaneBatch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// One lane tenant's transition on one cycle: a selection change or a
@@ -187,27 +185,6 @@ impl TenantRouter {
             .map(|log| log.write_jsonl(out))
             .is_some()
     }
-
-    /// Write one `<tenant>.jsonl` per tenant into `dir` (created if
-    /// missing), rendering each through one reused buffer; returns the
-    /// written paths in tenant order.
-    ///
-    /// Tenant ids are used as file names, so callers must only route
-    /// ids they generated themselves (the serve engine assigns
-    /// `t<number>`), never client-supplied strings.
-    pub(crate) fn export_dir(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut out = Vec::with_capacity(self.logs.len());
-        let mut buf = String::new();
-        for (tenant, log) in &self.logs {
-            buf.clear();
-            log.write_jsonl(&mut buf);
-            let path = dir.join(format!("{tenant}.jsonl"));
-            std::fs::File::create(&path)?.write_all(buf.as_bytes())?;
-            out.push(path);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -312,18 +289,16 @@ mod tests {
     }
 
     #[test]
-    fn export_writes_one_file_per_tenant() {
+    fn lane_logs_render_one_line_per_record() {
         let mut router = TenantRouter::default();
         router.keep("t0", TenantLog::lanes(vec![lane(1, Some(0))]));
         router.keep("t1", TenantLog::lanes(vec![lane(2, Some(1))]));
-        let dir = std::env::temp_dir().join(format!("rsp_route_test_{}", std::process::id()));
-        let paths = router.export_dir(&dir).unwrap();
-        assert_eq!(paths.len(), 2);
-        let body = std::fs::read_to_string(&paths[0]).unwrap();
+        let mut body = String::new();
+        assert!(router.write_jsonl("t0", &mut body));
         assert_eq!(
             body,
             "{\"cycle\":1,\"choice\":0,\"changed\":true,\"started\":false}\n"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(!router.write_jsonl("t2", &mut body));
     }
 }

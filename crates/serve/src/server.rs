@@ -37,8 +37,6 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-pub use crate::transport::is_unix_addr;
-
 /// Server construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {

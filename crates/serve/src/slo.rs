@@ -28,7 +28,7 @@ use rsp_obs::{
 use serde::{Deserialize, Serialize};
 
 /// SLO histograms kept per tenant, in slab order.
-pub const SLO_HISTOS: usize = 4;
+pub(crate) const SLO_HISTOS: usize = 4;
 
 const H_ADMIT_TO_FIRST_STEP: usize = 0;
 const H_QUEUE_RESIDENCY: usize = 1;
@@ -47,7 +47,7 @@ pub const SLO_HISTO_NAMES: [&str; SLO_HISTOS] = [
 ];
 
 /// Name of the aggregate-only quanta-per-tick histogram.
-pub const QUANTA_PER_TICK: &str = "quanta_per_tick";
+pub(crate) const QUANTA_PER_TICK: &str = "quanta_per_tick";
 
 /// One tenant's SLO slab: fixed arrays only, `Copy`, allocation-free
 /// to update.
@@ -211,7 +211,7 @@ impl SloRegistry {
     /// Snapshot the aggregate slab: the four SLO histograms (sums of
     /// the per-tenant slabs), the quanta-per-tick histogram, quanta and
     /// cycles totals, and shed counts by reason.
-    pub fn aggregate_snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn aggregate_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.aggregate.snapshot();
         for (kind, &count) in ShedKind::ALL.iter().zip(self.sheds.iter()) {
             snap.counters.push(CounterValue {
@@ -249,7 +249,7 @@ pub struct MetricsFrame {
     pub tick: u64,
     /// Aggregate engine counters (live queue/active/pool included).
     pub stats: EngineStats,
-    /// Aggregate SLO snapshot ([`SloRegistry::aggregate_snapshot`]).
+    /// Aggregate SLO snapshot (`SloRegistry::aggregate_snapshot`).
     pub aggregate: MetricsSnapshot,
     /// Per-tenant SLO snapshots, in id order.
     pub tenants: Vec<TenantMetrics>,

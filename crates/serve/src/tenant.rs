@@ -3,7 +3,7 @@
 //! A tenant is one admitted workload stream: a [`StreamSpec`] plus the
 //! per-tenant knobs the server honours (policy override, telemetry
 //! ring capacity). Tenants are identified by a server-assigned numeric
-//! id; the id's string form ([`tenant_key`]) keys the per-tenant
+//! id; the id's string form (`tenant_key`) keys the per-tenant
 //! telemetry log the engine keeps for it.
 
 use rsp_sim::PolicyKind;
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// The string key a tenant's telemetry is routed under (`t<id>`).
 /// Server-generated — never a client-supplied string — so it is safe
 /// as a file name in telemetry exports.
-pub fn tenant_key(id: u64) -> String {
+pub(crate) fn tenant_key(id: u64) -> String {
     format!("t{id}")
 }
 
@@ -27,11 +27,17 @@ pub struct TenantRequest {
     #[serde(default)]
     pub policy: Option<PolicyKind>,
     /// Telemetry ring capacity for scalar tenants (0 = metrics only,
-    /// no event log). Ignored by lane tenants, whose telemetry is the
-    /// sparse transition stream.
+    /// no event log), at most [`MAX_TELEMETRY_CAPACITY`]. Ignored by
+    /// lane tenants, whose telemetry is the sparse transition stream.
     #[serde(default)]
     pub telemetry_capacity: usize,
 }
+
+/// The largest telemetry ring a tenant may request, in events. The ring
+/// is allocated whole when the tenant activates, so admission sheds a
+/// larger request as `BadSpec` instead of letting one frame book
+/// memory without bound (about 3 MiB at this cap).
+pub const MAX_TELEMETRY_CAPACITY: usize = 1 << 16;
 
 impl TenantRequest {
     /// A request with the default knobs: base policy, 256-event ring.

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 /// True iff `addr` names a Unix-domain socket path rather than a TCP
 /// address (contains `/`, the convention the CLI documents).
-pub fn is_unix_addr(addr: &str) -> bool {
+pub(crate) fn is_unix_addr(addr: &str) -> bool {
     addr.contains('/')
 }
 

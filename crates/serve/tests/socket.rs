@@ -3,13 +3,14 @@
 //! replay bit-identity across the transport boundary, telemetry export
 //! under fleet-global ids, the SLO metrics frame and its Prometheus
 //! exposition, flight-recorder dumps on a shed storm, clients that
-//! stall inside a frame, a frame nested past the JSON reader's cap, and
-//! refused frames counted by class.
+//! stall inside a frame, a frame nested past the JSON reader's cap,
+//! refused frames counted by class, and a telemetry ring past the
+//! admission cap.
 
 use rsp_obs::{parse_fleet_jsonl, FleetEvent, PromDump, TriggerKind};
 use rsp_serve::{
-    protocol, replay, Response, ServeClient, Server, ServerConfig, TenantPhase, TenantRequest,
-    WatermarkScheduler, SLO_HISTO_NAMES,
+    protocol, replay, Response, ServeClient, Server, ServerConfig, ShedReason, TenantPhase,
+    TenantRequest, WatermarkScheduler, MAX_TELEMETRY_CAPACITY, SLO_HISTO_NAMES,
 };
 use rsp_sim::SimConfig;
 use rsp_workloads::{LaneTraceSpec, StreamSpec, SynthSpec, UnitMix};
@@ -486,4 +487,39 @@ fn refused_frames_are_counted_by_class() {
     assert_eq!((stats.submitted, stats.completed), (1, 1));
     assert_eq!(stats.refused, want);
     drop((hostile, oversized));
+}
+
+/// A `Submit` asking for a telemetry ring past the cap is shed as
+/// `BadSpec` naming the cap, and counted, instead of being admitted and
+/// making the engine thread panic when the ring is allocated; a good
+/// tenant submitted after it completes.
+#[test]
+fn oversized_telemetry_ring_is_shed_at_admission() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut client = ServeClient::connect(&addr).unwrap();
+    let mut hostile = scalar_req(0);
+    hostile.telemetry_capacity = usize::MAX / 2;
+    match client.submit(hostile).unwrap() {
+        Err(ShedReason::BadSpec(note)) => assert!(
+            note.as_str()
+                .contains(&format!("cap of {MAX_TELEMETRY_CAPACITY} events")),
+            "{note}"
+        ),
+        other => panic!("expected a BadSpec shed, got {other:?}"),
+    }
+    let id = client.submit(scalar_req(1)).unwrap().expect("admitted");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while client.status(id).unwrap().expect("known tenant").phase != TenantPhase::Done {
+        assert!(Instant::now() < deadline, "tenant {id} did not finish");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.shed_bad_spec, 1);
+    assert_eq!((stats.submitted, stats.admitted), (2, 1));
+    client.shutdown().unwrap();
+    let stats = handle.join().unwrap().unwrap();
+    assert_eq!(stats.completed, 1);
 }

@@ -3,7 +3,7 @@
 //! When the scheduler grants an entry, its operands are — by wake-up
 //! construction — available: each producer has either completed (its
 //! pending value sits in its register-update-unit entry) or retired (its
-//! value is in the committed register file). [`operand_value`] implements
+//! value is in the committed register file). `operand_value` implements
 //! that forwarding; [`execute`] computes the result using the same
 //! semantics module (`rsp_isa::semantics`) as the golden-model
 //! interpreter, so the pipeline cannot diverge from the reference on
@@ -18,7 +18,12 @@ use rsp_isa::{Instruction, Opcode};
 /// Read one operand: forwarded from an in-flight producer if the
 /// dependency-buffer snapshot names one that is still in the unit,
 /// otherwise from the committed register file.
-pub fn operand_value(rob: &Rob, regfile: &ArchState, reg: AnyReg, producer: Option<Seq>) -> Value {
+pub(crate) fn operand_value(
+    rob: &Rob,
+    regfile: &ArchState,
+    reg: AnyReg,
+    producer: Option<Seq>,
+) -> Value {
     if let Some(seq) = producer {
         if let Some(e) = rob.get(seq) {
             return e

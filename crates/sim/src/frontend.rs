@@ -13,7 +13,7 @@
 //! * `jal` redirects *at decode* — its target is static, so following it
 //!   is not a speculation that can fail;
 //! * `jalr` and `halt` stop fetch: the former until the back end resolves
-//!   the target and calls [`FetchUnit::redirect`], the latter for good
+//!   the target and calls `FetchUnit::redirect`, the latter for good
 //!   (retiring the halt ends the program).
 
 use crate::config::{BranchPrediction, SimConfig};
@@ -58,7 +58,7 @@ impl Bimodal {
 
 /// A decoded instruction annotated with its fetch context.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FetchedInstr {
+pub(crate) struct FetchedInstr {
     /// The instruction's index (PC).
     pub pc: u64,
     /// The decoded instruction.
@@ -111,7 +111,7 @@ impl TraceCache {
 
 /// The fetch unit.
 #[derive(Debug, Clone)]
-pub struct FetchUnit {
+pub(crate) struct FetchUnit {
     /// The program image, decoded once at construction — refetching a
     /// loop body costs an array read, not a re-decode.
     decoded: Vec<Instruction>,
@@ -134,7 +134,7 @@ impl FetchUnit {
     /// # Panics
     /// Panics if any word fails to decode (images come from
     /// [`rsp_isa::Program::to_words`], which only emits decodable words).
-    pub fn new(words: Vec<Word>, cfg: &SimConfig) -> FetchUnit {
+    pub(crate) fn new(words: Vec<Word>, cfg: &SimConfig) -> FetchUnit {
         FetchUnit {
             decoded: words
                 .iter()
@@ -155,26 +155,20 @@ impl FetchUnit {
         }
     }
 
-    /// The next PC the unit would fetch.
-    #[inline]
-    pub fn pc(&self) -> u64 {
-        self.pc
-    }
-
     /// True iff fetch is stopped (after `jalr`/`halt`, or PC past the
     /// program end) *and* nothing is in flight.
-    pub fn drained(&self) -> bool {
+    pub(crate) fn drained(&self) -> bool {
         self.inflight.is_empty() && (self.stopped || self.pc as usize >= self.decoded.len())
     }
 
     /// Trace-cache `(hits, misses)` so far.
-    pub fn trace_stats(&self) -> (u64, u64) {
+    pub(crate) fn trace_stats(&self) -> (u64, u64) {
         (self.trace.hits, self.trace.misses)
     }
 
     /// Fetch one group this cycle (call at most once per cycle, and only
     /// when the dispatch buffer has room).
-    pub fn cycle(&mut self, now: u64) {
+    pub(crate) fn cycle(&mut self, now: u64) {
         if self.stopped || self.pc as usize >= self.decoded.len() {
             return;
         }
@@ -231,7 +225,7 @@ impl FetchUnit {
     /// Append the decoded instructions whose front-end latency has
     /// elapsed to `out` (the simulator's dispatch buffer), recycling the
     /// group buffers — the steady-state path allocates nothing.
-    pub fn drain_into(&mut self, now: u64, out: &mut VecDeque<FetchedInstr>) {
+    pub(crate) fn drain_into(&mut self, now: u64, out: &mut VecDeque<FetchedInstr>) {
         while let Some(g) = self.inflight.front() {
             if g.ready_at > now {
                 break;
@@ -243,7 +237,8 @@ impl FetchUnit {
     }
 
     /// Pop the decoded instructions whose front-end latency has elapsed.
-    pub fn drain(&mut self, now: u64) -> Vec<FetchedInstr> {
+    #[cfg(test)]
+    pub(crate) fn drain(&mut self, now: u64) -> Vec<FetchedInstr> {
         let mut out = VecDeque::new();
         self.drain_into(now, &mut out);
         out.into()
@@ -252,7 +247,7 @@ impl FetchUnit {
     /// Redirect after a control-flow resolution: squash everything in
     /// flight and resume fetching at `target` (indices past the program
     /// end leave the unit drained — the fall-off-the-end halt).
-    pub fn redirect(&mut self, target: u64) {
+    pub(crate) fn redirect(&mut self, target: u64) {
         for mut g in self.inflight.drain(..) {
             g.instrs.clear();
             self.spare.push(g.instrs);
@@ -263,7 +258,7 @@ impl FetchUnit {
 
     /// Train the dynamic predictor with a retired conditional branch's
     /// outcome (no-op under static not-taken prediction).
-    pub fn train(&mut self, pc: u64, taken: bool) {
+    pub(crate) fn train(&mut self, pc: u64, taken: bool) {
         if let Some(b) = &mut self.predictor {
             b.train(pc, taken);
         }

@@ -357,11 +357,6 @@ impl LaneParams {
     pub fn queue_len(&self) -> usize {
         self.queue_len
     }
-
-    /// Number of predefined candidates (scored choices are `1 + this`).
-    pub fn num_candidates(&self) -> usize {
-        self.candidates.len()
-    }
 }
 
 /// Aggregate counters over all lanes (plain integers, not planes —
@@ -1154,7 +1149,7 @@ mod tests {
     #[test]
     fn paper_default_lowering() {
         let p = LaneParams::from_config(&SimConfig::default()).unwrap();
-        assert_eq!(p.num_candidates(), 3);
+        assert_eq!(p.candidates.len(), 3);
         // 5 + 4 + 4 units, but Config 1 and Config 2 share the
         // Int-ALU site at slot 0 and Config 2/3 placements overlap at
         // distinct heads — just bound it.

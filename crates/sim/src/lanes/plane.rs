@@ -15,7 +15,7 @@ pub const ALL: u64 = u64::MAX;
 /// Plane group of the constant `c`: plane `b` is all-ones iff bit `b`
 /// of `c` is set (every lane holds `c`).
 #[inline]
-pub fn splat<const N: usize>(c: u8) -> [u64; N] {
+pub(crate) fn splat<const N: usize>(c: u8) -> [u64; N] {
     let c = c as u64; // widths may exceed 8 bits (zero-filled above c)
     let mut out = [0u64; N];
     for (b, plane) in out.iter_mut().enumerate() {
@@ -36,7 +36,7 @@ pub fn eq<const N: usize>(a: &[u64; N], b: &[u64; N]) -> u64 {
 
 /// Lanes where `a == c` for a constant `c`.
 #[inline]
-pub fn eq_const<const N: usize>(a: &[u64; N], c: u8) -> u64 {
+pub(crate) fn eq_const<const N: usize>(a: &[u64; N], c: u8) -> u64 {
     let c = c as u64;
     let mut m = ALL;
     for (b, plane) in a.iter().enumerate() {
@@ -78,7 +78,7 @@ pub fn mux<const N: usize>(m: u64, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
 
 /// Per-lane select against a constant: `m ? c : b`.
 #[inline]
-pub fn mux_const<const N: usize>(m: u64, c: u8, b: &[u64; N]) -> [u64; N] {
+pub(crate) fn mux_const<const N: usize>(m: u64, c: u8, b: &[u64; N]) -> [u64; N] {
     let c = c as u64;
     let mut out = [0u64; N];
     for (i, plane) in out.iter_mut().enumerate() {
@@ -116,7 +116,7 @@ pub fn sub<const N: usize>(a: &[u64; N], b: &[u64; N]) -> ([u64; N], u64) {
 /// Increment the lanes selected by `m` in place; returns the carry-out
 /// mask (lanes that wrapped from the maximum value to zero).
 #[inline]
-pub fn inc_masked<const N: usize>(a: &mut [u64; N], m: u64) -> u64 {
+pub(crate) fn inc_masked<const N: usize>(a: &mut [u64; N], m: u64) -> u64 {
     let mut carry = m;
     for plane in a.iter_mut() {
         let s = *plane ^ carry;
@@ -129,7 +129,7 @@ pub fn inc_masked<const N: usize>(a: &mut [u64; N], m: u64) -> u64 {
 /// Decrement the lanes selected by `m` in place; returns the borrow-out
 /// mask (lanes that wrapped from zero to the maximum value).
 #[inline]
-pub fn dec_masked<const N: usize>(a: &mut [u64; N], m: u64) -> u64 {
+pub(crate) fn dec_masked<const N: usize>(a: &mut [u64; N], m: u64) -> u64 {
     let mut borrow = m;
     for plane in a.iter_mut() {
         let s = *plane ^ borrow;
@@ -141,7 +141,7 @@ pub fn dec_masked<const N: usize>(a: &mut [u64; N], m: u64) -> u64 {
 
 /// Add the constant `c` to every lane (mod `2^N`); returns carry-out.
 #[inline]
-pub fn add_const<const N: usize>(a: &mut [u64; N], c: u8) -> u64 {
+pub(crate) fn add_const<const N: usize>(a: &mut [u64; N], c: u8) -> u64 {
     let (out, carry) = add(a, &splat::<N>(c));
     *a = out;
     carry
@@ -149,7 +149,7 @@ pub fn add_const<const N: usize>(a: &mut [u64; N], c: u8) -> u64 {
 
 /// Zero-extend an `A`-bit group into a `B`-bit group (`B >= A`).
 #[inline]
-pub fn widen<const A: usize, const B: usize>(a: &[u64; A]) -> [u64; B] {
+pub(crate) fn widen<const A: usize, const B: usize>(a: &[u64; A]) -> [u64; B] {
     debug_assert!(B >= A);
     let mut out = [0u64; B];
     out[..A].copy_from_slice(a);

@@ -507,53 +507,6 @@ impl Machine {
         }
     }
 
-    /// Render a one-glance snapshot of the whole pipeline: front end,
-    /// queue/ROB occupancy, per-entry states, and the fabric slot map —
-    /// the debugging view behind the Fig. 6 trace. Marked cold: this is
-    /// diagnostic output, never part of the hot loop.
-    #[cold]
-    #[inline(never)]
-    pub fn render_pipeline(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "cycle {:<8} fetch pc {}  buffered {}  retired {}",
-            self.cycle,
-            self.fetch.pc(),
-            self.dispatch_buf.len(),
-            self.retired
-        );
-        let _ = writeln!(
-            s,
-            "queue {}/{}  in-flight {}/{}",
-            self.wakeup.len(),
-            self.wakeup.capacity(),
-            self.rob.len(),
-            self.cfg.rob_size
-        );
-        for e in self.rob.iter() {
-            let stage = match e.stage {
-                Stage::Dispatched => "waiting".to_string(),
-                Stage::Executing { unit, done_at } => {
-                    format!("executing on {unit:?}, done@{done_at}")
-                }
-                Stage::Completed => "completed".to_string(),
-            };
-            let _ = writeln!(
-                s,
-                "  #{:<4} pc={:<5} slot={} {:<24} {}",
-                e.seq,
-                e.pc,
-                e.wakeup_slot,
-                e.instr.to_string(),
-                stage
-            );
-        }
-        let _ = writeln!(s, "fabric {}", self.fabric.slot_map());
-        s
-    }
-
     /// Check cross-structure invariants (used by stress tests; cheap
     /// enough to call every cycle in debug runs). Panics on violation.
     ///
@@ -1371,23 +1324,6 @@ mod tests {
             bimodal.ipc(),
             not_taken.ipc()
         );
-    }
-
-    #[test]
-    fn pipeline_renderer_shows_live_state() {
-        let p = assemble("t", "addi r1, r0, 3\ndiv r2, r1, r1\nmul r3, r2, r2\nhalt").unwrap();
-        let proc = Processor::new(SimConfig::default());
-        let mut m = proc.start(&p).unwrap();
-        let mut saw_executing = false;
-        while m.cycle() < 200 && m.step() {
-            let snap = m.render_pipeline();
-            assert!(snap.contains("queue"), "{snap}");
-            if snap.contains("executing on") {
-                saw_executing = true;
-                assert!(snap.contains("done@"), "{snap}");
-            }
-        }
-        assert!(saw_executing, "renderer never showed an executing entry");
     }
 
     #[test]

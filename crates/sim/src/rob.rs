@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 /// Monotone per-dispatch sequence number (also the age tag in the
 /// wake-up array).
-pub type Seq = u64;
+pub(crate) type Seq = u64;
 
 /// Where an entry is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub enum Stage {
 
 /// One register-update-unit entry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RobEntry {
+pub(crate) struct RobEntry {
     /// Age / identity.
     pub seq: Seq,
     /// The instruction's PC.
@@ -87,7 +87,7 @@ const EMPTY_RENAME: RenameMap = [None; 2 * NUM_REGS];
 
 /// The register update unit.
 #[derive(Debug, Clone)]
-pub struct Rob {
+pub(crate) struct Rob {
     entries: VecDeque<RobEntry>,
     capacity: usize,
     next_seq: Seq,
@@ -111,7 +111,7 @@ impl Default for Rob {
 
 impl Rob {
     /// An empty unit with room for `capacity` in-flight instructions.
-    pub fn new(capacity: usize) -> Rob {
+    pub(crate) fn new(capacity: usize) -> Rob {
         Rob {
             capacity,
             ..Rob::default()
@@ -120,7 +120,7 @@ impl Rob {
 
     /// Empty the unit for a fresh run, keeping the entry and rename-map
     /// allocations (used by the batched driver's machine reuse).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.entries.clear();
         self.rename = EMPTY_RENAME;
         self.next_seq = 0;
@@ -130,32 +130,32 @@ impl Rob {
 
     /// In-flight instruction count.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True iff nothing is in flight.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// True iff dispatch must stall.
     #[inline]
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
 
     /// The oldest entry.
     #[inline]
-    pub fn head(&self) -> Option<&RobEntry> {
+    pub(crate) fn head(&self) -> Option<&RobEntry> {
         self.entries.front()
     }
 
     /// The sequence number the next dispatch will receive (needed by the
     /// caller to tag the wake-up entry before dispatching).
     #[inline]
-    pub fn next_seq(&self) -> Seq {
+    pub(crate) fn next_seq(&self) -> Seq {
         self.next_seq
     }
 
@@ -167,7 +167,7 @@ impl Rob {
     /// `seq - front.seq` or below. Starting there and walking down makes
     /// the gap-free common case a single probe. [`Rob::at`] and
     /// [`Rob::at_mut`] read the index; it shifts when the head retires.
-    pub fn index_of(&self, seq: Seq) -> Option<usize> {
+    pub(crate) fn index_of(&self, seq: Seq) -> Option<usize> {
         let front = self.entries.front()?.seq;
         if seq < front {
             return None;
@@ -186,56 +186,51 @@ impl Rob {
     }
 
     /// Entry by sequence number.
-    pub fn get(&self, seq: Seq) -> Option<&RobEntry> {
+    pub(crate) fn get(&self, seq: Seq) -> Option<&RobEntry> {
         let i = self.index_of(seq)?;
         Some(&self.entries[i])
     }
 
     /// Mutable entry by sequence number.
-    pub fn get_mut(&mut self, seq: Seq) -> Option<&mut RobEntry> {
+    pub(crate) fn get_mut(&mut self, seq: Seq) -> Option<&mut RobEntry> {
         let i = self.index_of(seq)?;
         Some(&mut self.entries[i])
     }
 
     /// Entry by position, oldest first (index 0 is the head).
     #[inline]
-    pub fn at(&self, index: usize) -> Option<&RobEntry> {
+    pub(crate) fn at(&self, index: usize) -> Option<&RobEntry> {
         self.entries.get(index)
     }
 
     /// Mutable entry by position, oldest first (index 0 is the head).
     #[inline]
-    pub fn at_mut(&mut self, index: usize) -> Option<&mut RobEntry> {
+    pub(crate) fn at_mut(&mut self, index: usize) -> Option<&mut RobEntry> {
         self.entries.get_mut(index)
     }
 
     /// Iterate entries oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &RobEntry> {
         self.entries.iter()
-    }
-
-    /// Mutable iteration oldest-first.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
-        self.entries.iter_mut()
     }
 
     /// The seq of the latest in-flight writer of `reg`, if any — the
     /// dependency-buffer lookup.
-    pub fn producer_of(&self, reg: AnyReg) -> Option<Seq> {
+    pub(crate) fn producer_of(&self, reg: AnyReg) -> Option<Seq> {
         self.rename[reg.dense_index()]
     }
 
     /// The latest in-flight memory operation (for the in-order memory
     /// chain).
     #[inline]
-    pub fn last_mem(&self) -> Option<Seq> {
+    pub(crate) fn last_mem(&self) -> Option<Seq> {
         self.last_mem
     }
 
     /// The latest in-flight control-flow instruction (the speculation
     /// guard for memory operations).
     #[inline]
-    pub fn last_branch(&self) -> Option<Seq> {
+    pub(crate) fn last_branch(&self) -> Option<Seq> {
         self.last_branch
     }
 
@@ -244,7 +239,7 @@ impl Rob {
     ///
     /// # Panics
     /// Panics if the unit is full.
-    pub fn dispatch(&mut self, f: &FetchedInstr, wakeup_slot: SlotIdx) -> Seq {
+    pub(crate) fn dispatch(&mut self, f: &FetchedInstr, wakeup_slot: SlotIdx) -> Seq {
         assert!(!self.is_full(), "dispatch into a full register update unit");
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -285,7 +280,7 @@ impl Rob {
     ///
     /// # Panics
     /// Panics if the unit is empty or the head is not completed.
-    pub fn retire_head(&mut self) -> RobEntry {
+    pub(crate) fn retire_head(&mut self) -> RobEntry {
         let e = self.entries.pop_front().expect("retire on empty unit");
         assert_eq!(e.stage, Stage::Completed, "in-order completion violated");
         self.forget(&e);
@@ -298,7 +293,7 @@ impl Rob {
     /// survivors, reusing the rename map's allocation — the hot loop
     /// passes a scratch buffer so a flush allocates nothing in steady
     /// state.
-    pub fn flush_after_into(&mut self, seq: Seq, out: &mut Vec<RobEntry>) {
+    pub(crate) fn flush_after_into(&mut self, seq: Seq, out: &mut Vec<RobEntry>) {
         out.clear();
         let split = self.entries.iter().position(|e| e.seq > seq);
         let Some(split) = split else {
@@ -322,13 +317,6 @@ impl Rob {
         }
     }
 
-    /// [`Rob::flush_after_into`] with a freshly allocated buffer.
-    pub fn flush_after(&mut self, seq: Seq) -> Vec<RobEntry> {
-        let mut squashed = Vec::new();
-        self.flush_after_into(seq, &mut squashed);
-        squashed
-    }
-
     /// Remove a retired entry's traces from the dependency buffer (its
     /// consumers now read the committed register file).
     fn forget(&mut self, e: &RobEntry) {
@@ -348,7 +336,8 @@ impl Rob {
 }
 
 /// Convenience for tests: a fetched wrapper around a bare instruction.
-pub fn fetched(pc: u64, instr: Instruction) -> FetchedInstr {
+#[cfg(test)]
+pub(crate) fn fetched(pc: u64, instr: Instruction) -> FetchedInstr {
     FetchedInstr {
         pc,
         instr,
@@ -452,7 +441,8 @@ mod tests {
         );
         let _d = rob.dispatch(&fetched(3, Instruction::lw(r(2), r(1), 0)), 3);
         assert_eq!(rob.producer_of(AnyReg::Int(r(1))), Some(c));
-        let squashed = rob.flush_after(br);
+        let mut squashed = Vec::new();
+        rob.flush_after_into(br, &mut squashed);
         assert_eq!(squashed.len(), 2);
         assert_eq!(rob.len(), 2);
         // r1's writer reverts to a; the squashed load leaves no chain.
@@ -465,7 +455,9 @@ mod tests {
     fn flush_after_youngest_is_noop() {
         let mut rob = Rob::new(8);
         let a = rob.dispatch(&fetched(0, Instruction::NOP), 0);
-        assert!(rob.flush_after(a).is_empty());
+        let mut squashed = vec![rob.iter().next().unwrap().clone()];
+        rob.flush_after_into(a, &mut squashed);
+        assert!(squashed.is_empty());
         assert_eq!(rob.len(), 1);
     }
 

@@ -314,7 +314,7 @@ pub fn bubble_sort(n: usize) -> Program {
 /// Binary search over a sorted array (`mem[i] = 2i`), `rounds` probes
 /// with targets `7t mod 2n`; the number of hits (targets that are even)
 /// is stored at word 1000 and left in `r10`.
-pub fn binary_search(n: usize, rounds: usize) -> Program {
+pub(crate) fn binary_search(n: usize, rounds: usize) -> Program {
     assert!((2..=400).contains(&n), "n must be 2..=400");
     assert!((1..=500).contains(&rounds), "rounds must be 1..=500");
     asm(

@@ -18,11 +18,10 @@
 use crate::synth::UnitMix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rsp_isa::units::UnitType;
 use serde::{Deserialize, Serialize};
 
 /// One per-cycle queue snapshot: up to seven occupied entries, each
-/// carrying the [`UnitType::index`] of the unit its instruction needs.
+/// carrying the [`rsp_isa::units::UnitType::index`] of the unit its instruction needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueRow {
     /// Occupied entries (the first `len` of `types` are meaningful).
@@ -124,27 +123,6 @@ impl LaneTraceSpec {
     }
 }
 
-/// Expand a per-type demand signature into a canonical [`QueueRow`]
-/// (entries in [`UnitType::ALL`] order). The row round-trips through the
-/// stage-1/2 kernels back to the same counts, so recorded scalar-machine
-/// demand can stimulate the full four-stage lane pipeline.
-///
-/// # Panics
-/// Panics if the counts total more than 7 — a 7-entry queue cannot
-/// exhibit such a signature.
-pub fn row_from_counts(counts: [u8; 5]) -> QueueRow {
-    let total: u8 = counts.iter().sum();
-    assert!(total <= 7, "demand total {total} exceeds the 7-entry queue");
-    let mut row = QueueRow::EMPTY;
-    for &t in &UnitType::ALL {
-        for _ in 0..counts[t.index()] {
-            row.types[row.len as usize] = t.index() as u8;
-            row.len += 1;
-        }
-    }
-    row
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,21 +164,5 @@ mod tests {
         // (indexes 3/4).
         assert!(rows[0].types[..7].iter().all(|&t| t <= 1));
         assert!(rows[4].types[..7].iter().all(|&t| t >= 3));
-    }
-
-    #[test]
-    fn counts_round_trip_through_canonical_rows() {
-        let counts = [2, 0, 3, 1, 1];
-        let row = row_from_counts(counts);
-        assert_eq!(row.counts(), counts);
-        assert_eq!(row.len, 7);
-        let empty = row_from_counts([0; 5]);
-        assert_eq!(empty.len, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the 7-entry queue")]
-    fn overfull_counts_are_rejected() {
-        row_from_counts([7, 7, 0, 0, 0]);
     }
 }

@@ -11,22 +11,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsp_isa::units::TypeCounts;
 
-/// Draw `count` demand signatures of `queue_len` instructions each from
-/// `mix` (deterministic in `seed`).
-pub fn sample_demands(mix: &UnitMix, queue_len: usize, count: usize, seed: u64) -> Vec<TypeCounts> {
-    assert!(queue_len <= 7, "paper queue holds at most 7");
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            let mut c = TypeCounts::ZERO;
-            for _ in 0..queue_len {
-                c.add(mix.sample(&mut rng), 1);
-            }
-            c
-        })
-        .collect()
-}
-
 /// A workload population: named mixes with weights, sampled jointly —
 /// the demand distribution a steering basis should serve (E6).
 pub fn mixed_population(count: usize, seed: u64) -> Vec<TypeCounts> {
@@ -71,21 +55,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn samples_respect_queue_bound() {
-        for s in sample_demands(&UnitMix::BALANCED, 7, 100, 1) {
-            assert_eq!(s.total(), 7);
-        }
-        for s in sample_demands(&UnitMix::FP_HEAVY, 3, 50, 2) {
-            assert_eq!(s.total(), 3);
-        }
-    }
-
-    #[test]
     fn sampling_is_deterministic() {
-        assert_eq!(
-            sample_demands(&UnitMix::INT_HEAVY, 7, 20, 9),
-            sample_demands(&UnitMix::INT_HEAVY, 7, 20, 9)
-        );
         assert_eq!(mixed_population(30, 4), mixed_population(30, 4));
     }
 
