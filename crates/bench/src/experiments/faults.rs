@@ -161,7 +161,7 @@ pub struct FaultSweep {
 
 impl FaultSweep {
     /// The full CI grid (DESIGN.md §9/§11 assertions enforced).
-    pub fn full() -> FaultSweep {
+    pub(crate) fn full() -> FaultSweep {
         FaultSweep {
             name: "fault_sweep",
             programs: sweep_workloads(),

@@ -92,7 +92,7 @@ impl Row {
     /// Build from a report under an explicit policy label (comparison
     /// tables key columns by [`PolicySpec::label`], not by the
     /// simulator's own policy name).
-    pub fn labelled(workload: &str, policy: &str, r: &SimReport) -> Row {
+    pub(crate) fn labelled(workload: &str, policy: &str, r: &SimReport) -> Row {
         Row {
             workload: workload.into(),
             policy: policy.into(),

@@ -101,11 +101,6 @@ impl CacheSnapshot {
         self.hits + self.misses + self.claim_waits
     }
 
-    /// `hits + claim_waits` — lookups that did not compute.
-    pub fn served(&self) -> u64 {
-        self.hits + self.claim_waits
-    }
-
     /// The one-line summary the experiments bin prints.
     pub fn summary_line(&self) -> String {
         let mut line = format!(
@@ -217,12 +212,12 @@ impl CasStore {
     }
 
     /// The store root.
-    pub fn root(&self) -> &Path {
+    pub(crate) fn root(&self) -> &Path {
         &self.root
     }
 
     /// Counters so far.
-    pub fn stats(&self) -> CacheSnapshot {
+    pub(crate) fn stats(&self) -> CacheSnapshot {
         self.stats.snapshot()
     }
 
@@ -239,7 +234,8 @@ impl CasStore {
     }
 
     /// Is an object with this hash present (without loading it)?
-    pub fn contains(&self, hash: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, hash: &str) -> bool {
         self.object_path(hash).exists()
     }
 
@@ -266,7 +262,7 @@ impl CasStore {
     /// recorded key that disagrees with `expected_key` — is moved to
     /// quarantine and also reported `Ok(None)`: the caller recomputes
     /// and republishes over it.
-    pub fn load(
+    pub(crate) fn load(
         &self,
         hash: &str,
         expected_key: Option<&str>,
@@ -297,7 +293,7 @@ impl CasStore {
     /// Publish an object: tmp write + atomic rename. Last writer wins;
     /// since objects are input-addressed and computations are pure,
     /// concurrent publishers wrote equivalent contents.
-    pub fn store(&self, meta: &ObjectMeta, row: &Value) -> Result<(), SweepError> {
+    pub(crate) fn store(&self, meta: &ObjectMeta, row: &Value) -> Result<(), SweepError> {
         let obj = CasObject {
             schema: Self::SCHEMA.to_string(),
             name: meta.name.clone(),
@@ -447,7 +443,7 @@ impl CasStore {
     /// Every object whose hash starts with `prefix`, as `(hash, object
     /// or why it cannot be served)` (the `experiments explain <key>`
     /// lookup; pass a full hash for an exact hit). Read-only: unlike
-    /// [`CasStore::load`] it quarantines nothing.
+    /// `CasStore::load` it quarantines nothing.
     pub fn find(&self, prefix: &str) -> Result<Vec<(String, Stored)>, SweepError> {
         let mut found = Vec::new();
         for hash in self.list()? {

@@ -48,7 +48,7 @@ impl Shard {
     }
 
     /// True iff this shard owns `key`.
-    pub fn owns(&self, key: &str) -> bool {
+    pub(crate) fn owns(&self, key: &str) -> bool {
         stable_key_hash(key) % self.count as u64 == self.index as u64
     }
 }

@@ -25,18 +25,20 @@ impl OneHot {
 
     /// Raw 5-bit pattern (bit 0 = Int-ALU … bit 4 = FP-MDU).
     #[inline]
-    pub fn bits(self) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn bits(self) -> u8 {
         self.0
     }
 
     /// True iff bit `t` is set.
     #[inline]
-    pub fn is(self, t: UnitType) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is(self, t: UnitType) -> bool {
         self.0 & (1 << t.index()) != 0
     }
 
     /// The unit type encoded, recovering it from the single set bit.
-    pub fn unit_type(self) -> UnitType {
+    pub(crate) fn unit_type(self) -> UnitType {
         debug_assert_eq!(self.0.count_ones(), 1, "one-hot must have exactly one bit");
         UnitType::from_index(self.0.trailing_zeros() as usize).expect("valid one-hot")
     }

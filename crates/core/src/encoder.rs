@@ -106,7 +106,6 @@ pub(crate) fn requirement_counts_spec_types(entries: &[UnitType]) -> TypeCounts 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rsp_isa::regs::IReg;
     use rsp_isa::Opcode;
 
@@ -157,44 +156,5 @@ mod tests {
             RequirementEncoder::PAPER.encode(&hots),
             RequirementEncoder::PAPER.encode_instructions(&q)
         );
-    }
-
-    proptest! {
-        /// With ≤ 7 queue entries (the paper's queue size), saturation
-        /// never engages and total demand equals queue length.
-        #[test]
-        fn prop_no_saturation_within_paper_queue(types in proptest::collection::vec(0usize..5, 0..=7)) {
-            let hots: Vec<OneHot> = types
-                .iter()
-                .map(|&i| OneHot::of(UnitType::from_index(i).unwrap()))
-                .collect();
-            let c = RequirementEncoder::PAPER.encode(&hots);
-            prop_assert_eq!(c.total() as usize, hots.len());
-            let ideal = RequirementEncoder { saturate_at: None }.encode(&hots);
-            prop_assert_eq!(c, ideal);
-        }
-
-        /// The pure specification matches the encoder bank on arbitrary
-        /// queue snapshots, clamped and unclamped.
-        #[test]
-        fn prop_spec_matches_encoder(types in proptest::collection::vec(0usize..5, 0..=12)) {
-            let units: Vec<UnitType> =
-                types.iter().map(|&i| UnitType::from_index(i).unwrap()).collect();
-            let hots: Vec<OneHot> = units.iter().map(|&t| OneHot::of(t)).collect();
-            let mut raw = TypeCounts::ZERO;
-            for &t in &units {
-                raw.add(t, 1);
-            }
-            prop_assert_eq!(
-                RequirementEncoder::PAPER.encode(&hots),
-                requirement_counts_spec(raw, Some(7))
-            );
-            if units.len() <= 7 {
-                prop_assert_eq!(
-                    RequirementEncoder::PAPER.encode(&hots),
-                    requirement_counts_spec_types(&units)
-                );
-            }
-        }
     }
 }

@@ -41,6 +41,8 @@ pub mod basis;
 pub mod cem;
 pub mod decode;
 pub mod encoder;
+#[cfg(test)]
+mod exhaustive;
 pub mod hwcost;
 pub mod loader;
 pub mod policy;

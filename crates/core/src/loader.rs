@@ -297,7 +297,7 @@ impl ConfigurationLoader {
 
     /// The selection applied on the previous cycle.
     #[inline]
-    pub fn last_choice(&self) -> Option<ConfigChoice> {
+    pub(crate) fn last_choice(&self) -> Option<ConfigChoice> {
         self.last_choice
     }
 

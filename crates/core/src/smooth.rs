@@ -41,7 +41,7 @@ impl DemandFilter {
     }
 
     /// Feed one demand sample; returns the rounded filtered demand.
-    pub fn update(&mut self, sample: &TypeCounts) -> TypeCounts {
+    pub(crate) fn update(&mut self, sample: &TypeCounts) -> TypeCounts {
         if self.shift == 0 {
             return *sample;
         }
@@ -62,7 +62,8 @@ impl DemandFilter {
     }
 
     /// Current filtered demand without feeding a sample.
-    pub fn current(&self) -> TypeCounts {
+    #[cfg(test)]
+    pub(crate) fn current(&self) -> TypeCounts {
         let mut out = TypeCounts::ZERO;
         for &t in &UnitType::ALL {
             out.set(
@@ -71,11 +72,6 @@ impl DemandFilter {
             );
         }
         out
-    }
-
-    /// Reset the accumulators.
-    pub fn reset(&mut self) {
-        self.acc = [0; 5];
     }
 }
 
@@ -133,14 +129,6 @@ mod tests {
         let last = *outputs.last().unwrap();
         assert!(last.get(UnitType::IntAlu) >= 2 && last.get(UnitType::IntAlu) <= 4);
         assert!(last.get(UnitType::FpAlu) >= 2 && last.get(UnitType::FpAlu) <= 4);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut f = DemandFilter::new(2);
-        f.update(&TypeCounts::new([7, 7, 7, 7, 7]));
-        f.reset();
-        assert_eq!(f.current(), TypeCounts::ZERO);
     }
 
     #[test]

@@ -95,7 +95,9 @@ impl AllocationVector {
         self.slots.len()
     }
 
-    /// True iff the vector has zero slots.
+    /// True iff the vector has zero slots. Nothing calls it; it stays
+    /// beside the public [`AllocationVector::len`], as
+    /// `clippy::len_without_is_empty` asks.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()

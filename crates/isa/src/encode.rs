@@ -68,7 +68,7 @@ fn sign_extend(v: u32, bits: u32) -> i32 {
 
 /// Encode an instruction into its 32-bit word.
 ///
-/// The instruction must be [valid](Instruction::validate); encoding an
+/// The instruction must be valid (`Instruction::validate`); encoding an
 /// invalid instruction silently truncates out-of-spec fields.
 pub fn encode(instr: &Instruction) -> Word {
     let op = instr.opcode.encoding() as u32;

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// A decoded instruction.
 ///
 /// Operand fields are populated according to `Opcode::operand_spec`;
-/// [`Instruction::validate`] checks conformance. Immediates are also used
+/// `Instruction::validate` checks conformance. Immediates are also used
 /// as branch displacements, measured in instructions relative to the
 /// branch itself.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -32,7 +32,7 @@ pub struct Instruction {
     pub imm: i32,
 }
 
-/// Errors found by [`Instruction::validate`].
+/// Errors found by `Instruction::validate`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InstrError {
     /// An operand position that must be empty holds a register (or vice versa).
@@ -282,7 +282,7 @@ impl Instruction {
 
     /// Check that operand fields conform to the opcode's
     /// `Opcode::operand_spec` and that the immediate is encodable.
-    pub fn validate(&self) -> Result<(), InstrError> {
+    pub(crate) fn validate(&self) -> Result<(), InstrError> {
         let s = self.opcode.operand_spec();
         check_operand("dest", self.dest, s.dest)?;
         check_operand("src1", self.src1, s.src1)?;

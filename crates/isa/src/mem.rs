@@ -33,31 +33,26 @@ impl DataMemory {
 
     /// Number of 64-bit cells.
     #[inline]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.cells.len()
-    }
-
-    /// True iff the memory has zero cells (never; kept for API symmetry).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// Effective cell index for a (possibly negative / huge) address.
     #[inline]
-    pub fn wrap(&self, addr: i64) -> usize {
+    pub(crate) fn wrap(&self, addr: i64) -> usize {
         (addr.rem_euclid(self.cells.len() as i64)) as usize
     }
 
     /// Load the raw 64-bit cell at `addr` (word address, wrapped).
     #[inline]
-    pub fn load(&self, addr: i64) -> u64 {
+    pub(crate) fn load(&self, addr: i64) -> u64 {
         self.cells[self.wrap(addr)]
     }
 
     /// Store a raw 64-bit value at `addr` (word address, wrapped).
     #[inline]
-    pub fn store(&mut self, addr: i64, value: u64) {
+    pub(crate) fn store(&mut self, addr: i64, value: u64) {
         let i = self.wrap(addr);
         self.cells[i] = value;
     }

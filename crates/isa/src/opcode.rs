@@ -276,13 +276,13 @@ impl Opcode {
     /// The 6-bit binary encoding of this opcode (its position in
     /// [`Opcode::ALL`]).
     #[inline]
-    pub fn encoding(self) -> u8 {
+    pub(crate) fn encoding(self) -> u8 {
         Opcode::ALL.iter().position(|&o| o == self).unwrap() as u8
     }
 
     /// Decode a 6-bit opcode field.
     #[inline]
-    pub fn from_encoding(bits: u8) -> Option<Opcode> {
+    pub(crate) fn from_encoding(bits: u8) -> Option<Opcode> {
         Opcode::ALL.get(bits as usize).copied()
     }
 

@@ -63,7 +63,9 @@ impl Program {
         self.instrs.len()
     }
 
-    /// True iff the program has no instructions.
+    /// True iff the program has no instructions. Nothing calls it; it
+    /// stays beside the public [`Program::len`], as
+    /// `clippy::len_without_is_empty` asks.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()

@@ -32,7 +32,7 @@ impl IReg {
 
     /// Checked constructor.
     #[inline]
-    pub const fn try_new(n: u8) -> Option<IReg> {
+    pub(crate) const fn try_new(n: u8) -> Option<IReg> {
         if n < NUM_REGS as u8 {
             Some(IReg(n))
         } else {
@@ -42,13 +42,13 @@ impl IReg {
 
     /// Register number 0..31.
     #[inline]
-    pub const fn num(self) -> u8 {
+    pub(crate) const fn num(self) -> u8 {
         self.0
     }
 
     /// True iff this is the hard-wired zero register.
     #[inline]
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 }
@@ -63,7 +63,7 @@ impl FReg {
 
     /// Checked constructor.
     #[inline]
-    pub const fn try_new(n: u8) -> Option<FReg> {
+    pub(crate) const fn try_new(n: u8) -> Option<FReg> {
         if n < NUM_REGS as u8 {
             Some(FReg(n))
         } else {
@@ -73,7 +73,7 @@ impl FReg {
 
     /// Register number 0..31.
     #[inline]
-    pub const fn num(self) -> u8 {
+    pub(crate) const fn num(self) -> u8 {
         self.0
     }
 }

@@ -53,15 +53,6 @@ impl Value {
             Value::Int(v) => panic!("expected fp value, got int {v}"),
         }
     }
-
-    /// Raw 64-bit representation (for memory cells and ROB storage).
-    #[inline]
-    pub fn to_bits(self) -> u64 {
-        match self {
-            Value::Int(v) => v as u64,
-            Value::Fp(v) => v.to_bits(),
-        }
-    }
 }
 
 /// Resolution of a control-flow instruction.
@@ -284,7 +275,7 @@ pub enum ExecOutcome {
 
 /// In-order golden-model interpreter.
 ///
-/// Executes one instruction per [`ReferenceInterpreter::step`] against an
+/// Executes one instruction per `ReferenceInterpreter::step` against an
 /// [`ArchState`] and a [`DataMemory`], recording the retired-instruction
 /// mix. The cycle simulator is differentially tested against this model.
 #[derive(Debug, Clone)]
@@ -320,7 +311,7 @@ impl ReferenceInterpreter {
     }
 
     /// Execute the instruction at the current PC out of `prog`.
-    pub fn step(&mut self, prog: &[Instruction]) -> ExecOutcome {
+    pub(crate) fn step(&mut self, prog: &[Instruction]) -> ExecOutcome {
         if self.halted {
             return ExecOutcome::Halted;
         }

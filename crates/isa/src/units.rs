@@ -107,7 +107,7 @@ impl UnitType {
     }
 
     /// Short display name matching the paper's figures.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             UnitType::IntAlu => "Int-ALU",
             UnitType::IntMdu => "Int-MDU",
@@ -203,14 +203,6 @@ impl TypeCounts {
         TypeCounts(counts)
     }
 
-    /// Counts with a single unit of type `t`.
-    #[inline]
-    pub fn one(t: UnitType) -> TypeCounts {
-        let mut c = TypeCounts::ZERO;
-        c.0[t.index()] = 1;
-        c
-    }
-
     /// The count for type `t`.
     #[inline]
     pub fn get(&self, t: UnitType) -> u8 {
@@ -252,16 +244,6 @@ impl TypeCounts {
         TypeCounts(out)
     }
 
-    /// Lane-wise saturating subtract (`self - other`, clamped at 0).
-    #[inline]
-    pub fn saturating_sub(&self, other: &TypeCounts) -> TypeCounts {
-        let mut out = [0u8; NUM_UNIT_TYPES];
-        for (o, (&a, &b)) in out.iter_mut().zip(self.0.iter().zip(other.0.iter())) {
-            *o = a.saturating_sub(b);
-        }
-        TypeCounts(out)
-    }
-
     /// Clamp every lane into the hardware's 3-bit range `0..=7`
     /// (the requirement encoders of Fig. 2 are 3 bits wide because the
     /// queue holds at most 7 instructions).
@@ -286,12 +268,6 @@ impl TypeCounts {
     /// Iterate `(type, count)` pairs in Table-1 order.
     pub fn iter(&self) -> impl Iterator<Item = (UnitType, u8)> + '_ {
         UnitType::ALL.iter().map(move |&t| (t, self.get(t)))
-    }
-
-    /// Lane-wise `self >= other`? (Does this pool cover that demand?)
-    #[inline]
-    pub fn covers(&self, demand: &TypeCounts) -> bool {
-        UnitType::ALL.iter().all(|&t| self.get(t) >= demand.get(t))
     }
 
     /// The raw lanes in [`UnitType::ALL`] order.
@@ -400,16 +376,7 @@ mod tests {
         let a = TypeCounts::new([250, 0, 0, 0, 0]);
         let b = TypeCounts::new([10, 1, 0, 0, 0]);
         assert_eq!(a.saturating_add(&b).get(UnitType::IntAlu), 255);
-        assert_eq!(b.saturating_sub(&a).get(UnitType::IntAlu), 0);
         assert_eq!(a.saturating_3bit().get(UnitType::IntAlu), 7);
-    }
-
-    #[test]
-    fn covers_is_lanewise() {
-        let pool = TypeCounts::new([2, 1, 1, 0, 0]);
-        assert!(pool.covers(&TypeCounts::new([1, 1, 0, 0, 0])));
-        assert!(!pool.covers(&TypeCounts::new([0, 0, 0, 1, 0])));
-        assert!(pool.covers(&TypeCounts::ZERO));
     }
 
     #[test]

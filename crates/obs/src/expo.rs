@@ -95,7 +95,12 @@ impl PromWriter {
     /// Render a histogram: cumulative `_bucket` samples with `le` taken
     /// from the snapshot's embedded bounds (`+Inf` for the unbounded
     /// last bucket), then `_sum`, `_count`, and a `<family>_max` gauge.
-    pub fn histogram(&mut self, family: &str, labels: &[(&str, &str)], h: &HistogramSnapshot) {
+    pub(crate) fn histogram(
+        &mut self,
+        family: &str,
+        labels: &[(&str, &str)],
+        h: &HistogramSnapshot,
+    ) {
         self.type_line(family, "histogram");
         let mut cum = 0u64;
         for (i, &b) in h.buckets.iter().enumerate() {
@@ -147,7 +152,7 @@ pub struct PromSample {
 
 impl PromSample {
     /// The `le` label, if present.
-    pub fn le(&self) -> Option<&str> {
+    pub(crate) fn le(&self) -> Option<&str> {
         self.labels
             .iter()
             .find(|(k, _)| k == "le")
@@ -208,7 +213,7 @@ impl PromDump {
     }
 
     /// Find the sample with this exact name and label set.
-    pub fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&PromSample> {
+    pub(crate) fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&PromSample> {
         self.samples
             .iter()
             .find(|s| s.name == name && s.labels_match(labels, false))

@@ -130,7 +130,8 @@ impl Telemetry {
     }
 
     /// The current cycle stamp.
-    pub fn cycle(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 
@@ -201,7 +202,7 @@ impl Telemetry {
     }
 
     /// The event log in chronological order, if this handle logs
-    /// events, handed over without a copy ([`RingSink::into_events`]).
+    /// events, handed over without a copy (`RingSink::into_events`).
     pub fn into_events(self) -> Option<Vec<Stamped>> {
         self.sink.map(RingSink::into_events)
     }

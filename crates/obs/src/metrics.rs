@@ -117,7 +117,7 @@ impl Histo {
     ];
 
     /// Stable snake_case name (JSON reports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Histo::LoadLatency => "load_latency",
             Histo::DecisionToGrant => "decision_to_grant",
@@ -156,31 +156,22 @@ impl CycleHistogram {
     }
 
     /// Samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Largest sample (0 if empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
-    /// Mean sample (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64; HIST_BUCKETS] {
+    pub(crate) fn buckets(&self) -> &[u64; HIST_BUCKETS] {
         &self.buckets
     }
 
@@ -238,7 +229,7 @@ impl MetricsRegistry {
     }
 
     /// Read a histogram.
-    pub fn histogram(&self, h: Histo) -> &CycleHistogram {
+    pub(crate) fn histogram(&self, h: Histo) -> &CycleHistogram {
         &self.histograms[h as usize]
     }
 
@@ -272,7 +263,7 @@ impl MetricsRegistry {
     }
 
     /// Zero every counter and histogram.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = MetricsRegistry::default();
     }
 
@@ -309,7 +300,7 @@ pub struct CounterValue {
 /// One named histogram in a [`MetricsSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
-    /// Histogram name ([`Histo::name`]).
+    /// Histogram name (`Histo::name`).
     pub name: String,
     /// Samples recorded.
     pub count: u64,
@@ -322,7 +313,7 @@ pub struct HistogramSnapshot {
     /// Inclusive upper bound of each bounded bucket (`bounds[i]` caps
     /// `buckets[i]`; the final bucket is unbounded and has no entry).
     /// Embedded so consumers never hard-code the bucket layout. Empty in
-    /// snapshots written before bounds existed — [`HistogramSnapshot::bound`]
+    /// snapshots written before bounds existed — `HistogramSnapshot::bound`
     /// falls back to the log2 layout for those.
     #[serde(default)]
     pub bounds: Vec<u64>,
@@ -342,7 +333,8 @@ impl HistogramSnapshot {
     }
 
     /// Mean sample (0.0 if empty).
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -354,7 +346,7 @@ impl HistogramSnapshot {
     /// last bucket). Uses the embedded bounds when present; legacy
     /// snapshots with the standard bucket count fall back to the log2
     /// layout.
-    pub fn bound(&self, i: usize) -> Option<u64> {
+    pub(crate) fn bound(&self, i: usize) -> Option<u64> {
         if i + 1 >= self.buckets.len() {
             return None; // last bucket (or out of range) is unbounded
         }

@@ -193,18 +193,14 @@ impl FlightRecorder {
     }
 
     /// Entries currently held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.ring.len()
     }
 
     /// True if no entries are held.
     pub fn is_empty(&self) -> bool {
         self.ring.len() == 0
-    }
-
-    /// Maximum entries held.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
     }
 
     /// Entries overwritten because the ring was full.
@@ -218,7 +214,8 @@ impl FlightRecorder {
     }
 
     /// The held entries in chronological order.
-    pub fn entries(&self) -> Vec<FleetEntry> {
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Vec<FleetEntry> {
         self.ring.iter().copied().collect()
     }
 
@@ -234,7 +231,8 @@ impl FlightRecorder {
 
     /// Discard all held entries and reset storm detection (capacity and
     /// policy are kept).
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.ring.clear();
         self.window_start = 0;
         self.window_sheds = 0;

@@ -29,17 +29,20 @@ impl RingSink {
     }
 
     /// Events currently held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.ring.len()
     }
 
     /// True if no events are held.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.ring.len() == 0
     }
 
     /// Maximum events held.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.ring.capacity()
     }
 
@@ -56,7 +59,7 @@ impl RingSink {
     /// The held events in chronological order, handed over without a
     /// copy: the ring's buffer is rotated in place and returned, so its
     /// allocation (`capacity` events) moves to the caller.
-    pub fn into_events(self) -> Vec<Stamped> {
+    pub(crate) fn into_events(self) -> Vec<Stamped> {
         self.ring.into_vec()
     }
 
@@ -82,7 +85,7 @@ impl RingSink {
 
     /// Discard all held events (capacity and drop count keep their
     /// meaning for the next run; the drop count is zeroed).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.ring.clear();
     }
 

@@ -42,14 +42,8 @@ impl DepGraph {
 
     /// Number of instructions.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.preds.len()
-    }
-
-    /// True iff the graph covers no instructions.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
     }
 
     /// Producers of instruction `j`.
@@ -59,7 +53,8 @@ impl DepGraph {
     }
 
     /// All edges `(producer, consumer)`.
-    pub fn edges(&self) -> Vec<(usize, usize)> {
+    #[cfg(test)]
+    pub(crate) fn edges(&self) -> Vec<(usize, usize)> {
         self.preds
             .iter()
             .enumerate()

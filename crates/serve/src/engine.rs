@@ -975,7 +975,7 @@ impl ServeEngine {
     /// to `<flight_dir>/flight-<seq>-<kind>.jsonl` when a dump
     /// directory is configured. The in-memory ring is left intact
     /// either way ([`ServeEngine::flight_jsonl`]).
-    pub fn flight_trigger(&mut self, kind: TriggerKind) {
+    pub(crate) fn flight_trigger(&mut self, kind: TriggerKind) {
         if !self.flight.enabled() {
             return;
         }

@@ -310,7 +310,7 @@ impl ShardedEngine {
 
     /// Record an anomaly trigger on every shard: each stamps it into
     /// its own flight ring and dumps that ring
-    /// ([`ServeEngine::flight_trigger`]).
+    /// (`ServeEngine::flight_trigger`).
     pub fn flight_trigger(&mut self, kind: TriggerKind) {
         for s in &mut self.shards {
             s.flight_trigger(kind);

@@ -46,7 +46,7 @@ pub struct SpecNote {
 
 impl SpecNote {
     /// Render `msg` into an inline note, truncating to fit.
-    pub fn new(msg: impl fmt::Display) -> SpecNote {
+    pub(crate) fn new(msg: impl fmt::Display) -> SpecNote {
         let mut note = SpecNote {
             len: 0,
             buf: [0; SPEC_NOTE_CAP],
@@ -144,7 +144,7 @@ pub enum ShedReason {
 impl ShedReason {
     /// The label-only classification of this reason (metric labels,
     /// flight recorder) — drops the `BadSpec` detail.
-    pub fn kind(&self) -> rsp_obs::ShedKind {
+    pub(crate) fn kind(&self) -> rsp_obs::ShedKind {
         match self {
             ShedReason::QueueFull => rsp_obs::ShedKind::QueueFull,
             ShedReason::StepLag => rsp_obs::ShedKind::StepLag,
@@ -205,7 +205,7 @@ impl Default for WatermarkScheduler {
 
 impl WatermarkScheduler {
     /// Admit a new tenant under `load`, or explain the shed.
-    pub fn admit(&self, load: &LoadSnapshot) -> Result<(), ShedReason> {
+    pub(crate) fn admit(&self, load: &LoadSnapshot) -> Result<(), ShedReason> {
         if load.queued >= self.queue_depth {
             return Err(ShedReason::QueueFull);
         }
@@ -216,7 +216,7 @@ impl WatermarkScheduler {
     }
 
     /// How many queued tenants to activate this tick under `load`.
-    pub fn activations(&self, load: &LoadSnapshot) -> usize {
+    pub(crate) fn activations(&self, load: &LoadSnapshot) -> usize {
         self.max_active.saturating_sub(load.active)
     }
 

@@ -120,11 +120,6 @@ impl SloRegistry {
         }
     }
 
-    /// True iff hooks record anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// A tenant was admitted at `tick`. Ids are dense and sequential
     /// (the engine assigns them in admission order), so this indexes a
     /// plain slab vector. The one allocating hook — admission is not

@@ -6,12 +6,12 @@
 //! thousands of short synthetic workloads (the benchmark and
 //! experiment-sweep pattern). [`BatchRunner`] validates the
 //! configuration once and reuses one machine's wake-up array, register
-//! update unit and data memory across programs via [`Machine::reset`],
+//! update unit and data memory across programs via `Machine::reset`,
 //! so per-run setup cost stays flat no matter how many programs flow
 //! through.
 //!
 //! A batched run of a program is behaviourally identical to
-//! [`Processor::run`](crate::Processor::run) on that program: [`Machine::reset`] restores every
+//! [`Processor::run`](crate::Processor::run) on that program: `Machine::reset` restores every
 //! piece of architectural and microarchitectural state (a unit test and
 //! the differential suite pin this down).
 //!
@@ -44,11 +44,6 @@ impl BatchRunner {
     pub fn new(cfg: SimConfig) -> Result<BatchRunner, RunError> {
         cfg.validate().map_err(RunError::BadConfig)?;
         Ok(BatchRunner { cfg, machine: None })
-    }
-
-    /// The configuration every batched run uses.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Reset (or lazily build) the machine for `program` and hand it

@@ -48,7 +48,7 @@ impl Default for Latencies {
 impl Latencies {
     /// Latency of a class.
     #[inline]
-    pub fn of(&self, class: LatencyClass) -> u32 {
+    pub(crate) fn of(&self, class: LatencyClass) -> u32 {
         let l = match class {
             LatencyClass::IntAlu => self.int_alu,
             LatencyClass::IntMul => self.int_mul,

@@ -529,17 +529,12 @@ impl LaneBatch {
     }
 
     /// Number of lanes stepped in lockstep.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.lanes
     }
 
-    /// 64-lane words per plane (`lanes / 64`).
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
     /// Cycles stepped so far.
-    pub fn cycle(&self) -> u64 {
+    pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 

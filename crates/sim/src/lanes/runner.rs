@@ -61,16 +61,6 @@ impl LaneRunner {
         Ok(LaneRunner { batch, stim })
     }
 
-    /// The batch (for per-lane extraction and fault seeding).
-    pub fn batch(&self) -> &LaneBatch {
-        &self.batch
-    }
-
-    /// The stimulus being replayed.
-    pub fn stimulus(&self) -> &LaneStimulus {
-        &self.stim
-    }
-
     /// Step every lane one cycle, replaying the stimulus cyclically.
     pub fn step(&mut self) {
         let at = (self.batch.cycle() % self.stim.cycles() as u64) as usize;

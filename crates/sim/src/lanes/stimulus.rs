@@ -84,7 +84,7 @@ impl LaneStimulus {
     }
 
     /// Number of lanes covered.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.lanes
     }
 
@@ -94,12 +94,12 @@ impl LaneStimulus {
     }
 
     /// Queue entries per cycle per lane.
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue_len
     }
 
     /// Busy-mask slots per cycle per lane.
-    pub fn n_slots(&self) -> usize {
+    pub(crate) fn n_slots(&self) -> usize {
         self.n_slots
     }
 
@@ -212,7 +212,8 @@ impl LaneStimulus {
     }
 
     /// Test/debug view: one lane's busy mask at `cycle`.
-    pub fn busy_mask(&self, lane: usize, cycle: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn busy_mask(&self, lane: usize, cycle: usize) -> u64 {
         let (w, b) = (lane / 64, (lane % 64) as u32);
         let mut mask = 0u64;
         for s in 0..self.n_slots {

@@ -2,7 +2,7 @@
 //!
 //! The serve engine steps many tenants concurrently; building a
 //! `Machine` from scratch (fabric, wake-up array, policy tables) per
-//! tenant is the expensive path, while [`Machine::reset`] on a machine
+//! tenant is the expensive path, while `Machine::reset` on a machine
 //! built for the *same* [`SimConfig`] is pinned by the batch-runner
 //! tests to be equivalent to a fresh build. The pool exploits that:
 //! released machines are cached with their config, and a lease for a
@@ -10,7 +10,7 @@
 //!
 //! The pool never blocks: a lease beyond the cache simply builds a new
 //! machine (admission control lives in the serve scheduler, not here),
-//! and a release beyond [`MachinePool::capacity`] drops the machine.
+//! and a release beyond the pool's capacity drops the machine.
 //! [`PoolStats`] counts reuses vs. rebuilds so the serve telemetry can
 //! report cache effectiveness.
 
@@ -58,20 +58,16 @@ impl MachinePool {
         }
     }
 
-    /// Maximum number of idle machines the pool retains.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Idle machines currently cached.
-    pub fn free(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free(&self) -> usize {
         self.free.len()
     }
 
     /// Lease a machine configured as `cfg` and started on `program`.
     ///
     /// Reuses a cached machine with an identical config when one is
-    /// available (via [`Machine::reset`]); otherwise builds one. The
+    /// available (via `Machine::reset`); otherwise builds one. The
     /// caller owns the machine until it hands it back with
     /// [`MachinePool::release`].
     pub fn lease(&mut self, cfg: &SimConfig, program: &Program) -> Result<Machine, RunError> {

@@ -175,11 +175,6 @@ impl Processor {
         Ok(Processor { cfg })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// Run `program` to completion (or until `max_cycles`); the program
     /// must pass [`Program::validate`].
     pub fn run(&mut self, program: &Program, max_cycles: u64) -> Result<SimReport, RunError> {
@@ -354,7 +349,7 @@ impl Machine {
     /// register update unit, data memory). Produces a machine
     /// behaviourally identical to a freshly constructed one — the batched
     /// driver ([`crate::batch`]) relies on this.
-    pub fn reset(&mut self, program: &Program) {
+    pub(crate) fn reset(&mut self, program: &Program) {
         self.fetch = FetchUnit::new(program.to_words(), &self.cfg);
         self.dispatch_buf.clear();
         self.wakeup.reset();
@@ -471,14 +466,14 @@ impl Machine {
     }
 
     /// In-flight instruction count (dispatched, not yet retired).
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.rob.len()
     }
 
     /// Instructions retired so far (cheaper than [`Machine::report`] when
     /// only the count is needed, e.g. per-sample trace recording).
     #[inline]
-    pub fn retired(&self) -> u64 {
+    pub(crate) fn retired(&self) -> u64 {
         self.retired
     }
 

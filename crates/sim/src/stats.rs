@@ -39,18 +39,20 @@ pub struct RetiredMix([u64; NUM_UNIT_TYPES]);
 impl RetiredMix {
     /// Instructions of type `t` retired.
     #[inline]
-    pub fn get(&self, t: UnitType) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self, t: UnitType) -> u64 {
         self.0[t.index()]
     }
 
     /// Count one more retired instruction of type `t`.
     #[inline]
-    pub fn record(&mut self, t: UnitType) {
+    pub(crate) fn record(&mut self, t: UnitType) {
         self.0[t.index()] += 1;
     }
 
     /// Retired instructions of every type.
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
         self.0.iter().sum()
     }
 }

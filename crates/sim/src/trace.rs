@@ -53,7 +53,7 @@ impl SteeringTrace {
     }
 
     /// Sample the machine's current state.
-    pub fn record(&mut self, m: &Machine) {
+    pub(crate) fn record(&mut self, m: &Machine) {
         self.samples.push(TraceSample {
             cycle: m.cycle(),
             demand: m.current_demand(),

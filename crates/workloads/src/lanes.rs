@@ -38,7 +38,8 @@ impl QueueRow {
     };
 
     /// Per-type occupancy counts of this row (what stage 2 encodes).
-    pub fn counts(&self) -> [u8; 5] {
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> [u8; 5] {
         let mut c = [0u8; 5];
         for &t in &self.types[..self.len as usize] {
             c[t as usize] += 1;
@@ -116,11 +117,6 @@ impl LaneTraceSpec {
         }
         out
     }
-
-    /// Generate all `lanes` traces, lane-major.
-    pub fn generate(&self, lanes: usize) -> Vec<Vec<QueueRow>> {
-        (0..lanes).map(|l| self.generate_lane(l)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -132,9 +128,6 @@ mod tests {
         let spec = LaneTraceSpec::synthetic_mix(256, 42);
         assert_eq!(spec.generate_lane(3), spec.generate_lane(3));
         assert_ne!(spec.generate_lane(0), spec.generate_lane(1));
-        let all = spec.generate(4);
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[2], spec.generate_lane(2));
     }
 
     #[test]

@@ -164,7 +164,8 @@ impl StreamSpec {
     }
 
     /// Parse a spec from JSON (the serve protocol's wire form).
-    pub fn from_json(text: &str) -> Result<StreamSpec, serde_json::Error> {
+    #[cfg(test)]
+    pub(crate) fn from_json(text: &str) -> Result<StreamSpec, serde_json::Error> {
         serde_json::from_str(text)
     }
 

@@ -64,7 +64,7 @@ impl UnitMix {
     }
 
     /// Sample a unit type according to the weights.
-    pub fn sample(&self, rng: &mut StdRng) -> UnitType {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> UnitType {
         let total: f64 = self.weights.iter().sum();
         assert!(total > 0.0, "mix must have positive total weight");
         let mut x = rng.gen_range(0.0..total);

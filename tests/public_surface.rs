@@ -9,10 +9,14 @@
 //! that nothing calls should go.
 //!
 //! The match is by name, not by path, so a name that something outside
-//! the crate uses for any item keeps every `pub fn` of that name. That
-//! is deliberately crude: it cannot keep a dead function alive by
-//! accident for long, because a new use is what makes it pass, and it
-//! needs no parser.
+//! the crate uses for any item keeps every `pub fn` of that name. It
+//! needs no parser, and it catches a free function that nothing calls.
+//! It cannot catch a method whose name is a common word: `len`,
+//! `is_empty`, `new`, `get` or `clear` on one type passes because some
+//! other type's method of that name is called. Only the compiler can
+//! judge those; the verify skill's "narrowing pass" is the procedure
+//! (make each indented library `pub fn` `pub(crate)`, restore every one
+//! that a workspace or benchmark build rejects, then read `dead_code`).
 //!
 //! [`ALLOWED`] lists the few functions kept public with no caller
 //! outside their crate, each with its reason.
